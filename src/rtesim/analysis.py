@@ -191,29 +191,14 @@ class LocalErrorSample:
     K_abs: float
 
 
-def _segment_overlaps(exact, a, b):
-    """Yield (segment state, lo, hi) offsets covering [a, b] piecewise."""
-    starts = exact.seg_starts
-    durs = exact.seg_durations
-    i = max(int(np.searchsorted(starts, a, side="right")) - 1, 0)
-    while i < len(starts):
-        s0 = starts[i]
-        s1 = s0 + durs[i]
-        lo = max(a, s0)
-        hi = min(b, s1)
-        if hi > lo:
-            yield exact.seg_states[i], lo - s0, hi - s0
-        if s1 >= b:
-            break
-        i += 1
+def local_errors(model, exact, config):
+    """L and K of every grid step of ``config``, measured on ``exact``.
 
-
-def local_errors(model, exact, config, n):
-    """L and K over grid step n of ``config``, measured on ``exact``.
-
-    Both integrals are summed in closed form segment by segment across any
-    jumps that fall inside the step, so the only approximation in the
-    sample is the quadrature rule under test.
+    Returns one LocalErrorSample per step, in step order.  The path's flow
+    segments are split at the grid times and both integrals are summed in
+    closed form piece by piece, so the only approximation in a sample is
+    the quadrature rule under test.  Every hook is called once, on the
+    whole batch of pieces or grid states.
     """
     hooks = model.analytic
     if hooks is None or hooks.drift_integral is None:
@@ -221,28 +206,38 @@ def local_errors(model, exact, config, n):
             f"local error sampling needs analytic hooks with a drift integral; "
             f"model {model.name!r} does not provide them")
     h = config.h
-    t0, t1 = n * h, (n + 1) * h
-    if t1 > exact.T * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"step [{t0:g}, {t1:g}] not covered by exact trajectory (T={exact.T})")
-    p = model.jump_count
-    drift_int = np.zeros(model.dim)
-    hazard_int = np.zeros(p)
-    for x_seg, lo, hi in _segment_overlaps(exact, t0, t1):
-        drift_int += (np.asarray(hooks.drift_integral(hi, x_seg), dtype=float)
-                      - np.asarray(hooks.drift_integral(lo, x_seg), dtype=float))
-        for k in range(p):
-            hazard_int[k] += (hooks.hazard_integral[k](hi, x_seg)
-                              - hooks.hazard_integral[k](lo, x_seg))
-    x_n = exact.state_at(t0)
-    x_n1 = exact.state_at(min(t1, exact.T))
-    phi1 = ((1.0 - config.theta) * eval_drift(model, x_n)
-            + config.theta * eval_drift(model, x_n1))
+    nbar = grid_steps(exact.T, h)
+    grid = np.arange(nbar + 1) * h
+    starts = exact.seg_starts
+    # step n meets segments first[n]..last[n]; one piece per (step, segment)
+    first = np.maximum(np.searchsorted(starts, grid[:-1], side="right") - 1, 0)
+    last = np.searchsorted(starts, grid[1:], side="left") - 1
+    counts = last - first + 1
+    offsets = np.cumsum(counts) - counts
+    step = np.repeat(np.arange(nbar), counts)
+    seg = first[step] + np.arange(step.size) - offsets[step]
+    s0 = starts[seg]
+    lo = np.maximum(grid[step], s0) - s0
+    hi = np.minimum(grid[step + 1], s0 + exact.seg_durations[seg]) - s0
+    t = np.concatenate([hi, lo])
+    xs = exact.seg_states[np.concatenate([seg, seg])]
+
+    def per_step(integral):
+        v = np.asarray(integral(t, xs), dtype=float)
+        return np.add.reduceat(v[:step.size] - v[step.size:], offsets, axis=0)
+
+    drift_int = per_step(hooks.drift_integral)
+    hazard_int = np.stack([per_step(f) for f in hooks.hazard_integral], axis=-1)
+    x_grid = exact.state_at(np.minimum(grid, exact.T))
+    f_grid = eval_drift(model, x_grid)
+    phi1 = (1.0 - config.theta) * f_grid[:-1] + config.theta * f_grid[1:]
     L = drift_int - h * phi1
-    phis, _ = _phi3_vector(model, x_n, h, config.quadrature, config.clamp_phi3)
+    phis, _ = _phi3_vector(model, x_grid[:-1], h, config.quadrature,
+                           config.clamp_phi3)
     K = (hazard_int - h * phis) @ model.jumps
-    dist = _norm_fn("euclidean")
-    return LocalErrorSample(n=n, L_abs=dist(L), K_abs=dist(K))
+    L_abs = np.sqrt(np.sum(L * L, axis=1)).tolist()
+    K_abs = np.sqrt(np.sum(K * K, axis=1)).tolist()
+    return [LocalErrorSample(n, L_abs[n], K_abs[n]) for n in range(nbar)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +281,9 @@ def _composite_gl(exact, g, cap, subdiv=1):
     rank = np.arange(seg_idx.size) - np.repeat(np.cumsum(reps) - reps, reps)
     offs = rank * chunk_len
     t_nodes = offs[:, None] + chunk_len[:, None] * _GL01_X[None, :]
-    d = xs.shape[1]
-    if d == 1:
-        x_nodes = np.asarray(flow(t_nodes, xs[seg_idx, 0][:, None]), dtype=float)
-        vals = np.asarray(g(x_nodes.reshape(-1, 1)), dtype=float)
-        vals = vals.reshape(t_nodes.shape)
-    else:
-        vals = np.empty_like(t_nodes)
-        x_chunk = xs[seg_idx]
-        for i in range(t_nodes.shape[0]):
-            batch = np.array([flow(t, x_chunk[i]) for t in t_nodes[i]])
-            vals[i] = np.asarray(g(batch), dtype=float)
-    return float(np.sum((vals @ _GL01_W) * chunk_len))
+    x_nodes = flow(t_nodes.ravel(), np.repeat(xs[seg_idx], _GL01_X.size, axis=0))
+    vals = np.asarray(g(np.asarray(x_nodes, dtype=float)), dtype=float)
+    return float(np.sum((vals.reshape(t_nodes.shape) @ _GL01_W) * chunk_len))
 
 
 def integrate_along_path(exact, g, tol=1e-8, chunk_cap=0.25, max_levels=10):

@@ -9,6 +9,7 @@ are byte-identical across repeated runs at any --threads value.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -117,13 +118,14 @@ class RunConfig:
 def resolve_seed(cli_seed, doc):
     """Precedence: --seed flag > RTE_SIM_SEED env > config field > default."""
     if cli_seed is not None:
-        return int(cli_seed)
-    env = os.environ.get("RTE_SIM_SEED")
-    if env is not None:
-        return int(env, 0)
-    if "seed" in doc:
-        return int(doc["seed"])
-    return DEFAULT_SEED
+        seed = int(cli_seed)
+    elif os.environ.get("RTE_SIM_SEED") is not None:
+        seed = int(os.environ["RTE_SIM_SEED"], 0)
+    else:
+        seed = int(doc.get("seed", DEFAULT_SEED))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def validate(config):
@@ -144,8 +146,10 @@ def validate(config):
         model = config.build_model()
     except RteSimError as e:
         err(f"model: {e}")
-    if config.T is None or not config.T > 0:
-        err(f"horizon T must be positive, got {config.T!r}")
+    T_ok = (isinstance(config.T, (int, float)) and not isinstance(config.T, bool)
+            and math.isfinite(config.T) and config.T > 0)
+    if not T_ok:
+        err(f"horizon T must be a positive number, got {config.T!r}")
     if config.x0 is None:
         err("initial state x0 is required")
     elif model is not None:
@@ -171,7 +175,7 @@ def validate(config):
             err(f"solver entry {entry!r}: {e}")
             continue
         for cfg in cfgs:
-            if config.T:
+            if T_ok:
                 try:
                     grid_steps(config.T, cfg.h)
                 except GridError:
@@ -343,11 +347,7 @@ def _run_local_error(config, model, outdir, threads, comments):
     def worker(j):
         bundle = PathBundle(config.seed, j, model.jump_count)
         traj = exact_trajectory(model, bundle, x0, config.T)
-        out = []
-        for cfg in all_cfgs:
-            nbar = grid_steps(config.T, cfg.h)
-            out.append([local_errors(model, traj, cfg, n) for n in range(nbar)])
-        return out
+        return [local_errors(model, traj, cfg) for cfg in all_cfgs]
 
     per_rep = run_replications(worker, config.M, threads)
     files = []
@@ -458,9 +458,13 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read config {args.config!r}: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(doc, dict):
+        print(f"error: config {args.config!r} must be a JSON object, got "
+              f"{type(doc).__name__}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         seed = resolve_seed(args.seed, doc)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         print(f"error: bad seed: {e}", file=sys.stderr)
         return EXIT_CONFIG
     config = RunConfig(doc, args.experiment, seed)

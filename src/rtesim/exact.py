@@ -48,19 +48,22 @@ class ExactTrajectory:
         return self.state_at(self.T)
 
     def state_at(self, t):
-        """State at time t in [0, T] (right-continuous at jumps)."""
-        if not 0.0 <= t <= self.T:
+        """State at time t in [0, T] (right-continuous at jumps).
+
+        A time array of shape (m,) gives the states (m, d) in one flow call.
+        """
+        t = np.asarray(t, dtype=float)
+        if not ((0.0 <= t) & (t <= self.T)).all():
             raise ConfigurationError(f"t={t} outside [0, {self.T}]")
         i = np.searchsorted(self.seg_starts, t, side="right") - 1
-        s = min(t - self.seg_starts[i], self.seg_durations[i])
+        s = np.minimum(t - self.seg_starts[i], self.seg_durations[i])
         return np.asarray(self.model.analytic.flow(s, self.seg_states[i]), dtype=float)
 
     def sample_grid(self, h_out):
         """States on the grid n*h_out, for plotting/export."""
         n = grid_steps(self.T, h_out)
         times = np.arange(n + 1) * h_out
-        states = np.array([self.state_at(min(t, self.T)) for t in times])
-        return times, states
+        return times, self.state_at(np.minimum(times, self.T))
 
     def write_jumps_csv(self, fileobj, comments=()):
         d = self.states_post_jump.shape[1] if self.jump_count else self.model.dim

@@ -29,8 +29,12 @@ class AnalyticHooks:
 
     Hooks must satisfy hazard_inverse(hazard_integral(t, x), x) == t to a
     relative 1e-10 wherever the inverse is finite; the test suite asserts
-    this rather than assuming it.  For scalar models the hooks should
-    broadcast over numpy arrays so diagnostics can integrate in batch.
+    this rather than assuming it.  flow, hazard_integral and drift_integral
+    must also broadcast over a batch: times of shape (m,) with states of
+    shape (m, d) give (m, d), (m,) and (m, d).  The exact solver calls them
+    with one time and one state (d,); path integrals and local-error
+    sampling call them once per batch.  hazard_inverse is only called
+    pointwise.
     """
 
     flow: callable
@@ -59,11 +63,14 @@ class RteModel:
     dim : int
         State dimension d >= 1.
     drift : callable
-        f : R^d -> R^d, applied to 1-d numpy arrays.
+        f : R^d -> R^d.  Must broadcast: a state (d,) gives (d,) and a
+        batch of states (m, d) gives (m, d).
     rates : sequence of callables
-        p functions R^d -> R; evaluations are clamped at 0 (the benchmark
-        models leave the nonnegative orthant only through transient
-        iterates, where a negative rate has no meaning).
+        p functions R^d -> R, broadcasting the same way ((d,) gives a
+        scalar, (m, d) gives (m,)); there is no pointwise fallback.
+        Evaluations are clamped at 0 (the benchmark models leave the
+        nonnegative orthant only through transient iterates, where a
+        negative rate has no meaning).
     jumps : array_like, shape (p, d)
         Jump vectors nu_k added to the state when process k fires.
     lipschitz_f, lipschitz_rates : optional declared Lipschitz bounds,
@@ -122,8 +129,22 @@ def eval_rate(model, k, x):
 
 
 def eval_rates(model, x):
-    """All p clamped rates at x as an array."""
-    return np.array([eval_rate(model, k, x) for k in range(model.jump_count)])
+    """All p clamped rates at a state (d,) or a batch of states (m, d).
+
+    Returns shape (p,) or (m, p).  Each negative entry is clamped to 0 and
+    counted once on ``model.clamp_diag``.
+    """
+    vals = np.empty(x.shape[:-1] + (model.jump_count,))
+    for k, rate in enumerate(model.rates):
+        vals[..., k] = rate(x)
+    if vals.min() >= 0.0 and vals.max() < math.inf:
+        return vals
+    if not np.isfinite(vals).all():
+        raise ModelEvaluationError(
+            f"rates of {model.name!r} non-finite at x={x!r}", x=x)
+    neg = vals < 0.0
+    model.clamp_diag.bump(int(neg.sum()))
+    return np.where(neg, 0.0, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +279,7 @@ def builtin_linear_scalar(alpha, lam, eps):
             f"got ({alpha}, {lam}, {eps})")
 
     def flow(t, x):
-        return x * np.exp(-alpha * t)
+        return x * np.exp(-alpha * t)[..., None]
 
     def hazard_integral(t, x):
         lx = np.maximum(lam * x[..., 0], 0.0)
@@ -273,7 +294,7 @@ def builtin_linear_scalar(alpha, lam, eps):
         return -math.log1p(-alpha * delta / lx) / alpha
 
     def drift_integral(t, x):
-        return x * np.expm1(-alpha * t)
+        return x * np.expm1(-alpha * t)[..., None]
 
     hooks = AnalyticHooks(flow=flow,
                           hazard_integral=(hazard_integral,),
@@ -305,7 +326,7 @@ def builtin_quadratic_scalar(alpha=1.0, beta=2.0, eps=0.01):
             f"got ({alpha}, {beta}, {eps})")
 
     def flow(t, x):
-        return x * np.exp(-alpha * t)
+        return x * np.exp(-alpha * t)[..., None]
 
     def hazard_integral(t, x):
         bx2 = np.maximum(beta * x[..., 0] ** 2, 0.0)
@@ -321,7 +342,7 @@ def builtin_quadratic_scalar(alpha=1.0, beta=2.0, eps=0.01):
         return -math.log1p(-2.0 * alpha * delta / bx2) / (2.0 * alpha)
 
     def drift_integral(t, x):
-        return x * np.expm1(-alpha * t)
+        return x * np.expm1(-alpha * t)[..., None]
 
     hooks = AnalyticHooks(flow=flow,
                           hazard_integral=(hazard_integral,),
@@ -351,7 +372,9 @@ def builtin_bacteriophage():
     by a fine-step reference.
     """
     def drift(x):
-        return np.array([0.0, 0.0, _R5 * x[0] - _R6 * x[2]])
+        fx = np.zeros_like(x)
+        fx[..., 2] = _R5 * x[..., 0] - _R6 * x[..., 2]
+        return fx
 
     rates = (
         lambda x: _R1 * x[..., 1],              # genome -> template

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigurationError, GridError, ImplicitSolveError,
-                     ModelEvaluationError, NegativeStateError)
-from .model import eval_drift, eval_rate, eval_rates
+                     NegativeStateError)
+from .model import eval_drift, eval_rates
 
 QUADRATURES = ("euler", "midpoint", "trapezoidal",
                "improved-midpoint", "improved-trapezoidal")
@@ -110,67 +110,38 @@ class Trajectory:
 
 
 def _shifted_rates(model, x):
-    """Matrix R[j, k] = clamped rate k at the state displaced by jump j.
-
-    Tries one batched call per rate over the p displaced states (the
-    built-in models broadcast); falls back to pointwise evaluation and
-    remembers the outcome on the model.
-    """
-    p = model.jump_count
-    displaced = x + model.jumps  # (p, d)
-    if getattr(model, "_rates_batch", True):
-        try:
-            cols = [np.asarray(r(displaced), dtype=float) for r in model.rates]
-            shifted = np.stack(cols, axis=1)
-            if shifted.shape != (p, p):
-                raise ValueError(shifted.shape)
-            if not np.isfinite(shifted).all():
-                raise ModelEvaluationError(
-                    f"rate non-finite near x={x!r}", x=x)
-            neg = shifted < 0.0
-            if neg.any():
-                model.clamp_diag.bump(int(neg.sum()))
-                shifted = np.where(neg, 0.0, shifted)
-            model._rates_batch = True
-            return shifted
-        except (TypeError, ValueError, IndexError):
-            model._rates_batch = False
-    shifted = np.empty((p, p))
-    for j in range(p):
-        for k in range(p):
-            shifted[j, k] = eval_rate(model, k, displaced[j])
-    return shifted
+    """R[..., j, k] = clamped rate k at the state displaced by jump j."""
+    return eval_rates(model, x[..., None, :] + model.jumps)
 
 
 def _phi3_vector(model, x, h, rule, clamp):
-    """phi3 for all p processes at once; returns (values, clamp_count).
+    """phi3 for all p processes at a state (d,) or a batch (m, d).
 
+    Returns (values, clamp_count) with values of shape (p,) or (m, p).
     The midpoint/trapezoidal predictor points are shared across k, so the
-    vector form costs p+1 rate evaluations instead of p*(p+1).
+    vector form costs p+1 rate evaluations instead of p*(p+1).  Only the
+    improved rules can go negative, so only they are clamped.
     """
-    p = model.jump_count
-    if rule == "euler":
-        vals = eval_rates(model, x)
-    elif rule == "midpoint":
-        lam0 = eval_rates(model, x)
-        xm = x + 0.5 * h * eval_drift(model, x) + 0.5 * h * (lam0 @ model.jumps)
-        vals = eval_rates(model, xm)
-    elif rule == "trapezoidal":
-        lam0 = eval_rates(model, x)
-        xe = x + h * eval_drift(model, x) + h * (lam0 @ model.jumps)
-        vals = 0.5 * (lam0 + eval_rates(model, xe))
-    elif rule in ("improved-midpoint", "improved-trapezoidal"):
-        lam0 = eval_rates(model, x)
-        shifted = _shifted_rates(model, x)
-        corr = 0.5 * h * (lam0 @ shifted - lam0.sum() * lam0)
-        if rule == "improved-midpoint":
-            vals = eval_rates(model, x + 0.5 * h * eval_drift(model, x)) + corr
-        else:
-            vals = (0.5 * lam0
-                    + 0.5 * eval_rates(model, x + h * eval_drift(model, x))
-                    + corr)
-    else:
+    if rule not in QUADRATURES:
         raise ConfigurationError(f"unknown quadrature {rule!r}")
+    lam0 = eval_rates(model, x)
+    if rule == "euler":
+        return lam0, 0
+    if rule == "midpoint":
+        xm = x + 0.5 * h * eval_drift(model, x) + 0.5 * h * (lam0 @ model.jumps)
+        return eval_rates(model, xm), 0
+    if rule == "trapezoidal":
+        xe = x + h * eval_drift(model, x) + h * (lam0 @ model.jumps)
+        return 0.5 * (lam0 + eval_rates(model, xe)), 0
+    shifted = _shifted_rates(model, x)
+    corr = 0.5 * h * ((lam0[..., None, :] @ shifted)[..., 0, :]
+                      - lam0.sum(axis=-1, keepdims=True) * lam0)
+    if rule == "improved-midpoint":
+        vals = eval_rates(model, x + 0.5 * h * eval_drift(model, x)) + corr
+    else:
+        vals = (0.5 * lam0
+                + 0.5 * eval_rates(model, x + h * eval_drift(model, x))
+                + corr)
     nclamp = 0
     if clamp:
         neg = vals < 0.0

@@ -1,4 +1,8 @@
-"""Shared helpers: canned epoch streams and hand-built models."""
+"""Shared helpers: canned epoch streams and hand-built models.
+
+The hand-built hooks broadcast like the built-in ones: times (m,) with
+states (m, d) give flows (m, d) and hazards (m,).
+"""
 
 import numpy as np
 
@@ -20,10 +24,10 @@ def zero_rate_model(alpha=1.5, with_hooks=True):
     hooks = None
     if with_hooks:
         hooks = AnalyticHooks(
-            flow=lambda t, x: x * np.exp(-alpha * t),
-            hazard_integral=(lambda t, x: 0.0,),
+            flow=lambda t, x: x * np.exp(-alpha * t)[..., None],
+            hazard_integral=(lambda t, x: 0.0 * t,),
             hazard_inverse=(lambda delta, x: np.inf,),
-            drift_integral=lambda t, x: x * np.expm1(-alpha * t),
+            drift_integral=lambda t, x: x * np.expm1(-alpha * t)[..., None],
         )
     return RteModel(1, lambda x: -alpha * x, (lambda x: 0.0 * x[..., 0],),
                     [[0.0]], lipschitz_f=alpha, analytic=hooks, name="decay")
@@ -32,10 +36,10 @@ def zero_rate_model(alpha=1.5, with_hooks=True):
 def zero_drift_model(lam=2.0, eps=0.5):
     """No drift; constant-in-state jump rate lam with jump height eps."""
     hooks = AnalyticHooks(
-        flow=lambda t, x: x + 0.0 * t,
+        flow=lambda t, x: x + 0.0 * np.asarray(t)[..., None],
         hazard_integral=(lambda t, x: lam * t,),
         hazard_inverse=(lambda delta, x: delta / lam,),
-        drift_integral=lambda t, x: 0.0 * x + 0.0 * t,
+        drift_integral=lambda t, x: 0.0 * x,
     )
     return RteModel(1, lambda x: 0.0 * x, (lambda x: lam + 0.0 * x[..., 0],),
                     [[eps]], lipschitz_f=0.0, analytic=hooks, name="pure-jump")

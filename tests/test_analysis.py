@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import fixed_path, zero_drift_model, zero_rate_model
 from rtesim.analysis import ErrorRow, integrate_along_path
 from rtesim.errors import (ConfigurationError, FitError, ImplicitSolveError,
                            UnsupportedModelError)
+from rtesim.stepper import _phi3_vector
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -133,21 +135,70 @@ class TestStrongError:
         assert lines[-1].startswith("# slope=")
 
 
+def _segment_overlaps(exact, a, b):
+    """Yield (segment state, lo, hi) offsets covering [a, b] piecewise."""
+    starts = exact.seg_starts
+    durs = exact.seg_durations
+    i = max(int(np.searchsorted(starts, a, side="right")) - 1, 0)
+    while i < len(starts):
+        s0 = starts[i]
+        s1 = s0 + durs[i]
+        lo = max(a, s0)
+        hi = min(b, s1)
+        if hi > lo:
+            yield exact.seg_states[i], lo - s0, hi - s0
+        if s1 >= b:
+            break
+        i += 1
+
+
+def reference_local_error(model, exact, config, n):
+    """Step n of ``local_errors``, one step at a time with pointwise hooks.
+
+    Returns (L, K, L_scale, K_scale): the two error vectors and the size
+    of the terms that cancel in each.
+    """
+    hooks = model.analytic
+    h = config.h
+    t0, t1 = n * h, (n + 1) * h
+    drift_int = np.zeros(model.dim)
+    hazard_int = np.zeros(model.jump_count)
+    for x_seg, lo, hi in _segment_overlaps(exact, t0, t1):
+        drift_int += (np.asarray(hooks.drift_integral(hi, x_seg), dtype=float)
+                      - np.asarray(hooks.drift_integral(lo, x_seg), dtype=float))
+        for k in range(model.jump_count):
+            hazard_int[k] += (hooks.hazard_integral[k](hi, x_seg)
+                              - hooks.hazard_integral[k](lo, x_seg))
+    x_n = exact.state_at(t0)
+    x_n1 = exact.state_at(min(t1, exact.T))
+    phi1 = ((1.0 - config.theta) * rs.eval_drift(model, x_n)
+            + config.theta * rs.eval_drift(model, x_n1))
+    phis, _ = _phi3_vector(model, x_n, h, config.quadrature, config.clamp_phi3)
+    L = drift_int - h * phi1
+    K = (hazard_int - h * phis) @ model.jumps
+    L_scale = np.abs(drift_int) + h * np.abs(phi1)
+    K_scale = (np.abs(hazard_int) + h * np.abs(phis)) @ np.abs(model.jumps)
+    return L, K, L_scale, K_scale
+
+
+def synthetic_jump_free(model, x0, T):
+    return rs.ExactTrajectory(
+        model=model, x0=np.array([x0]), T=T,
+        jump_times=np.empty(0), jump_ids=np.empty(0, dtype=int),
+        states_post_jump=np.empty((0, 1)),
+        seg_starts=np.array([0.0]), seg_states=np.array([[x0]]),
+        seg_durations=np.array([T]), clocks=np.zeros(1))
+
+
 class TestLocalErrors:
-    def synthetic_jump_free(self, model, x0, T):
-        return rs.ExactTrajectory(
-            model=model, x0=np.array([x0]), T=T,
-            jump_times=np.empty(0), jump_ids=np.empty(0, dtype=int),
-            states_post_jump=np.empty((0, 1)),
-            seg_starts=np.array([0.0]), seg_states=np.array([[x0]]),
-            seg_durations=np.array([T]), clocks=np.zeros(1))
+    synthetic_jump_free = staticmethod(synthetic_jump_free)
 
     def test_euler_clock_error_on_jump_free_step(self):
         # rate integral over [0, 0.1] is 2000*(1-e^{-0.15})/1.5 ~ 185.723
         m = rs.builtin_linear_scalar(**SET1)
         traj = self.synthetic_jump_free(m, 10.0, 0.1)
         cfg = rs.SolverConfig(theta=0.0, h=0.1, quadrature="euler")
-        s = rs.local_errors(m, traj, cfg, 0)
+        s = rs.local_errors(m, traj, cfg)[0]
         integral = 2000.0 * (1 - math.exp(-0.15)) / 1.5
         assert integral == pytest.approx(185.723, abs=5e-4)
         assert s.K_abs == pytest.approx(abs(integral - 200.0) * 0.007, rel=1e-12)
@@ -159,13 +210,13 @@ class TestLocalErrors:
     def test_zero_rates_give_zero_K(self):
         m = zero_rate_model(alpha=1.5)
         traj = self.synthetic_jump_free(m, 10.0, 0.1)
-        s = rs.local_errors(m, traj, rs.SolverConfig(theta=0.5, h=0.1), 0)
+        s = rs.local_errors(m, traj, rs.SolverConfig(theta=0.5, h=0.1))[0]
         assert s.K_abs == 0.0
 
     def test_zero_drift_gives_zero_L(self):
         m = zero_drift_model(lam=2.0, eps=0.5)
         traj = rs.exact_trajectory(m, rs.PathBundle(3, 0, 1), [1.0], 1.0)
-        s = rs.local_errors(m, traj, rs.SolverConfig(theta=0.5, h=0.25), 1)
+        s = rs.local_errors(m, traj, rs.SolverConfig(theta=0.5, h=0.25))[1]
         assert s.L_abs == 0.0
 
     def test_step_spanning_jumps_matches_quadrature(self):
@@ -173,7 +224,7 @@ class TestLocalErrors:
         traj = rs.exact_trajectory(m, rs.PathBundle(6, 0, 1), [10.0], 0.2)
         assert traj.jump_count >= 2
         cfg = rs.SolverConfig(theta=0.3, h=0.1, quadrature="euler")
-        s = rs.local_errors(m, traj, cfg, 1)
+        s = rs.local_errors(m, traj, cfg)[1]
         # oracle: piecewise quadrature of the rate along the reconstructed path
         integral = 0.0
         for x, lo, hi in self._overlaps(traj, 0.1, 0.2):
@@ -185,7 +236,6 @@ class TestLocalErrors:
 
     @staticmethod
     def _overlaps(traj, a, b):
-        from rtesim.analysis import _segment_overlaps
         return _segment_overlaps(traj, a, b)
 
     def test_theta_weighting_in_L(self):
@@ -194,7 +244,7 @@ class TestLocalErrors:
         h = 0.1
         drift_int = 10.0 * (math.exp(-1.5 * h) - 1.0)
         for theta in (0.0, 0.5, 1.0):
-            s = rs.local_errors(m, traj, rs.SolverConfig(theta=theta, h=h), 0)
+            s = rs.local_errors(m, traj, rs.SolverConfig(theta=theta, h=h))[0]
             phi1 = (1 - theta) * (-1.5 * 10.0) + theta * (-1.5 * traj.state_at(h)[0])
             assert s.L_abs == pytest.approx(abs(drift_int - h * phi1), rel=1e-12)
 
@@ -206,13 +256,68 @@ class TestLocalErrors:
         bare = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
         traj = self.synthetic_jump_free(bare, 10.0, 0.1)
         with pytest.raises(UnsupportedModelError):
-            rs.local_errors(bare, traj, rs.SolverConfig(theta=0.0, h=0.1), 0)
+            rs.local_errors(bare, traj, rs.SolverConfig(theta=0.0, h=0.1))
 
     def test_step_must_be_covered(self):
+        # 0.1 / 0.04 = 2.5: the grid does not tile the path's horizon
         m = rs.builtin_linear_scalar(**SET1)
         traj = self.synthetic_jump_free(m, 10.0, 0.1)
         with pytest.raises(ConfigurationError):
-            rs.local_errors(m, traj, rs.SolverConfig(theta=0.0, h=0.1), 1)
+            rs.local_errors(m, traj, rs.SolverConfig(theta=0.0, h=0.04))
+
+    def test_returns_every_step_in_order(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        traj = rs.exact_trajectory(m, rs.PathBundle(2, 0, 1), [10.0], 1.0)
+        samples = rs.local_errors(m, traj, rs.SolverConfig(theta=0.0, h=0.125))
+        assert [s.n for s in samples] == list(range(8))
+        assert all(type(s.L_abs) is float and type(s.K_abs) is float
+                   for s in samples)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_cases():
+    """(model, exact path) pairs: dense jumps, a jump-free path, fixtures."""
+    lin = rs.builtin_linear_scalar(**SET1)
+    quad = rs.builtin_quadratic_scalar(alpha=1.0, beta=40.0, eps=0.01)
+    zr = zero_rate_model(alpha=1.5)
+    zd = zero_drift_model(lam=40.0, eps=0.5)
+    return {
+        "linear-scalar": (lin, rs.exact_trajectory(lin, rs.PathBundle(8, 0, 1),
+                                                   [10.0], 1.0)),
+        "quadratic-scalar": (quad, rs.exact_trajectory(
+            quad, rs.PathBundle(8, 1, 1), [1.0], 1.0)),
+        "jump-free": (lin, synthetic_jump_free(lin, 10.0, 1.0)),
+        "zero-rate": (zr, rs.exact_trajectory(zr, rs.PathBundle(8, 2, 1),
+                                              [10.0], 1.0)),
+        "zero-drift": (zd, rs.exact_trajectory(zd, rs.PathBundle(8, 3, 1),
+                                               [1.0], 1.0)),
+    }
+
+
+class TestLocalErrorsAgainstStepLoop:
+    """The batched sampler against the per-step loop it replaced."""
+
+    @pytest.mark.parametrize("case", ["jump-free", "linear-scalar",
+                                      "quadratic-scalar", "zero-drift",
+                                      "zero-rate"])
+    @pytest.mark.parametrize("rule", rs.QUADRATURES)
+    def test_every_sample_matches_loop(self, case, rule):
+        model, traj = _oracle_cases()[case]
+        if case in ("linear-scalar", "quadratic-scalar"):
+            per_step = np.histogram(traj.jump_times, bins=4, range=(0.0, 1.0))[0]
+            assert per_step.min() >= 2  # several jumps inside every coarse step
+        for theta in (0.0, 0.3, 1.0):
+            for h in (0.25, 0.1, 0.03125):
+                cfg = rs.SolverConfig(theta=theta, h=h, quadrature=rule)
+                samples = rs.local_errors(model, traj, cfg)
+                assert [s.n for s in samples] == list(range(round(1.0 / h)))
+                for s in samples:
+                    L, K, L_scale, K_scale = reference_local_error(
+                        model, traj, cfg, s.n)
+                    dL = abs(s.L_abs - float(np.linalg.norm(L)))
+                    dK = abs(s.K_abs - float(np.linalg.norm(K)))
+                    assert dL <= 1e-12 * float(np.linalg.norm(L_scale)), (cfg, s)
+                    assert dK <= 1e-12 * float(np.linalg.norm(K_scale)), (cfg, s)
 
 
 class TestGenerator:

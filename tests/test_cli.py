@@ -183,6 +183,25 @@ class TestExitCodes:
                      x0=1.0, M=1, T=2.0)
         assert cli.main(["converge", "--config", str(cfg), "--threads", "1"]) == 3
 
+    @pytest.mark.parametrize("argv,overrides", [
+        (["--seed", "-1"], {}),
+        ([], {"T": "1"}),
+        ([], None),  # a top-level JSON array
+    ], ids=["negative-seed", "string-horizon", "array-document"])
+    def test_malformed_document_is_one_error_line(self, tmp_path, capsys,
+                                                  argv, overrides):
+        cfg = tmp_path / "c.json"
+        if overrides is None:
+            cfg.write_text(json.dumps([1, 2]))
+        else:
+            write_config(cfg, M=2, **overrides)
+        assert cli.main(["converge", "--config", str(cfg), "--threads", "1",
+                         "--no-timestamp"] + argv) == 1
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        assert [ln for ln in lines if ln.startswith("error:")] == lines[:1]
+        assert len(lines) == 1 and "Traceback" not in out.err
+
     @pytest.mark.parametrize("exc,code", [
         (GridError("g"), 1),
         (UnsupportedModelError("u"), 2),

@@ -41,6 +41,10 @@ class TestEvaluation:
         before = m.clamp_diag.count
         assert rs.eval_rate(m, 0, np.array([-3.0])) == 0.0
         assert m.clamp_diag.count == before + 1
+        # a batch bumps the count once per negative entry
+        batch = rs.eval_rates(m, np.array([[-3.0], [2.0], [-1.0], [-0.5]]))
+        assert np.array_equal(batch, [[0.0], [400.0], [0.0], [0.0]])
+        assert m.clamp_diag.count == before + 4
 
     def test_nonfinite_rate_raises(self):
         bad = rs.RteModel(1, lambda x: 0.0 * x,

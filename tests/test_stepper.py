@@ -7,7 +7,7 @@ import rtesim as rs
 from conftest import fixed_path, zero_rate_model
 from rtesim.errors import (ConfigurationError, GridError, ImplicitSolveError,
                            NegativeStateError)
-from rtesim.stepper import StepperState
+from rtesim.stepper import StepperState, _phi3_vector
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -80,6 +80,51 @@ class TestPhi3:
     def test_bad_index(self):
         with pytest.raises(ConfigurationError):
             rs.phi3(self.m, 1, self.x, 0.1, "euler")
+
+
+def _phi3_batch_and_rows(model, xs, h, rule):
+    batch, nclamp = _phi3_vector(model, xs, h, rule, True)
+    rows = [_phi3_vector(model, x, h, rule, True) for x in xs]
+    assert batch.shape == (len(xs), model.jump_count)
+    assert nclamp == sum(n for _, n in rows)
+    return batch, np.array([v for v, _ in rows])
+
+
+class TestPhi3Batch:
+    """_phi3_vector on a batch (m, d) equals its rows taken one at a time."""
+
+    @pytest.mark.parametrize("rule", rs.QUADRATURES)
+    @pytest.mark.parametrize("model,xs", [
+        (rs.builtin_linear_scalar(**SET1), [[10.0], [0.3], [0.0], [25.0]]),
+        (rs.builtin_quadratic_scalar(alpha=1.0, beta=2.0, eps=0.01),
+         [[1.3], [0.02], [0.0], [4.0]]),
+    ], ids=["linear-scalar", "quadratic-scalar"])
+    def test_scalar_models_bit_for_bit(self, model, xs, rule):
+        for h in (0.5, 0.1, 0.01):
+            batch, rows = _phi3_batch_and_rows(model, np.array(xs), h, rule)
+            assert np.array_equal(batch, rows)
+
+    @pytest.mark.parametrize("rule", rs.QUADRATURES)
+    def test_bacteriophage_scaled_within_roundoff(self, rule):
+        model = rs.builtin_bacteriophage_scaled()
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.0, 3.0, size=(16, 3))
+        xs[:4, 1] = 0.0  # templates without genomes: the shifted rates clamp
+        for h in (0.5, 0.1, 0.01):
+            batch, rows = _phi3_batch_and_rows(model, xs, h, rule)
+            np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0)
+
+    def test_improved_rule_clamps_counted_per_entry(self):
+        m = rs.RteModel(1, lambda x: 0.0 * x,
+                        (lambda x: 4.0 - 1.9 * x[..., 0],), [[1.0]],
+                        name="collapsing")
+        # rows 1 and 2 overshoot below zero; row 3's rate is clamped already
+        xs = np.array([[2.0], [0.1], [3.0]])
+        raw, _ = _phi3_vector(m, xs, 15.0, "improved-midpoint", False)
+        assert raw[0, 0] < 0.0 and raw[1, 0] < 0.0 and raw[2, 0] == 0.0
+        vals, nclamp = _phi3_vector(m, xs, 15.0, "improved-midpoint", True)
+        assert nclamp == 2
+        assert np.array_equal(vals, np.zeros((3, 1)))
 
 
 class TestStep:
