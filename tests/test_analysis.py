@@ -191,12 +191,10 @@ def synthetic_jump_free(model, x0, T):
 
 
 class TestLocalErrors:
-    synthetic_jump_free = staticmethod(synthetic_jump_free)
-
     def test_euler_clock_error_on_jump_free_step(self):
         # rate integral over [0, 0.1] is 2000*(1-e^{-0.15})/1.5 ~ 185.723
         m = rs.builtin_linear_scalar(**SET1)
-        traj = self.synthetic_jump_free(m, 10.0, 0.1)
+        traj = synthetic_jump_free(m, 10.0, 0.1)
         cfg = rs.SolverConfig(theta=0.0, h=0.1, quadrature="euler")
         s = rs.local_errors(m, traj, cfg)[0]
         integral = 2000.0 * (1 - math.exp(-0.15)) / 1.5
@@ -209,7 +207,7 @@ class TestLocalErrors:
 
     def test_zero_rates_give_zero_K(self):
         m = zero_rate_model(alpha=1.5)
-        traj = self.synthetic_jump_free(m, 10.0, 0.1)
+        traj = synthetic_jump_free(m, 10.0, 0.1)
         s = rs.local_errors(m, traj, rs.SolverConfig(theta=0.5, h=0.1))[0]
         assert s.K_abs == 0.0
 
@@ -227,20 +225,16 @@ class TestLocalErrors:
         s = rs.local_errors(m, traj, cfg)[1]
         # oracle: piecewise quadrature of the rate along the reconstructed path
         integral = 0.0
-        for x, lo, hi in self._overlaps(traj, 0.1, 0.2):
+        for x, lo, hi in _segment_overlaps(traj, 0.1, 0.2):
             val, _ = integrate.quad(
                 lambda u, x0=x[0]: 200.0 * x0 * math.exp(-1.5 * u), lo, hi)
             integral += val
         expected = abs(integral - 0.1 * 200.0 * traj.state_at(0.1)[0]) * 0.007
         assert s.K_abs == pytest.approx(expected, rel=1e-8)
 
-    @staticmethod
-    def _overlaps(traj, a, b):
-        return _segment_overlaps(traj, a, b)
-
     def test_theta_weighting_in_L(self):
         m = rs.builtin_linear_scalar(**SET1)
-        traj = self.synthetic_jump_free(m, 10.0, 0.1)
+        traj = synthetic_jump_free(m, 10.0, 0.1)
         h = 0.1
         drift_int = 10.0 * (math.exp(-1.5 * h) - 1.0)
         for theta in (0.0, 0.5, 1.0):
@@ -254,14 +248,14 @@ class TestLocalErrors:
                                  hazard_integral=m.analytic.hazard_integral,
                                  hazard_inverse=m.analytic.hazard_inverse)
         bare = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
-        traj = self.synthetic_jump_free(bare, 10.0, 0.1)
+        traj = synthetic_jump_free(bare, 10.0, 0.1)
         with pytest.raises(UnsupportedModelError):
             rs.local_errors(bare, traj, rs.SolverConfig(theta=0.0, h=0.1))
 
     def test_step_must_be_covered(self):
         # 0.1 / 0.04 = 2.5: the grid does not tile the path's horizon
         m = rs.builtin_linear_scalar(**SET1)
-        traj = self.synthetic_jump_free(m, 10.0, 0.1)
+        traj = synthetic_jump_free(m, 10.0, 0.1)
         with pytest.raises(ConfigurationError):
             rs.local_errors(m, traj, rs.SolverConfig(theta=0.0, h=0.04))
 
