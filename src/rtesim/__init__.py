@@ -14,8 +14,8 @@ from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
                      NegativeStateError, QueryError, RteSimError,
                      RunawayJumpError, UnsupportedModelError)
-from .exact import (ExactTrajectory, ReferenceSpec, exact_trajectory,
-                    next_jump, reference_trajectory)
+from .exact import (BlockEnds, ExactTrajectory, ReferenceSpec, exact_block,
+                    exact_trajectory, next_jump, reference_trajectory)
 from .model import (AnalyticHooks, RteModel, ScalingSpec, apply_scaling,
                     bacteriophage_scaling, builtin_bacteriophage,
                     builtin_bacteriophage_scaled, builtin_linear_scalar,
@@ -28,7 +28,8 @@ from .stepper import (QUADRATURES, SolverConfig, StepperState, Trajectory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticHooks", "ConfigurationError", "ErrorReport", "ErrorRow",
+    "AnalyticHooks", "BlockEnds", "ConfigurationError", "ErrorReport",
+    "ErrorRow",
     "ExactTrajectory", "FitError", "GridError", "ImplicitSolveError",
     "LocalErrorSample", "MartingaleCheck", "ModelEvaluationError",
     "NegativeStateError", "OrderFit", "PathBundle", "PoissonPath",
@@ -38,7 +39,8 @@ __all__ = [
     "bacteriophage_scaling", "builtin_bacteriophage",
     "builtin_bacteriophage_scaled", "builtin_linear_scalar",
     "builtin_quadratic_scalar", "eval_drift", "eval_rate", "eval_rates",
-    "exact_trajectory", "fit_order", "generator_apply", "get_model",
+    "exact_block", "exact_trajectory", "fit_order", "generator_apply",
+    "get_model",
     "integrate_along_path", "local_errors", "martingale_check", "model_names",
     "next_jump", "phi3", "reference_trajectory", "solve_trajectory", "step",
     "strong_error",

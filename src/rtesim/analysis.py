@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, FitError, ModelEvaluationError,
-                     RteSimError, UnsupportedModelError)
-from .exact import exact_trajectory
+                     RteSimError, UnsupportedModelError, in_replication)
+from .exact import exact_block, exact_trajectory
 from .model import eval_drift, eval_rate
 from .poisson import PathBundle
 from .stepper import _phi3_vector, grid_steps, solve_trajectory
@@ -150,13 +150,14 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
             else:
                 ref_x = solve_trajectory(model, ref_config, bundle, x0, T).endpoint
         except RteSimError as e:
-            raise type(e)(f"replication {j}, reference: {e}") from e
+            raise in_replication(e, j, "reference", config="reference") from e
         errs = np.empty(len(configs))
         for i, cfg in enumerate(configs):
             try:
                 end = solve_trajectory(model, cfg, bundle, x0, T).endpoint
             except RteSimError as e:
-                raise type(e)(f"replication {j}, config {labels[i]}: {e}") from e
+                raise in_replication(e, j, f"config {labels[i]}",
+                                     config=labels[i]) from e
             errs[i] = dist(ref_x - end)
         return errs
 
@@ -260,33 +261,44 @@ def generator_apply(model, F, gradF, x):
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL01_X = 0.5 * (_GL_X + 1.0)
 _GL01_W = 0.5 * _GL_W
+_CHUNK_CAP = 0.25
+
+
+def _gl_chunks(durs, cap, subdiv):
+    """Chunks of the composite rule: (segment index, offset, length) each.
+
+    Each segment is split into ceil(duration/cap) * subdiv equal chunks,
+    so doubling ``subdiv`` genuinely refines every segment.
+    """
+    reps = np.maximum(1, np.ceil(durs / cap).astype(np.int64)) * subdiv
+    seg = np.repeat(np.arange(durs.size), reps)
+    length = (durs / reps)[seg]
+    rank = np.arange(seg.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    return seg, rank * length, length
+
+
+def _gl_nodes(offs, length):
+    """Node times (chunks, nodes) of chunks at the given offsets."""
+    return offs[:, None] + length[:, None] * _GL01_X[None, :]
 
 
 def _composite_gl(exact, g, cap, subdiv=1):
-    """Composite Gauss-Legendre value of integral g(X(s)) ds.
-
-    Each flow segment is split into ceil(duration/cap) * subdiv chunks, so
-    doubling ``subdiv`` genuinely refines every segment.
-    """
+    """Composite Gauss-Legendre value of integral g(X(s)) ds."""
     flow = exact.model.analytic.flow
     durs = exact.seg_durations
     keep = durs > 0.0
     durs = durs[keep]
     if durs.size == 0:
         return 0.0
-    xs = exact.seg_states[keep]
-    reps = np.maximum(1, np.ceil(durs / cap).astype(np.int64)) * subdiv
-    seg_idx = np.repeat(np.arange(durs.size), reps)
-    chunk_len = (durs / reps)[seg_idx]
-    rank = np.arange(seg_idx.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    offs = rank * chunk_len
-    t_nodes = offs[:, None] + chunk_len[:, None] * _GL01_X[None, :]
-    x_nodes = flow(t_nodes.ravel(), np.repeat(xs[seg_idx], _GL01_X.size, axis=0))
+    seg, offs, chunk_len = _gl_chunks(durs, cap, subdiv)
+    t_nodes = _gl_nodes(offs, chunk_len)
+    x_nodes = flow(t_nodes.ravel(),
+                   np.repeat(exact.seg_states[keep][seg], _GL01_X.size, axis=0))
     vals = np.asarray(g(np.asarray(x_nodes, dtype=float)), dtype=float)
     return float(np.sum((vals.reshape(t_nodes.shape) @ _GL01_W) * chunk_len))
 
 
-def integrate_along_path(exact, g, tol=1e-8, chunk_cap=0.25, max_levels=10):
+def integrate_along_path(exact, g, tol=1e-8, chunk_cap=_CHUNK_CAP, max_levels=10):
     """Integral of g(X(s)) ds over [0, T] on a piecewise-flow trajectory.
 
     ``g`` maps a batch of states with shape (m, d) to values of shape (m,).
@@ -364,33 +376,90 @@ class MartingaleCheck:
         return math.hypot(self.se_lhs, self.se_rhs)
 
 
+class _TwoLevelSums:
+    """Per-row level-1 and level-2 composite sums of path integrals.
+
+    ``add`` takes each pass of exact_block's segments.  They are chunked
+    as integrate_along_path chunks them at its first two levels, the nodes
+    of both levels are flowed in one call and each integrand is evaluated
+    once.  A row's sums are accumulated from its own chunks only, so they
+    do not depend on which rows share its block.
+    """
+
+    def __init__(self, flow, integrands, rows):
+        self.flow = flow
+        self.integrands = integrands
+        self.levels = np.zeros((len(integrands), 2, rows))
+
+    def add(self, rows, x, dur):
+        keep = dur > 0.0
+        if not keep.all():
+            rows, x, dur = rows[keep], x[keep], dur[keep]
+        m = dur.size
+        if m == 0:
+            return
+        # level 1 then level 2: segment i < m is level 1, i >= m level 2
+        seg, offs, length = _gl_chunks(np.concatenate([dur, dur]), _CHUNK_CAP,
+                                       np.repeat([1, 2], m))
+        t_nodes = _gl_nodes(offs, length)
+        x_nodes = np.asarray(self.flow(t_nodes.ravel(),
+                                       np.repeat(x[seg % m], _GL01_X.size, axis=0)),
+                             dtype=float)
+        width = self.levels.shape[2]
+        # bin (level, row) of every chunk
+        bins = np.where(seg < m, 0, width) + np.concatenate([rows, rows])[seg]
+        for i, g in enumerate(self.integrands):
+            vals = np.asarray(g(x_nodes), dtype=float).reshape(t_nodes.shape)
+            # each chunk reduced on its own, never a BLAS product over chunks
+            per_chunk = np.einsum("ck,k->c", vals, _GL01_W) * length
+            self.levels[i] += np.bincount(bins, per_chunk,
+                                          minlength=2 * width).reshape(2, width)
+
+
+# rows per exact_block call; results do not depend on it
+_BLOCK_ROWS = 128
+
+
 def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8):
     """Check the martingale and second-moment identities by exact simulation.
 
     F and gradF must accept batched states of shape (m, d) (returning (m,)
     and (m, d)); the built-in scalar models' coefficients broadcast the
     same way, which keeps the per-path time integrals vectorised.
+
+    Replications are solved in fixed blocks of rows by exact_block, and
+    both path integrals are summed as the paths are built.  A row whose
+    first two refinement levels differ by ``tol`` or more is recomputed by
+    integrate_along_path on its exact_trajectory, which refines further.
     """
     if M < 2:
         raise ConfigurationError(f"martingale check needs M >= 2, got {M}")
     g_af = _generator_batch(model, F, gradF)
     g_qv = _jump_variation_batch(model, F)
+    integrands = (g_af, g_qv)
     p = model.jump_count
     x0 = np.asarray(x0, dtype=float).reshape(model.dim)
     f_start = float(np.asarray(F(x0.reshape(1, -1)), dtype=float).reshape(-1)[0])
+    block = _BLOCK_ROWS
 
-    def worker(j):
-        bundle = PathBundle(master_seed, j, p)
-        traj = exact_trajectory(model, bundle, x0, T)
-        f_end = float(np.asarray(F(traj.endpoint.reshape(1, -1)),
-                                 dtype=float).reshape(-1)[0])
-        mf = f_end - f_start - integrate_along_path(traj, g_af, tol=tol)
-        qv = integrate_along_path(traj, g_qv, tol=tol)
-        return mf, qv
+    def worker(b):
+        reps = range(b * block, min(M, (b + 1) * block))
+        sums = _TwoLevelSums(model.analytic.flow, integrands, len(reps))
+        ends = exact_block(model, master_seed, reps, x0, T, sums.add)
+        f_end = np.asarray(F(ends.endpoints), dtype=float).reshape(-1)
+        level1, level2 = sums.levels[:, 0], sums.levels[:, 1]
+        vals = level2.copy()
+        unsettled = ~(np.abs(level2 - level1) < tol)
+        for row in np.flatnonzero(unsettled.any(axis=0)):
+            traj = exact_trajectory(model, PathBundle(master_seed, reps[row], p),
+                                    x0, T)
+            for i in np.flatnonzero(unsettled[:, row]):
+                vals[i, row] = integrate_along_path(traj, integrands[i], tol=tol)
+        return f_end - f_start - vals[0], vals[1]
 
-    results = run_replications(worker, M, threads)
-    mf = np.array([r[0] for r in results])
-    qv = np.array([r[1] for r in results])
+    blocks = run_replications(worker, -(-M // block), threads)
+    mf = np.concatenate([b[0] for b in blocks])
+    qv = np.concatenate([b[1] for b in blocks])
     mean = float(mf.mean())
     se_mean = float(mf.std(ddof=1)) / math.sqrt(M)
     if se_mean > 0.0:

@@ -65,6 +65,8 @@ class RunConfig:
         self.experiment = experiment
         self.seed = seed
         model_block = doc.get("model", {})
+        if not isinstance(model_block, dict):
+            model_block = {}
         self.model_name = model_block.get("name")
         self.model_params = model_block.get("params", {})
         self.scaling = model_block.get("scaling")
@@ -78,7 +80,17 @@ class RunConfig:
         self.observable = doc.get("observable", {"kind": "component", "index": 0})
 
     def build_model(self):
-        _reject_unknown(self.doc.get("model", {}), _MODEL_KEYS, "model")
+        block = self.doc.get("model", {})
+        if not isinstance(block, dict):
+            raise ConfigurationError(
+                f"model block must be an object, got {type(block).__name__}")
+        _reject_unknown(block, _MODEL_KEYS, "model")
+        if not isinstance(self.model_params, dict):
+            raise ConfigurationError(
+                f"model params must be an object, got {self.model_params!r}")
+        if self.scaling is not None and not isinstance(self.scaling, dict):
+            raise ConfigurationError(
+                f"model scaling must be an object, got {self.scaling!r}")
         return get_model(self.model_name, self.model_params, self.scaling)
 
     def solver_configs(self, entry):
@@ -95,7 +107,7 @@ class RunConfig:
     def reference_spec(self):
         if self.reference == "exact":
             return "exact"
-        if isinstance(self.reference, str):
+        if not isinstance(self.reference, dict):
             raise ConfigurationError(
                 f"reference must be 'exact' or a fine-step block, "
                 f"got {self.reference!r}")
@@ -128,6 +140,12 @@ def resolve_seed(cli_seed, doc):
     return seed
 
 
+def _is_number(v):
+    """A finite JSON number; bools and strings are not numbers."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def validate(config):
     """Collect findings as (level, message) pairs; never raises."""
     findings = []
@@ -146,19 +164,25 @@ def validate(config):
         model = config.build_model()
     except RteSimError as e:
         err(f"model: {e}")
-    T_ok = (isinstance(config.T, (int, float)) and not isinstance(config.T, bool)
-            and math.isfinite(config.T) and config.T > 0)
+    T_ok = _is_number(config.T) and config.T > 0
     if not T_ok:
         err(f"horizon T must be a positive number, got {config.T!r}")
+    x0 = config.x0 if isinstance(config.x0, list) else [config.x0]
     if config.x0 is None:
         err("initial state x0 is required")
-    elif model is not None:
-        x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
-        if x0.shape != (model.dim,):
-            err(f"x0 has shape {x0.shape}, model dim is {model.dim}")
-    if not isinstance(config.M, int) or config.M < 1:
+    elif not all(_is_number(v) for v in x0):
+        err(f"initial state x0 must be a finite number or a list of them, "
+            f"got {config.x0!r}")
+    elif model is not None and len(x0) != model.dim:
+        err(f"x0 has shape ({len(x0)},), model dim is {model.dim}")
+    if (not isinstance(config.M, int) or isinstance(config.M, bool)
+            or config.M < 1):
         err(f"replication count M must be a positive integer, got {config.M!r}")
-    if not config.solver_entries and config.experiment != "diagnose":
+    entries = config.solver_entries
+    if not isinstance(entries, list):
+        err(f"solver must be a list of entries, got {entries!r}")
+        entries = []
+    elif not entries and config.experiment != "diagnose":
         err("at least one solver entry is required")
     ref = None
     try:
@@ -168,7 +192,7 @@ def validate(config):
     if ref == "exact" and model is not None and model.analytic is None:
         err(f"reference 'exact' needs analytic hooks; model "
             f"{config.model_name!r} has none (use a fine-step reference)")
-    for entry in config.solver_entries:
+    for entry in entries:
         try:
             cfgs = config.solver_configs(entry)
         except (RteSimError, KeyError, TypeError) as e:
@@ -192,10 +216,14 @@ def validate(config):
     if config.experiment in ("simulate", "converge", "local-error", "diagnose"):
         if not config.output:
             err("output directory is required")
+        elif not isinstance(config.output, str):
+            err(f"output directory must be a string, got {config.output!r}")
     if config.experiment == "local-error" and model is not None:
         if model.analytic is None or model.analytic.drift_integral is None:
             err(f"local-error needs analytic hooks with a drift integral; "
                 f"model {config.model_name!r} lacks them")
+    if config.experiment == "diagnose" and not isinstance(config.observable, dict):
+        err(f"observable must be an object, got {config.observable!r}")
     if config.experiment == "diagnose" and model is not None:
         if model.analytic is None:
             err(f"diagnose runs on exact paths; model {config.model_name!r} "
@@ -238,8 +266,8 @@ def _write_meta_json(config, outdir, files, timestamp):
 def _observable(config, model):
     kind = config.observable.get("kind", "component")
     if kind == "component":
-        i = int(config.observable.get("index", 0))
-        if not 0 <= i < model.dim:
+        i = config.observable.get("index", 0)
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < model.dim:
             raise ConfigurationError(f"observable component {i} out of range")
         F = lambda xs: np.asarray(xs, dtype=float)[..., i]
 

@@ -1,8 +1,18 @@
 """Exception hierarchy shared across the package."""
 
+import copy
+
 
 class RteSimError(Exception):
-    """Base class for all rtesim errors."""
+    """Base class for all rtesim errors.
+
+    A Monte Carlo routine that knows where a failure happened sets
+    ``replication`` (its index) and ``config`` (the solver config label, or
+    "reference") through ``in_replication``; both are None otherwise.
+    """
+
+    replication = None
+    config = None
 
 
 class ConfigurationError(RteSimError):
@@ -54,3 +64,19 @@ class UnsupportedModelError(RteSimError):
 
 class FitError(RteSimError):
     """Order fit impossible (too few rows or nonpositive mean errors)."""
+
+
+def in_replication(error, replication, where=None, config=None):
+    """Copy of ``error`` that names the replication it happened in.
+
+    The copy keeps the type and fields of ``error`` (``x``, ``residual``,
+    ``step``), prefixes its message with ``replication j[, where]: `` and
+    sets ``replication`` and ``config``.  Raise it ``from error`` to keep
+    the original as ``__cause__``.
+    """
+    located = copy.copy(error)
+    prefix = f"replication {replication}" + (f", {where}" if where else "")
+    located.args = (f"{prefix}: {error}",)
+    located.replication = replication
+    located.config = config
+    return located

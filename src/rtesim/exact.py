@@ -6,15 +6,21 @@ hazard inverse gives the physical time at which each clock would hit, and
 the earliest hitter fires.  Between jumps the state follows the closed-form
 flow, so the result is exact up to floating-point roundoff.  Models without
 hooks fall back to a fine-step reference run on the same epoch streams.
+
+``exact_trajectory`` builds one path and keeps it; ``exact_block`` runs a
+block of replications in lock step and streams their segments instead.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigurationError, GridError, ModelEvaluationError,
-                     RunawayJumpError, UnsupportedModelError)
+                     QueryError, RunawayJumpError, UnsupportedModelError,
+                     in_replication)
+from .poisson import epoch_generator, next_epochs
 from .stepper import SolverConfig, grid_steps, solve_trajectory
 
 
@@ -177,6 +183,148 @@ def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
         clocks=clocks,
         meta={"model": model.name},
     )
+
+
+class BlockEnds(NamedTuple):
+    """Where each row of an exact_block run ended.
+
+    ``endpoints`` (B, d) are the states at T, ``clocks`` (B, p) the final
+    internal times tau_k(T) and ``jump_counts`` (B,) the number of jumps.
+    """
+
+    endpoints: np.ndarray
+    clocks: np.ndarray
+    jump_counts: np.ndarray
+
+
+class _EpochWindows:
+    """The current epoch batch of every (row, process) stream of a block.
+
+    Each stream draws its batches exactly as PoissonPath does, so a window
+    holds the epochs PoissonPath would list at the same positions; only
+    the batch that the cursor sits in is kept.
+    """
+
+    def __init__(self, master_seed, replications, p, batch=128):
+        self.batch = batch
+        self.gens = [[epoch_generator(master_seed, j, k) for k in range(p)]
+                     for j in replications]
+        self.win = np.array([[next_epochs(g, 0.0, batch) for g in row]
+                             for row in self.gens]).reshape(-1, p, batch)
+        self.cur = np.zeros((len(self.gens), p), dtype=np.intp)
+        self._reindex()
+
+    def _reindex(self):
+        m, p = self.cur.shape
+        self._flat = self.win.reshape(-1)
+        self._base = np.arange(m * p).reshape(m, p) * self.batch
+
+    def next_after(self, clocks):
+        """Smallest epoch strictly above each clock, shape (m, p).
+
+        Clocks never decrease, so cursors only move forward.
+        """
+        while True:
+            ep = self._flat[self._base + self.cur]
+            behind = ep <= clocks
+            if not behind.any():
+                return ep
+            self.cur += behind
+            for i, k in zip(*np.nonzero(self.cur == self.batch)):
+                self.win[i, k] = next_epochs(self.gens[i][k],
+                                             self.win[i, k, -1], self.batch)
+                self.cur[i, k] = 0
+
+    def keep(self, mask):
+        """Drop the rows where ``mask`` is False."""
+        self.gens = [g for g, kept in zip(self.gens, mask) if kept]
+        self.win = self.win[mask]
+        self.cur = self.cur[mask]
+        self._reindex()
+
+
+def exact_block(model, master_seed, replications, x0, T, on_segment,
+                max_jumps=10_000_000):
+    """Davis construction of a block of replications, in lock step.
+
+    Row i solves replication ``replications[i]`` on the epochs that
+    ``PathBundle(master_seed, replications[i], p)`` holds, and agrees with
+    exact_trajectory on that bundle bit for bit (given hooks whose batched
+    calls compute each row as their single-state calls do, as the built-in
+    ones do).  Each pass advances every
+    unfinished row by one segment: ``flow`` and each ``hazard_integral``
+    are called once on all those rows, ``hazard_inverse`` once per row and
+    process.  Paths are not stored: each pass hands its segments to
+    ``on_segment(rows, x, dur)`` -- block row indices (m,), segment start
+    states (m, d) and durations (m,) -- so every row's segments arrive in
+    path order.  Returns BlockEnds.
+    """
+    hooks = _require_hooks(model)
+    p, d = model.jump_count, model.dim
+    flow = hooks.flow
+    try:
+        x0 = np.asarray(x0, dtype=float).reshape(d)
+    except ValueError:
+        raise ConfigurationError(
+            f"initial state {x0!r} does not match model dimension {d}") from None
+    reps = list(replications)
+    B = len(reps)
+    ends = BlockEnds(np.empty((B, d)), np.empty((B, p)),
+                     np.empty(B, dtype=np.int64))
+    if B == 0:
+        return ends
+    rows = np.arange(B)
+    x = np.repeat(x0[None, :], B, axis=0)
+    t = np.zeros(B)
+    clocks = np.zeros((B, p))
+    epochs = _EpochWindows(master_seed, reps, p)
+    jumps = 0  # every active row has jumped once per pass so far
+    while rows.size:
+        if not (clocks.min() >= 0.0 and clocks.max() < math.inf):
+            i, k = np.argwhere(~(np.isfinite(clocks) & (clocks >= 0.0)))[0]
+            raise in_replication(QueryError(
+                f"next_epoch_after needs finite u >= 0, "
+                f"got {float(clocks[i, k])!r}"), reps[rows[i]])
+        ep = epochs.next_after(clocks)
+        delta = ep - clocks
+        tk = np.empty_like(delta)
+        for k, inverse in enumerate(hooks.hazard_inverse):
+            tk[:, k] = [inverse(dl, xi) for dl, xi in zip(delta[:, k].tolist(), x)]
+        if not (tk >= 0.0).all():  # NaN fails too
+            k, i = np.argwhere(~(tk >= 0.0).T)[0]
+            raise in_replication(ModelEvaluationError(
+                f"hazard_inverse[{k}] returned {float(tk[i, k])!r} at x={x[i]!r}",
+                x=x[i]), reps[rows[i]])
+        # argmin keeps the first minimum: ties break to the lowest index
+        best = tk.argmin(axis=1) if p > 1 else np.zeros(rows.size, dtype=np.intp)
+        pick = np.arange(rows.size), best
+        dt = tk[pick]
+        stop = t + dt > T
+        dur = np.where(stop, np.maximum(T - t, 0.0), dt)
+        for j, hazard in enumerate(hooks.hazard_integral):
+            clocks[:, j] += hazard(dur, x)
+        # the firing clock lands exactly on its epoch (inverse identity)
+        clocks[pick] = np.where(stop, clocks[pick], ep[pick])
+        on_segment(rows, x, dur)
+        x_end = np.asarray(flow(dur, x), dtype=float)
+        t = t + dur
+        if stop.any():
+            done = rows[stop]
+            ends.endpoints[done] = x_end[stop]
+            ends.clocks[done] = clocks[stop]
+            ends.jump_counts[done] = jumps
+            go = ~stop
+            rows, t, clocks = rows[go], t[go], clocks[go]
+            x = x_end[go] + model.jumps[best[go]]
+            epochs.keep(go)
+        else:
+            x = x_end + model.jumps[best]
+        jumps += 1
+        if rows.size and jumps > max_jumps:
+            raise in_replication(RunawayJumpError(
+                f"more than {max_jumps} jumps before t={t[0]:g} (T={T}); "
+                f"runaway rates or too small a jump height"), reps[rows[0]])
+    return ends
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,12 @@ class AnalyticHooks:
     relative 1e-10 wherever the inverse is finite; the test suite asserts
     this rather than assuming it.  flow, hazard_integral and drift_integral
     must also broadcast over a batch: times of shape (m,) with states of
-    shape (m, d) give (m, d), (m,) and (m, d).  The exact solver calls them
-    with one time and one state (d,); path integrals and local-error
-    sampling call them once per batch.  hazard_inverse is only called
-    pointwise.
+    shape (m, d) give (m, d), (m,) and (m, d).  exact_trajectory calls them
+    with one time and one state (d,); exact_block calls flow and each
+    hazard_integral once per pass on all its active rows; path integrals
+    and local-error sampling call them once per batch.  hazard_inverse is
+    only ever called pointwise, with one increment and one state (d,), by
+    both exact solvers.
     """
 
     flow: callable
@@ -73,14 +75,14 @@ class RteModel:
         negative rate has no meaning).
     jumps : array_like, shape (p, d)
         Jump vectors nu_k added to the state when process k fires.
-    lipschitz_f, lipschitz_rates : optional declared Lipschitz bounds,
-        used only for the implicit step-size warning.
+    lipschitz_f : optional declared Lipschitz bound of the drift, used
+        only for the implicit step-size warning.
     analytic : AnalyticHooks, optional
     name : str, registry/reporting label
     """
 
     def __init__(self, dim, drift, rates, jumps, lipschitz_f=None,
-                 lipschitz_rates=None, analytic=None, name=""):
+                 analytic=None, name=""):
         jumps = np.asarray(jumps, dtype=float)
         if dim < 1:
             raise ConfigurationError(f"dim must be >= 1, got {dim}")
@@ -95,7 +97,6 @@ class RteModel:
         self.rates = tuple(rates)
         self.jumps = jumps
         self.lipschitz_f = lipschitz_f
-        self.lipschitz_rates = None if lipschitz_rates is None else tuple(lipschitz_rates)
         self.analytic = analytic
         self.name = name
         self.clamp_diag = _ClampCounter()
@@ -181,12 +182,6 @@ class ScalingSpec:
                 if ck > rk + 1e-12:
                     raise ConfigurationError(
                         f"scaling requires c_k <= rho_k, got c={ck} > rho={rk}")
-
-    def rho_effective(self, p):
-        return self.rho if self.rho is not None else self.c[:p]
-
-    def rho_min(self, p):
-        return min(self.rho_effective(p))
 
     def state_factors(self):
         return np.array([self.N ** a for a in self.alpha])
@@ -306,7 +301,6 @@ def builtin_linear_scalar(alpha, lam, eps):
         rates=(lambda x: lam * x[..., 0],),
         jumps=[[eps]],
         lipschitz_f=alpha,
-        lipschitz_rates=(lam,),
         analytic=hooks,
         name="linear-scalar",
     )
@@ -423,7 +417,7 @@ def get_model(name, params=None, scaling=None):
     ``params`` is the keyword map for the builder (e.g. alpha/lambda/eps for
     linear-scalar); ``scaling`` is a ScalingSpec or a mapping of its fields.
     """
-    if name not in _REGISTRY:
+    if not isinstance(name, str) or name not in _REGISTRY:
         raise ConfigurationError(
             f"unknown model {name!r}; known: {', '.join(model_names())}")
     kwargs = {}
@@ -435,6 +429,9 @@ def get_model(name, params=None, scaling=None):
         raise ConfigurationError(f"bad parameters for model {name!r}: {e}") from e
     if scaling is not None:
         if not isinstance(scaling, ScalingSpec):
-            scaling = ScalingSpec(**scaling)
+            try:
+                scaling = ScalingSpec(**scaling)
+            except (TypeError, ValueError) as e:
+                raise ConfigurationError(f"bad scaling for model {name!r}: {e}") from e
         model = apply_scaling(model, scaling)
     return model

@@ -18,6 +18,21 @@ from .errors import QueryError
 _TINY = np.finfo(float).tiny
 
 
+def epoch_generator(master_seed, replication, process):
+    """Philox generator of the stream keyed (master_seed, replication, process)."""
+    ss = np.random.SeedSequence(entropy=master_seed,
+                                spawn_key=(replication, process))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def next_epochs(gen, last, size):
+    """The next ``size`` epochs of a stream whose latest epoch is ``last``."""
+    gaps = gen.standard_exponential(size, method="inv")
+    # a zero gap (probability ~2^-53) would break strict monotonicity
+    np.maximum(gaps, _TINY, out=gaps)
+    return last + np.cumsum(gaps)
+
+
 class PoissonPath:
     """Unit-rate Poisson process as a growing, strictly increasing epoch list.
 
@@ -30,10 +45,8 @@ class PoissonPath:
     __slots__ = ("stream_id", "_gen", "_epochs", "_batch")
 
     def __init__(self, master_seed, replication, process, batch=128):
-        ss = np.random.SeedSequence(entropy=master_seed,
-                                    spawn_key=(replication, process))
         self.stream_id = (replication, process)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = epoch_generator(master_seed, replication, process)
         self._epochs = []
         self._batch = int(batch)
 
@@ -46,10 +59,7 @@ class PoissonPath:
         e = self._epochs
         last = e[-1] if e else 0.0
         while last <= u:
-            gaps = self._gen.standard_exponential(self._batch, method="inv")
-            # a zero gap (probability ~2^-53) would break strict monotonicity
-            np.maximum(gaps, _TINY, out=gaps)
-            e.extend((last + np.cumsum(gaps)).tolist())
+            e.extend(next_epochs(self._gen, last, self._batch).tolist())
             last = e[-1]
 
     def count_at(self, u):
@@ -81,13 +91,6 @@ class PoissonPath:
         e = self._epochs
         return e[bisect.bisect_right(e, u)]
 
-    def dump_epochs(self, writer):
-        """Append rows (stream_id, index, epoch) to a csv.writer-like object."""
-        rep, proc = self.stream_id
-        sid = f"{rep}:{proc}"
-        for i, s in enumerate(self._epochs):
-            writer.writerow([sid, i, repr(s)])
-
 
 class PathBundle:
     """The p driving streams of one replication, derived from one master seed."""
@@ -106,12 +109,3 @@ class PathBundle:
 
     def __iter__(self):
         return iter(self.paths)
-
-    def dump_csv(self, fileobj):
-        """Write all materialised epochs as ``stream_id,index,epoch`` rows."""
-        import csv
-
-        w = csv.writer(fileobj)
-        w.writerow(["stream_id", "index", "epoch"])
-        for path in self.paths:
-            path.dump_epochs(w)

@@ -9,9 +9,10 @@ from scipy import integrate
 
 import rtesim as rs
 from conftest import fixed_path, zero_drift_model, zero_rate_model
+from rtesim import analysis
 from rtesim.analysis import ErrorRow, integrate_along_path
 from rtesim.errors import (ConfigurationError, FitError, ImplicitSolveError,
-                           UnsupportedModelError)
+                           ModelEvaluationError, UnsupportedModelError)
 from rtesim.stepper import _phi3_vector
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
@@ -104,6 +105,36 @@ class TestStrongError:
         cfgs = [rs.SolverConfig(theta=1.0, h=0.5)]  # h*L = 20: no contraction
         with pytest.raises(ImplicitSolveError, match=r"replication 0"):
             rs.strong_error(m, "exact", cfgs, [1.0], 1.0, 2, 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_keeps_fields_and_cause(self, threads):
+        stiff = rs.RteModel(1, lambda x: -40.0 * x, (lambda x: 0.0 * x[..., 0],),
+                            [[0.0]], analytic=zero_rate_model(40.0).analytic,
+                            name="stiff")
+        with pytest.raises(ImplicitSolveError) as info:
+            rs.strong_error(stiff, "exact", [rs.SolverConfig(theta=1.0, h=0.5)],
+                            [1.0], 1.0, 4, 0, threads=threads)
+        e = info.value
+        assert e.replication in range(4) and e.config == "theta1-euler-h0.5"
+        assert e.step == 0 and e.residual > 1.0
+        assert str(e).startswith(f"replication {e.replication}, "
+                                 f"config theta1-euler-h0.5: ")
+        if threads == 1:  # a worker process sends back a remote traceback
+            assert e.replication == 0
+            assert isinstance(e.__cause__, ImplicitSolveError)
+            assert (e.__cause__.residual, e.__cause__.step) == (e.residual, e.step)
+            assert e.__cause__.replication is None
+        # a drift that fails below x = 9: the exact reference never calls it
+        m = rs.builtin_linear_scalar(**SET1)
+        fragile = rs.RteModel(
+            1, lambda x: np.where(x < 9.0, np.nan, -1.5 * x), m.rates, m.jumps,
+            analytic=m.analytic, name="fragile")
+        with pytest.raises(ModelEvaluationError) as info:
+            rs.strong_error(fragile, "exact", [rs.SolverConfig(theta=0.0, h=0.25)],
+                            [10.0], 1.0, 4, 0, threads=threads)
+        e = info.value
+        assert e.replication in range(4) and e.config == "theta0-euler-h0.25"
+        assert e.x is not None and e.x[0] < 9.0
 
     def test_max_norm_option(self):
         m = rs.builtin_bacteriophage_scaled()
@@ -368,6 +399,75 @@ class TestMartingale:
         assert abs(chk.mean) < 4.0 * chk.se_mean
         assert abs(chk.second_moment_lhs - chk.second_moment_rhs) < \
             5.0 * chk.combined_se()
+
+    @staticmethod
+    def _check(model, M, seed, T=0.5, x0=10.0, **kwargs):
+        return rs.martingale_check(model, lambda xs: xs[..., 0],
+                                   lambda xs: np.ones_like(xs), [x0], T, M,
+                                   seed, **kwargs)
+
+    @pytest.mark.parametrize("model,x0", [
+        (rs.builtin_linear_scalar(**SET1), 10.0),
+        # rare jumps: long segments take the general chunking path
+        (rs.builtin_linear_scalar(alpha=1.5, lam=3.0, eps=0.5), 1.0),
+    ], ids=["dense", "sparse"])
+    def test_block_size_does_not_change_results(self, monkeypatch, model, x0):
+        results = []
+        for block in (1, 7, 64):
+            monkeypatch.setattr(analysis, "_BLOCK_ROWS", block)
+            results.append(self._check(model, 20, 5, x0=x0))
+        assert results[0] == results[1] == results[2]
+
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        m = rs.builtin_linear_scalar(**SET1)
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 8)
+        assert self._check(m, 30, 2) == self._check(m, 30, 2, threads=2)
+
+    def test_matches_per_path_integrals(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        M, T = 12, 0.5
+        chk = self._check(m, M, 9, T=T)
+        g_af = analysis._generator_batch(m, lambda xs: xs[..., 0],
+                                         lambda xs: np.ones_like(xs))
+        g_qv = analysis._jump_variation_batch(m, lambda xs: xs[..., 0])
+        mf, qv = [], []
+        for j in range(M):
+            traj = rs.exact_trajectory(m, rs.PathBundle(9, j, 1), [10.0], T)
+            mf.append(traj.endpoint[0] - 10.0 - integrate_along_path(traj, g_af))
+            qv.append(integrate_along_path(traj, g_qv))
+        assert chk.mean == pytest.approx(np.mean(mf), rel=1e-12, abs=1e-14)
+        assert chk.second_moment_lhs == pytest.approx(np.mean(np.square(mf)),
+                                                      rel=1e-12)
+        assert chk.second_moment_rhs == pytest.approx(np.mean(qv), rel=1e-12)
+
+    def test_unsettled_rows_are_refined_per_path(self):
+        # tol=0 can never be met: every row and integrand is recomputed by
+        # integrate_along_path, which refines to its last level and warns
+        m = zero_rate_model(alpha=1.5)
+        with pytest.warns(UserWarning, match="refinement stalled"):
+            chk = self._check(m, 2, 0, T=1.0, tol=0.0)
+        traj = rs.exact_trajectory(m, rs.PathBundle(0, 0, 1), [10.0], 1.0)
+        g_af = analysis._generator_batch(m, lambda xs: xs[..., 0],
+                                         lambda xs: np.ones_like(xs))
+        with pytest.warns(UserWarning):
+            mf = traj.endpoint[0] - 10.0 - integrate_along_path(traj, g_af, tol=0.0)
+        assert chk.mean == mf and chk.second_moment_rhs == 0.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_solver_error_names_replication(self, monkeypatch, threads):
+        m = rs.builtin_linear_scalar(**SET1)
+        bad = rs.RteModel(1, m.drift, m.rates, m.jumps, name="bad-inverse",
+                          analytic=rs.AnalyticHooks(
+                              flow=m.analytic.flow,
+                              hazard_integral=m.analytic.hazard_integral,
+                              hazard_inverse=(lambda delta, x: -1.0,)))
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 2)
+        with pytest.raises(ModelEvaluationError) as info:
+            self._check(bad, 4, 0, threads=threads)
+        e = info.value
+        assert e.replication in (0, 2)  # the first row of either block
+        assert str(e).startswith(f"replication {e.replication}: hazard_inverse[0]")
+        assert np.array_equal(e.x, [10.0])
 
     def test_requires_at_least_two_paths(self):
         m = rs.builtin_linear_scalar(**SET1)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from rtesim import cli
+from rtesim import analysis, cli
 from rtesim.errors import (GridError, ImplicitSolveError, ModelEvaluationError,
                            NegativeStateError, RunawayJumpError,
                            UnsupportedModelError)
@@ -187,20 +187,45 @@ class TestExitCodes:
         (["--seed", "-1"], {}),
         ([], {"T": "1"}),
         ([], None),  # a top-level JSON array
-    ], ids=["negative-seed", "string-horizon", "array-document"])
+        ([], {"model": ["linear-scalar"]}),
+        ([], {"model": dict(LINEAR, params=[1.5])}),
+        ([], {"model": {"name": ["linear-scalar"]}}),
+        ([], {"model": dict(LINEAR, scaling={"N": "big", "alpha": [1.0]})}),
+        ([], {"x0": "ten"}),
+        ([], {"x0": [float("nan")]}),
+        ([], {"x0": float("inf")}),
+        ([], {"M": True}),
+        ([], {"solver": 5}),
+        ([], {"reference": 5}),
+        ([], {"output": 5}),
+    ], ids=["negative-seed", "string-horizon", "array-document",
+            "array-model", "array-params", "array-name", "string-scaling",
+            "string-x0", "nan-x0", "inf-x0",
+            "bool-M", "number-solver", "number-reference", "number-output"])
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys,
                                                   argv, overrides):
         cfg = tmp_path / "c.json"
         if overrides is None:
             cfg.write_text(json.dumps([1, 2]))
         else:
-            write_config(cfg, M=2, **overrides)
+            write_config(cfg, **dict({"M": 2}, **overrides))
         assert cli.main(["converge", "--config", str(cfg), "--threads", "1",
                          "--no-timestamp"] + argv) == 1
         out = capsys.readouterr()
         lines = (out.out + out.err).splitlines()
         assert [ln for ln in lines if ln.startswith("error:")] == lines[:1]
         assert len(lines) == 1 and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("observable", [[0], {"index": "0"}, {"index": True}])
+    def test_malformed_observable_is_one_error_line(self, tmp_path, capsys,
+                                                    observable):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, M=2, solver=[], observable=observable)
+        assert cli.main(["diagnose", "--config", str(cfg), "--threads", "1",
+                         "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("exc,code", [
         (GridError("g"), 1),
@@ -276,6 +301,21 @@ class TestOutputs:
         lines = (tmp_path / "out" / "diagnose.csv").read_text().splitlines()
         header = [line for line in lines if not line.startswith("#")][0]
         assert header.startswith("M,mean,abs_z")
+
+    def test_diagnose_outputs_identical_across_threads(self, tmp_path,
+                                                       monkeypatch):
+        # small blocks, so that the replications span several of them
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 6)
+        cfg = tmp_path / "c.json"
+        write_config(cfg, M=20, T=0.25, solver=[])
+        blobs = []
+        for threads in ("1", "2"):
+            assert cli.main(["diagnose", "--config", str(cfg), "--no-timestamp",
+                             "--threads", threads]) == 0
+            out = tmp_path / "out"
+            blobs.append([(out / n).read_bytes()
+                          for n in ("diagnose.csv", "meta.json")])
+        assert blobs[0] == blobs[1]
 
     def test_converge_on_scaled_hybrid_model(self, tmp_path):
         # desk-scale version of the hybrid-model study: fine-step reference,

@@ -6,8 +6,9 @@ from scipy import integrate
 
 import rtesim as rs
 from conftest import fixed_path, zero_rate_model
-from rtesim.errors import (ConfigurationError, GridError, RunawayJumpError,
-                           UnsupportedModelError)
+from rtesim.errors import (ConfigurationError, GridError, ModelEvaluationError,
+                           RunawayJumpError, UnsupportedModelError)
+from rtesim.exact import exact_block
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -170,6 +171,105 @@ class TestExactTrajectory:
         sl = segs.read_text().splitlines()
         assert sl[0] == "seg_start,duration,x_1"
         assert len(sl) == len(traj.seg_starts) + 1
+
+
+def birth_death(alpha=1.5, birth=150.0, death=100.0, eps=0.007):
+    """Linear decay with two processes: up-jumps at birth*x, down at death*x."""
+    up = rs.builtin_linear_scalar(alpha, birth, eps)
+    down = rs.builtin_linear_scalar(alpha, death, eps)
+    hooks = rs.AnalyticHooks(
+        flow=up.analytic.flow,
+        hazard_integral=up.analytic.hazard_integral + down.analytic.hazard_integral,
+        hazard_inverse=up.analytic.hazard_inverse + down.analytic.hazard_inverse)
+    return rs.RteModel(1, up.drift, up.rates + down.rates, [[eps], [-eps]],
+                       analytic=hooks, name="birth-death")
+
+
+BLOCK_MODELS = {
+    "linear-scalar": lambda: rs.builtin_linear_scalar(**SET1),
+    "quadratic-scalar": lambda: rs.builtin_quadratic_scalar(beta=20.0),
+    "birth-death": birth_death,
+}
+
+
+def collect_block(model, seed, reps, x0, T, **kwargs):
+    """exact_block's result plus every row's segments, in arrival order."""
+    segments = {i: [] for i in range(len(reps))}
+
+    def on_segment(rows, x, dur):
+        for i, xi, di in zip(rows.tolist(), x, dur):
+            segments[i].append((xi.copy(), di))
+
+    ends = exact_block(model, seed, reps, x0, T, on_segment, **kwargs)
+    return ends, segments
+
+
+class TestExactBlock:
+    @pytest.mark.parametrize("B", [1, 7, 64])
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_rows_equal_exact_trajectory_bitwise(self, name, B):
+        model = BLOCK_MODELS[name]()
+        reps = range(5, 5 + B)
+        ends, segments = collect_block(model, 21, reps, [10.0], 0.25)
+        for i, j in enumerate(reps):
+            traj = rs.exact_trajectory(model, rs.PathBundle(21, j, model.jump_count),
+                                       [10.0], 0.25)
+            states = np.array([x for x, _ in segments[i]])
+            durs = np.array([dur for _, dur in segments[i]])
+            assert np.array_equal(states, traj.seg_states), (name, B, j)
+            assert np.array_equal(durs, traj.seg_durations), (name, B, j)
+            t, jump_times = 0.0, []
+            for dur in durs[:-1]:
+                t += dur
+                jump_times.append(t)
+            assert np.array_equal(jump_times, traj.jump_times)
+            assert np.array_equal(ends.endpoints[i], traj.endpoint)
+            assert np.array_equal(ends.clocks[i], traj.clocks)
+            assert ends.jump_counts[i] == traj.jump_count
+        # every stream was read past its first epoch batch
+        assert ends.clocks.min() > 128
+
+    def test_jump_free_row_is_one_segment(self):
+        m = zero_rate_model(alpha=1.5)
+        ends, segments = collect_block(m, 0, range(3), [10.0], 1.0)
+        assert [len(s) for s in segments.values()] == [1, 1, 1]
+        assert ends.jump_counts.tolist() == [0, 0, 0]
+        assert ends.endpoints[:, 0] == pytest.approx(10.0 * math.exp(-1.5),
+                                                     rel=1e-15)
+
+    def test_empty_block(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        ends = exact_block(m, 0, range(0), [10.0], 1.0, None)
+        assert ends.endpoints.shape == (0, 1) and ends.clocks.shape == (0, 1)
+
+    def test_nan_inverse_names_replication_and_state(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        bad = rs.RteModel(1, m.drift, m.rates, m.jumps, name="bad-inverse",
+                          analytic=rs.AnalyticHooks(
+                              flow=m.analytic.flow,
+                              hazard_integral=m.analytic.hazard_integral,
+                              hazard_inverse=(lambda delta, x: math.nan,)))
+        with pytest.raises(ModelEvaluationError, match=r"^replication 4: ") as info:
+            exact_block(bad, 0, range(4, 8), [10.0], 1.0, lambda *a: None)
+        assert info.value.replication == 4
+        assert np.array_equal(info.value.x, [10.0])
+
+    def test_runaway_guard(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        with pytest.raises(RunawayJumpError) as info:
+            exact_block(m, 4, range(2), [10.0], 5.0, lambda *a: None,
+                        max_jumps=10)
+        assert info.value.replication == 0
+
+    def test_initial_state_shape_checked(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        with pytest.raises(ConfigurationError):
+            exact_block(m, 0, range(2), [10.0, 1.0], 1.0, lambda *a: None)
+
+    def test_requires_hooks(self):
+        with pytest.raises(UnsupportedModelError):
+            exact_block(rs.builtin_bacteriophage(), 0, range(2), np.ones(3), 1.0,
+                        lambda *a: None)
 
 
 class TestReference:

@@ -124,13 +124,3 @@ class TestBundle:
         b = PathBundle(1, 3, 4)
         assert len(b) == 4
         assert [p.stream_id for p in b] == [(3, k) for k in range(4)]
-
-    def test_dump_csv(self, tmp_path):
-        b = PathBundle(1, 0, 2)
-        b[0].count_at(2.0)
-        out = tmp_path / "epochs.csv"
-        with open(out, "w", newline="") as f:
-            b.dump_csv(f)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "stream_id,index,epoch"
-        assert lines[1].startswith("0:0,0,")
