@@ -251,10 +251,9 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
     ``PathBundle(master_seed, replications[i], p)`` holds, and agrees with
     exact_trajectory on that bundle bit for bit (given hooks whose batched
     calls compute each row as their single-state calls do, as the built-in
-    ones do).  Each pass advances every
-    unfinished row by one segment: ``flow`` and each ``hazard_integral``
-    are called once on all those rows, ``hazard_inverse`` once per row and
-    process.  Paths are not stored: each pass hands its segments to
+    ones do).  Each pass advances every unfinished row by one segment:
+    ``flow`` and each ``hazard_integral`` are called once on all those
+    rows, ``hazard_inverse`` once per row and process.  Paths are not stored: each pass hands its segments to
     ``on_segment(rows, x, dur)`` -- block row indices (m,), segment start
     states (m, d) and durations (m,) -- so every row's segments arrive in
     path order.  Returns BlockEnds.
@@ -296,7 +295,7 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
                 f"hazard_inverse[{k}] returned {float(tk[i, k])!r} at x={x[i]!r}",
                 x=x[i]), reps[rows[i]])
         # argmin keeps the first minimum: ties break to the lowest index
-        best = tk.argmin(axis=1) if p > 1 else np.zeros(rows.size, dtype=np.intp)
+        best = tk.argmin(axis=1)
         pick = np.arange(rows.size), best
         dt = tk[pick]
         stop = t + dt > T
