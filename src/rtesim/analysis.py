@@ -7,6 +7,7 @@ tasks; results are reduced in replication order, which keeps every
 reported number bit-stable no matter how many workers run.
 """
 
+import functools
 import math
 import multiprocessing as mp
 import warnings
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import (ConfigurationError, FitError, ModelEvaluationError,
                      RteSimError, UnsupportedModelError, in_replication)
 from .exact import exact_block, exact_trajectory
-from .model import eval_drift, eval_rate
+from .model import eval_drift
 from .poisson import PathBundle
 from .stepper import _phi3_vector, grid_steps, solve_trajectory
 
@@ -69,16 +70,6 @@ class ErrorReport:
     rows: list
     seed: int = 0
     meta: dict = field(default_factory=dict)
-
-    def write_csv(self, fileobj, comments=(), fit=None):
-        for line in comments:
-            fileobj.write(f"# {line}\n")
-        fileobj.write("h,mean_abs_error,std_error,M\n")
-        for r in self.rows:
-            fileobj.write(f"{r.h!r},{r.mean_abs_error!r},{r.std_error!r},{r.M}\n")
-        if fit is not None:
-            fileobj.write(f"# slope={fit.slope!r}, intercept={fit.intercept!r}, "
-                          f"r2={fit.r_squared!r}\n")
 
 
 @dataclass(frozen=True)
@@ -248,11 +239,8 @@ def local_errors(model, exact, config):
 def generator_apply(model, F, gradF, x):
     """Generator value grad F . f + sum_k lambda_k (F(x + nu_k) - F(x))."""
     x = np.asarray(x, dtype=float)
-    gF = np.asarray(gradF(x), dtype=float).reshape(model.dim)
-    val = float(gF @ eval_drift(model, x))
-    Fx = float(F(x))
-    for k in range(model.jump_count):
-        val += eval_rate(model, k, x) * (float(F(x + model.jumps[k])) - Fx)
+    af, _ = _martingale_integrands(model, F, gradF, x.reshape(1, model.dim))
+    val = float(af[0])
     if not math.isfinite(val):
         raise ModelEvaluationError(f"generator non-finite at x={x!r}", x=x)
     return val
@@ -318,39 +306,24 @@ def integrate_along_path(exact, g, tol=1e-8, chunk_cap=_CHUNK_CAP, max_levels=10
     return val
 
 
-def _generator_batch(model, F, gradF):
-    """Vectorised x -> AF(x) over batches of states (m, d) -> (m,)."""
-    jumps = model.jumps
-    rates = model.rates
+def _martingale_integrands(model, F, gradF, xs):
+    """Both integrands of the martingale check at states (m, d).
 
-    def g(xs):
-        gF = np.asarray(gradF(xs), dtype=float)
-        fx = np.asarray(model.drift(xs), dtype=float)
-        val = np.sum(gF * fx, axis=-1)
-        Fx = np.asarray(F(xs), dtype=float)
-        for k in range(len(rates)):
-            lam = np.maximum(np.asarray(rates[k](xs), dtype=float), 0.0)
-            val = val + lam * (np.asarray(F(xs + jumps[k]), dtype=float) - Fx)
-        return val
-
-    return g
-
-
-def _jump_variation_batch(model, F):
-    """Vectorised integrand of the predictable second-moment identity."""
-    jumps = model.jumps
-    rates = model.rates
-
-    def g(xs):
-        Fx = np.asarray(F(xs), dtype=float)
-        val = np.zeros(xs.shape[0])
-        for k in range(len(rates)):
-            lam = np.maximum(np.asarray(rates[k](xs), dtype=float), 0.0)
-            dF = np.asarray(F(xs + jumps[k]), dtype=float) - Fx
-            val = val + lam * dF * dF
-        return val
-
-    return g
+    Returns the generator AF(xs) and the predictable variation rate
+    sum_k lambda_k(xs) (F(xs + nu_k) - F(xs))^2, each of shape (m,).  They
+    share F(xs), every rate and every F(xs + nu_k), which are evaluated
+    once.  Rates are clamped at 0, uncounted.
+    """
+    Fx = np.asarray(F(xs), dtype=float)
+    af = np.sum(np.asarray(gradF(xs), dtype=float)
+                * np.asarray(model.drift(xs), dtype=float), axis=-1)
+    qv = np.zeros(xs.shape[0])
+    for k, rate in enumerate(model.rates):
+        lam = np.maximum(np.asarray(rate(xs), dtype=float), 0.0)
+        dF = np.asarray(F(xs + model.jumps[k]), dtype=float) - Fx
+        af = af + lam * dF
+        qv = qv + lam * dF * dF
+    return af, qv
 
 
 @dataclass(frozen=True)
@@ -381,15 +354,16 @@ class _TwoLevelSums:
 
     ``add`` takes each pass of exact_block's segments.  They are chunked
     as integrate_along_path chunks them at its first two levels, the nodes
-    of both levels are flowed in one call and each integrand is evaluated
-    once.  A row's sums are accumulated from its own chunks only, so they
-    do not depend on which rows share its block.
+    of both levels are flowed in one call and ``integrands`` is called
+    once, returning the pair of integrands at those nodes.  A row's sums
+    are accumulated from its own chunks only, so they do not depend on
+    which rows share its block.
     """
 
     def __init__(self, flow, integrands, rows):
         self.flow = flow
         self.integrands = integrands
-        self.levels = np.zeros((len(integrands), 2, rows))
+        self.levels = np.zeros((2, 2, rows))
 
     def add(self, rows, x, dur):
         keep = dur > 0.0
@@ -408,8 +382,8 @@ class _TwoLevelSums:
         width = self.levels.shape[2]
         # bin (level, row) of every chunk
         bins = np.where(seg < m, 0, width) + np.concatenate([rows, rows])[seg]
-        for i, g in enumerate(self.integrands):
-            vals = np.asarray(g(x_nodes), dtype=float).reshape(t_nodes.shape)
+        for i, vals in enumerate(self.integrands(x_nodes)):
+            vals = vals.reshape(t_nodes.shape)
             # each chunk reduced on its own, never a BLAS product over chunks
             per_chunk = np.einsum("ck,k->c", vals, _GL01_W) * length
             self.levels[i] += np.bincount(bins, per_chunk,
@@ -434,9 +408,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     """
     if M < 2:
         raise ConfigurationError(f"martingale check needs M >= 2, got {M}")
-    g_af = _generator_batch(model, F, gradF)
-    g_qv = _jump_variation_batch(model, F)
-    integrands = (g_af, g_qv)
+    integrands = functools.partial(_martingale_integrands, model, F, gradF)
     p = model.jump_count
     x0 = np.asarray(x0, dtype=float).reshape(model.dim)
     f_start = float(np.asarray(F(x0.reshape(1, -1)), dtype=float).reshape(-1)[0])
@@ -454,7 +426,8 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
             traj = exact_trajectory(model, PathBundle(master_seed, reps[row], p),
                                     x0, T)
             for i in np.flatnonzero(unsettled[:, row]):
-                vals[i, row] = integrate_along_path(traj, integrands[i], tol=tol)
+                vals[i, row] = integrate_along_path(
+                    traj, lambda xs, i=i: integrands(xs)[i], tol=tol)
         return f_end - f_start - vals[0], vals[1]
 
     blocks = run_replications(worker, -(-M // block), threads)

@@ -9,7 +9,6 @@ are byte-identical across repeated runs at any --threads value.
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -23,9 +22,10 @@ from .errors import (ConfigurationError, FitError, GridError,
                      NegativeStateError, QueryError, RteSimError,
                      RunawayJumpError, UnsupportedModelError)
 from .exact import ReferenceSpec, exact_trajectory
-from .model import get_model
+from .model import get_model, is_finite_number
 from .poisson import PathBundle
-from .stepper import SolverConfig, grid_steps, solve_trajectory
+from .stepper import (SolverConfig, grid_steps, solve_trajectory,
+                      step_size_warning)
 
 DEFAULT_SEED = 0x5EED
 EXPERIMENTS = ("simulate", "converge", "local-error", "diagnose")
@@ -95,14 +95,22 @@ class RunConfig:
 
     def solver_configs(self, entry):
         """SolverConfig per h of one solver entry, h descending."""
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"must be an object, got {entry!r}")
         _reject_unknown(entry, _SOLVER_KEYS, "solver entry")
+        for key in ("theta", "h"):
+            if key not in entry:
+                raise ConfigurationError(f"field {key!r} is required")
         kwargs = {k: entry[k] for k in
                   ("fp_tol", "fp_max_iter", "negativity", "clamp_phi3")
                   if k in entry}
         hs = entry["h"] if isinstance(entry["h"], list) else [entry["h"]]
-        return [SolverConfig(theta=entry["theta"], h=h,
+        if not hs:
+            raise ConfigurationError("h lists no step size")
+        cfgs = [SolverConfig(theta=entry["theta"], h=h,
                              quadrature=entry.get("quadrature", "euler"), **kwargs)
-                for h in sorted(hs, reverse=True)]
+                for h in hs]
+        return sorted(cfgs, key=lambda c: c.h, reverse=True)
 
     def reference_spec(self):
         if self.reference == "exact":
@@ -140,12 +148,6 @@ def resolve_seed(cli_seed, doc):
     return seed
 
 
-def _is_number(v):
-    """A finite JSON number; bools and strings are not numbers."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
 def validate(config):
     """Collect findings as (level, message) pairs; never raises."""
     findings = []
@@ -164,13 +166,13 @@ def validate(config):
         model = config.build_model()
     except RteSimError as e:
         err(f"model: {e}")
-    T_ok = _is_number(config.T) and config.T > 0
+    T_ok = is_finite_number(config.T) and config.T > 0
     if not T_ok:
         err(f"horizon T must be a positive number, got {config.T!r}")
     x0 = config.x0 if isinstance(config.x0, list) else [config.x0]
     if config.x0 is None:
         err("initial state x0 is required")
-    elif not all(_is_number(v) for v in x0):
+    elif not all(is_finite_number(v) for v in x0):
         err(f"initial state x0 must be a finite number or a list of them, "
             f"got {config.x0!r}")
     elif model is not None and len(x0) != model.dim:
@@ -195,7 +197,7 @@ def validate(config):
     for entry in entries:
         try:
             cfgs = config.solver_configs(entry)
-        except (RteSimError, KeyError, TypeError) as e:
+        except RteSimError as e:
             err(f"solver entry {entry!r}: {e}")
             continue
         for cfg in cfgs:
@@ -209,10 +211,8 @@ def validate(config):
                     ref.check_nesting([cfg.h])
                 except GridError as e:
                     err(str(e))
-            if (model is not None and cfg.theta > 0.0 and model.lipschitz_f
-                    and cfg.h * cfg.theta * model.lipschitz_f >= 1.0):
-                warn(f"h*theta*L_f = {cfg.h * cfg.theta * model.lipschitz_f:g} >= 1 "
-                     f"for h={cfg.h!r}: implicit solve may not contract")
+            if model is not None and (message := step_size_warning(model, cfg)):
+                warn(message)
     if config.experiment in ("simulate", "converge", "local-error", "diagnose"):
         if not config.output:
             err("output directory is required")
@@ -233,6 +233,24 @@ def validate(config):
 
 # ---------------------------------------------------------------------------
 # output helpers
+
+
+def _write_table(outdir, name, comments, columns, rows):
+    """Write the CSV file outdir/name and return name.
+
+    The file holds each of ``comments`` as a '# ' line, the header
+    ``columns``, then ``rows``.  A row is a sequence of Python ints and
+    floats, written as their repr so that every float reads back exactly
+    and a JSON-integer step size stays an integer, or a str, written in
+    place as one more '# ' line.
+    """
+    with open(os.path.join(outdir, name), "w") as f:
+        f.writelines(f"# {line}\n" for line in comments)
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(f"# {row}\n" if isinstance(row, str)
+                    else ",".join(map(repr, row)) + "\n")
+    return name
 
 
 def _meta_comments(config, timestamp):
@@ -294,74 +312,66 @@ def _run_converge(config, model, outdir, threads, comments):
     flat = [c for cfgs in variant_cfgs for c in cfgs]
     report = strong_error(model, ref, flat, x0, config.T, config.M,
                           config.seed, threads=threads, norm=config.error_norm)
-    files = []
-    report_path = os.path.join(outdir, "report.csv")
-    fit_lines = []
-    with open(report_path, "w") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write("h,mean_abs_error,std_error,M\n")
-        i = 0
-        for cfgs in variant_cfgs:
-            variant = cfgs[0].variant()
-            f.write(f"# variant={variant}\n")
-            rows = report.rows[i:i + len(cfgs)]
-            i += len(cfgs)
-            for r in rows:
-                f.write(f"{r.h!r},{r.mean_abs_error!r},{r.std_error!r},{r.M}\n")
-            try:
-                fit = fit_order(rows)
-                f.write(f"# slope={fit.slope!r}, intercept={fit.intercept!r}, "
-                        f"r2={fit.r_squared!r}\n")
-                fit_lines.append(f"{variant}: slope={fit.slope!r} "
-                                 f"intercept={fit.intercept!r} r2={fit.r_squared!r}")
-            except FitError as e:
-                fit_lines.append(f"{variant}: no fit ({e})")
-    files.append("report.csv")
+    rows, fit_lines = [], []
+    i = 0
+    for cfgs in variant_cfgs:
+        variant = cfgs[0].variant()
+        rows.append(f"variant={variant}")
+        variant_rows = report.rows[i:i + len(cfgs)]
+        i += len(cfgs)
+        rows += variant_rows
+        try:
+            fit = fit_order(variant_rows)
+        except FitError as e:
+            fit_lines.append(f"{variant}: no fit ({e})")
+            continue
+        rows.append(f"slope={fit.slope!r}, intercept={fit.intercept!r}, "
+                    f"r2={fit.r_squared!r}")
+        fit_lines.append(f"{variant}: slope={fit.slope!r} "
+                         f"intercept={fit.intercept!r} r2={fit.r_squared!r}")
+    _write_table(outdir, "report.csv", comments,
+                 ["h", "mean_abs_error", "std_error", "M"], rows)
     with open(os.path.join(outdir, "fit.txt"), "w") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        for line in fit_lines:
-            f.write(line + "\n")
-    files.append("fit.txt")
-    return files
+        f.writelines(f"# {line}\n" for line in comments)
+        f.writelines(f"{line}\n" for line in fit_lines)
+    return ["report.csv", "fit.txt"]
 
 
 def _run_simulate(config, model, outdir, threads, comments, sample_grid=None):
     x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
     bundle = PathBundle(config.seed, 0, model.jump_count)
-    files = []
-    for entry in config.solver_entries:
-        for cfg in config.solver_configs(entry):
-            traj = solve_trajectory(model, cfg, bundle, x0, config.T)
-            name = f"traj_{cfg.label()}.csv"
-            with open(os.path.join(outdir, name), "w") as f:
-                traj.write_csv(f, comments=comments + [f"variant={cfg.label()}"])
-            files.append(name)
+    x_cols = [f"x_{i + 1}" for i in range(model.dim)]
+    traj_cols = ["t"] + x_cols + [f"tau_{k + 1}" for k in range(model.jump_count)]
+
+    def write_trajectory(name, cfg, variant):
+        traj = solve_trajectory(model, cfg, bundle, x0, config.T)
+        rows = np.column_stack([traj.grid, traj.states, traj.clocks]).tolist()
+        return _write_table(outdir, name, comments + [f"variant={variant}"],
+                            traj_cols, rows)
+
+    files = [write_trajectory(f"traj_{cfg.label()}.csv", cfg, cfg.label())
+             for entry in config.solver_entries
+             for cfg in config.solver_configs(entry)]
     ref = config.reference_spec()
-    if ref == "exact":
-        traj = exact_trajectory(model, bundle, x0, config.T)
-        with open(os.path.join(outdir, "exact_jumps.csv"), "w") as f:
-            traj.write_jumps_csv(f, comments=comments)
-        with open(os.path.join(outdir, "exact_segments.csv"), "w") as f:
-            traj.write_segments_csv(f, comments=comments)
-        files += ["exact_jumps.csv", "exact_segments.csv"]
-        if sample_grid is not None:
-            times, states = traj.sample_grid(sample_grid)
-            with open(os.path.join(outdir, "exact_grid.csv"), "w") as f:
-                for line in comments:
-                    f.write(f"# {line}\n")
-                cols = ["t"] + [f"x_{i + 1}" for i in range(model.dim)]
-                f.write(",".join(cols) + "\n")
-                for t, x in zip(times, states):
-                    f.write(",".join([repr(float(t))] + [repr(float(v)) for v in x]))
-                    f.write("\n")
-            files.append("exact_grid.csv")
-    else:
-        traj = solve_trajectory(model, ref.resolve_config(), bundle, x0, config.T)
-        with open(os.path.join(outdir, "traj_reference.csv"), "w") as f:
-            traj.write_csv(f, comments=comments + ["variant=reference"])
-        files.append("traj_reference.csv")
+    if ref != "exact":
+        return files + [write_trajectory("traj_reference.csv",
+                                         ref.resolve_config(), "reference")]
+    traj = exact_trajectory(model, bundle, x0, config.T)
+    jumps = zip(traj.jump_times.tolist(), (traj.jump_ids + 1).tolist(),
+                traj.states_post_jump.tolist())
+    files.append(_write_table(outdir, "exact_jumps.csv", comments,
+                              ["jump_time", "process_id"] + x_cols,
+                              ([t, k, *x] for t, k, x in jumps)))
+    segments = np.column_stack([traj.seg_starts, traj.seg_durations,
+                                traj.seg_states])
+    files.append(_write_table(outdir, "exact_segments.csv", comments,
+                              ["seg_start", "duration"] + x_cols,
+                              segments.tolist()))
+    if sample_grid is not None:
+        times, states = traj.sample_grid(sample_grid)
+        files.append(_write_table(outdir, "exact_grid.csv", comments,
+                                  ["t"] + x_cols,
+                                  np.column_stack([times, states]).tolist()))
     return files
 
 
@@ -370,7 +380,6 @@ def _run_local_error(config, model, outdir, threads, comments):
 
     x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
     all_cfgs = [c for e in config.solver_entries for c in config.solver_configs(e)]
-    labels = [c.label() for c in all_cfgs]
 
     def worker(j):
         bundle = PathBundle(config.seed, j, model.jump_count)
@@ -378,36 +387,25 @@ def _run_local_error(config, model, outdir, threads, comments):
         return [local_errors(model, traj, cfg) for cfg in all_cfgs]
 
     per_rep = run_replications(worker, config.M, threads)
-    files = []
-    for i, label in enumerate(labels):
-        name = f"local_{label}.csv"
-        with open(os.path.join(outdir, name), "w") as f:
-            for line in comments:
-                f.write(f"# {line}\n")
-            f.write(f"# variant={label}\n")
-            f.write("n,L_abs,K_abs\n")
-            for rep in per_rep:
-                for s in rep[i]:
-                    f.write(f"{s.n},{s.L_abs!r},{s.K_abs!r}\n")
-        files.append(name)
-    return files
+    return [_write_table(outdir, f"local_{cfg.label()}.csv",
+                         comments + [f"variant={cfg.label()}"],
+                         ["n", "L_abs", "K_abs"],
+                         ((s.n, s.L_abs, s.K_abs) for rep in per_rep
+                          for s in rep[i]))
+            for i, cfg in enumerate(all_cfgs)]
 
 
 def _run_diagnose(config, model, outdir, threads, comments):
     x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
     F, gradF = _observable(config, model)
-    check = martingale_check(model, F, gradF, x0, config.T, config.M,
-                             config.seed, threads=threads)
-    name = "diagnose.csv"
-    with open(os.path.join(outdir, name), "w") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write("M,mean,abs_z,se_mean,second_moment_lhs,se_lhs,"
-                "second_moment_rhs,se_rhs\n")
-        f.write(f"{check.M},{check.mean!r},{check.abs_z!r},{check.se_mean!r},"
-                f"{check.second_moment_lhs!r},{check.se_lhs!r},"
-                f"{check.second_moment_rhs!r},{check.se_rhs!r}\n")
-    return [name]
+    c = martingale_check(model, F, gradF, x0, config.T, config.M,
+                         config.seed, threads=threads)
+    return [_write_table(
+        outdir, "diagnose.csv", comments,
+        ["M", "mean", "abs_z", "se_mean", "second_moment_lhs", "se_lhs",
+         "second_moment_rhs", "se_rhs"],
+        [(c.M, c.mean, c.abs_z, c.se_mean, c.second_moment_lhs, c.se_lhs,
+          c.second_moment_rhs, c.se_rhs)])]
 
 
 def run(config, threads=1, timestamp=True, sample_grid=None, log=print):

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (ConfigurationError, GridError, ModelEvaluationError,
                      QueryError, RunawayJumpError, UnsupportedModelError,
                      in_replication)
+from .model import is_finite_number
 from .poisson import epoch_generator, next_epochs
 from .stepper import SolverConfig, grid_steps, solve_trajectory
 
@@ -70,28 +71,6 @@ class ExactTrajectory:
         n = grid_steps(self.T, h_out)
         times = np.arange(n + 1) * h_out
         return times, self.state_at(np.minimum(times, self.T))
-
-    def write_jumps_csv(self, fileobj, comments=()):
-        d = self.states_post_jump.shape[1] if self.jump_count else self.model.dim
-        for line in comments:
-            fileobj.write(f"# {line}\n")
-        cols = ["jump_time", "process_id"] + [f"x_{i + 1}" for i in range(d)]
-        fileobj.write(",".join(cols) + "\n")
-        for i in range(self.jump_count):
-            row = [repr(float(self.jump_times[i])), str(int(self.jump_ids[i]) + 1)]
-            row += [repr(float(v)) for v in self.states_post_jump[i]]
-            fileobj.write(",".join(row) + "\n")
-
-    def write_segments_csv(self, fileobj, comments=()):
-        d = self.seg_states.shape[1]
-        for line in comments:
-            fileobj.write(f"# {line}\n")
-        cols = ["seg_start", "duration"] + [f"x_{i + 1}" for i in range(d)]
-        fileobj.write(",".join(cols) + "\n")
-        for i in range(len(self.seg_starts)):
-            row = [repr(float(self.seg_starts[i])), repr(float(self.seg_durations[i]))]
-            row += [repr(float(v)) for v in self.seg_states[i]]
-            fileobj.write(",".join(row) + "\n")
 
 
 def _require_hooks(model):
@@ -338,7 +317,7 @@ class ReferenceSpec:
     config_ref: SolverConfig = None
 
     def __post_init__(self):
-        if not self.h_ref > 0:
+        if not (is_finite_number(self.h_ref) and self.h_ref > 0):
             raise ConfigurationError(f"h_ref must be positive, got {self.h_ref}")
         if self.config_ref is not None and self.config_ref.h != self.h_ref:
             raise ConfigurationError(
@@ -355,7 +334,8 @@ class ReferenceSpec:
     def check_nesting(self, h_values):
         for h in h_values:
             ratio = h / self.h_ref
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or ratio < 1 - 1e-9:
+            if not (math.isfinite(ratio) and ratio >= 1 - 1e-9
+                    and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)):
                 raise GridError(
                     f"reference step h_ref={self.h_ref} does not divide h={h}")
 

@@ -8,6 +8,7 @@ in and registered by name for the CLI.
 """
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -106,6 +107,16 @@ class RteModel:
                 f"jump_count={self.jump_count})")
 
 
+def is_finite_number(v):
+    """A finite real number; bools, strings and ints beyond float range are not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def eval_drift(model, x):
     """Evaluate f(x), raising ModelEvaluationError on non-finite output."""
     fx = np.asarray(model.drift(x), dtype=float)
@@ -171,7 +182,7 @@ class ScalingSpec:
     rho: tuple = None
 
     def __post_init__(self):
-        if self.N <= 0:
+        if not (is_finite_number(self.N) and self.N > 0):
             raise ConfigurationError(f"scaling N must be positive, got {self.N}")
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
@@ -211,6 +222,9 @@ def apply_scaling(model, spec):
         raise ConfigurationError(
             f"scaling c has length {len(spec.c)}, need >= {model.jump_count}")
     up = spec.state_factors()
+    if not (np.isfinite(up) & (up > 0.0)).all():
+        raise ConfigurationError(f"scaling factors N**alpha = {up} must be "
+                                 f"positive and finite")
     down = 1.0 / up
 
     def scaled_drift(y, _f=model.drift, _up=up, _down=down):
@@ -281,7 +295,7 @@ def builtin_linear_scalar(alpha, lam, eps):
         return lx * -np.expm1(-alpha * t) / alpha
 
     def hazard_inverse(delta, x):
-        lx = lam * float(np.asarray(x).reshape(-1)[0])
+        lx = lam * float(x[0])
         if delta <= 0.0:
             return 0.0
         if lx <= 0.0 or alpha * delta >= lx:
@@ -327,7 +341,7 @@ def builtin_quadratic_scalar(alpha=1.0, beta=2.0, eps=0.01):
         return bx2 * -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
 
     def hazard_inverse(delta, x):
-        x0 = float(np.asarray(x).reshape(-1)[0])
+        x0 = float(x[0])
         bx2 = beta * x0 * x0
         if delta <= 0.0:
             return 0.0
@@ -427,11 +441,11 @@ def get_model(name, params=None, scaling=None):
         model = _REGISTRY[name](**kwargs)
     except TypeError as e:
         raise ConfigurationError(f"bad parameters for model {name!r}: {e}") from e
-    if scaling is not None:
+    if scaling is None:
+        return model
+    try:
         if not isinstance(scaling, ScalingSpec):
-            try:
-                scaling = ScalingSpec(**scaling)
-            except (TypeError, ValueError) as e:
-                raise ConfigurationError(f"bad scaling for model {name!r}: {e}") from e
-        model = apply_scaling(model, scaling)
-    return model
+            scaling = ScalingSpec(**scaling)
+        return apply_scaling(model, scaling)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigurationError(f"bad scaling for model {name!r}: {e}") from e

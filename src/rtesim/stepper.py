@@ -8,6 +8,8 @@ than fresh Poisson draws, runs with different step sizes or rules on the
 same PathBundle are pathwise coupled.
 """
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, GridError, ImplicitSolveError,
                      NegativeStateError)
-from .model import eval_drift, eval_rates
+from .model import eval_drift, eval_rates, is_finite_number
 
 QUADRATURES = ("euler", "midpoint", "trapezoidal",
                "improved-midpoint", "improved-trapezoidal")
@@ -42,6 +44,17 @@ class SolverConfig:
     clamp_phi3: bool = True
 
     def __post_init__(self):
+        for name in ("theta", "h", "fp_tol"):
+            if not is_finite_number(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if (isinstance(self.fp_max_iter, bool)
+                or not isinstance(self.fp_max_iter, numbers.Integral)):
+            raise ConfigurationError(
+                f"fp_max_iter must be an integer, got {self.fp_max_iter!r}")
+        if not isinstance(self.clamp_phi3, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"clamp_phi3 must be true or false, got {self.clamp_phi3!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigurationError(f"theta must be in [0, 1], got {self.theta}")
         if not self.h > 0:
@@ -93,20 +106,6 @@ class Trajectory:
     @property
     def endpoint(self):
         return self.states[-1]
-
-    def write_csv(self, fileobj, comments=()):
-        d = self.states.shape[1]
-        p = self.clocks.shape[1]
-        for line in comments:
-            fileobj.write(f"# {line}\n")
-        cols = (["t"] + [f"x_{i + 1}" for i in range(d)]
-                + [f"tau_{k + 1}" for k in range(p)])
-        fileobj.write(",".join(cols) + "\n")
-        for i in range(len(self.grid)):
-            row = [repr(float(self.grid[i]))]
-            row += [repr(float(v)) for v in self.states[i]]
-            row += [repr(float(v)) for v in self.clocks[i]]
-            fileobj.write(",".join(row) + "\n")
 
 
 def _shifted_rates(model, x):
@@ -215,20 +214,30 @@ def step(state, model, config, paths):
 def grid_steps(T, h):
     """Number of steps n with n*h = T, or GridError if T/h is not integral."""
     ratio = T / h
-    nbar = int(round(ratio))
+    nbar = int(round(ratio)) if math.isfinite(ratio) else 0
     if nbar < 1 or abs(ratio - nbar) > 1e-9 * max(1.0, abs(ratio)):
         raise GridError(f"horizon T={T} is not an integer multiple of h={h}")
     return nbar
 
 
+def step_size_warning(model, config):
+    """Message when h*theta*L_f >= 1, so the Picard map may not contract.
+
+    Returns None when the condition holds or the model declares no L_f.
+    """
+    if config.theta > 0.0 and model.lipschitz_f:
+        bound = config.h * config.theta * model.lipschitz_f
+        if bound >= 1.0:
+            return (f"h*theta*L_f = {bound:g} >= 1 for h={config.h!r} on model "
+                    f"{model.name!r}: the implicit solve may not contract")
+    return None
+
+
 def check_step_size(model, config):
     """Warn when an implicit run violates the contraction condition."""
-    if config.theta > 0.0 and model.lipschitz_f:
-        if config.h * config.theta * model.lipschitz_f >= 1.0:
-            warnings.warn(
-                f"h*theta*L_f = {config.h * config.theta * model.lipschitz_f:g} >= 1 "
-                f"for model {model.name!r}: the implicit solve may not contract",
-                stacklevel=3)
+    message = step_size_warning(model, config)
+    if message:
+        warnings.warn(message, stacklevel=3)
 
 
 def solve_trajectory(model, config, paths, x0, T):

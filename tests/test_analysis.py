@@ -153,18 +153,6 @@ class TestStrongError:
         means = [r.mean_abs_error for r in rep.rows]
         assert means[0] > means[1] > means[2]
 
-    def test_report_csv_format(self, tmp_path):
-        rep = rs.ErrorReport(rows=rows_from([(0.2, 0.1), (0.1, 0.07)]), seed=1)
-        fit = rs.fit_order(rep)
-        out = tmp_path / "report.csv"
-        with open(out, "w") as f:
-            rep.write_csv(f, comments=["seed=1"], fit=fit)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# seed=1"
-        assert lines[1] == "h,mean_abs_error,std_error,M"
-        assert lines[2] == "0.2,0.1,0.0,1"
-        assert lines[-1].startswith("# slope=")
-
 
 def _segment_overlaps(exact, a, b):
     """Yield (segment state, lo, hi) offsets covering [a, b] piecewise."""
@@ -427,9 +415,10 @@ class TestMartingale:
         m = rs.builtin_linear_scalar(**SET1)
         M, T = 12, 0.5
         chk = self._check(m, M, 9, T=T)
-        g_af = analysis._generator_batch(m, lambda xs: xs[..., 0],
-                                         lambda xs: np.ones_like(xs))
-        g_qv = analysis._jump_variation_batch(m, lambda xs: xs[..., 0])
+        g_af = lambda xs: analysis._martingale_integrands(
+            m, lambda xs: xs[..., 0], np.ones_like, xs)[0]
+        g_qv = lambda xs: analysis._martingale_integrands(
+            m, lambda xs: xs[..., 0], np.ones_like, xs)[1]
         mf, qv = [], []
         for j in range(M):
             traj = rs.exact_trajectory(m, rs.PathBundle(9, j, 1), [10.0], T)
@@ -447,8 +436,8 @@ class TestMartingale:
         with pytest.warns(UserWarning, match="refinement stalled"):
             chk = self._check(m, 2, 0, T=1.0, tol=0.0)
         traj = rs.exact_trajectory(m, rs.PathBundle(0, 0, 1), [10.0], 1.0)
-        g_af = analysis._generator_batch(m, lambda xs: xs[..., 0],
-                                         lambda xs: np.ones_like(xs))
+        g_af = lambda xs: analysis._martingale_integrands(
+            m, lambda xs: xs[..., 0], np.ones_like, xs)[0]
         with pytest.warns(UserWarning):
             mf = traj.endpoint[0] - 10.0 - integrate_along_path(traj, g_af, tol=0.0)
         assert chk.mean == mf and chk.second_moment_rhs == 0.0

@@ -1,9 +1,15 @@
+import copy
 import json
+import numbers
 import os
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import rtesim as rs
 from rtesim import analysis, cli
 from rtesim.errors import (GridError, ImplicitSolveError, ModelEvaluationError,
                            NegativeStateError, RunawayJumpError,
@@ -32,6 +38,14 @@ def write_config(path, **overrides):
 
 def make_config(doc, experiment="converge", seed=None):
     return cli.RunConfig(doc, experiment, cli.resolve_seed(seed, doc))
+
+
+def read_table(path):
+    """Comment lines (without '# '), header cells and float rows of a CSV."""
+    lines = path.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[n + 1:]])
+    return [line[2:] for line in lines[:n]], lines[n].split(","), rows
 
 
 class TestValidate:
@@ -198,10 +212,26 @@ class TestExitCodes:
         ([], {"solver": 5}),
         ([], {"reference": 5}),
         ([], {"output": 5}),
+        ([], {"solver": [{"theta": 1.0, "h": [0.5], "fp_max_iter": 2.5}]}),
+        ([], {"reference": {"h_ref": "x"}}),
+        ([], {"reference": {"h_ref": None}}),
+        ([], {"reference": {"h_ref": 0.125, "theta": "a"}}),
+        ([], {"solver": [{"theta": "0.5", "h": [0.5]}]}),
+        ([], {"solver": [{"theta": 0.0, "h": [0.5]}, {"theta": 0.0, "h": []}]}),
+        ([], {"solver": [{"theta": 0.0, "h": [5e-324]}]}),
+        ([], {"reference": {"h_ref": 5e-324},
+              "solver": [{"theta": 0.0, "h": 0.5}]}),
+        ([], {"T": 10 ** 400}),
+        ([], {"model": dict(LINEAR, scaling={"N": 1e300, "alpha": [2.0],
+                                             "c": [0.0]})}),
     ], ids=["negative-seed", "string-horizon", "array-document",
             "array-model", "array-params", "array-name", "string-scaling",
             "string-x0", "nan-x0", "inf-x0",
-            "bool-M", "number-solver", "number-reference", "number-output"])
+            "bool-M", "number-solver", "number-reference", "number-output",
+            "float-fp-max-iter", "string-h-ref", "null-h-ref",
+            "string-reference-theta", "string-theta", "empty-h-list",
+            "h-beyond-grid", "h-ref-beyond-grid", "huge-int-horizon",
+            "overflowing-scaling"])
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys,
                                                   argv, overrides):
         cfg = tmp_path / "c.json"
@@ -302,20 +332,86 @@ class TestOutputs:
         header = [line for line in lines if not line.startswith("#")][0]
         assert header.startswith("M,mean,abs_z")
 
-    def test_diagnose_outputs_identical_across_threads(self, tmp_path,
-                                                       monkeypatch):
-        # small blocks, so that the replications span several of them
+    @pytest.mark.parametrize("experiment,argv,overrides", [
+        ("diagnose", [], {"M": 20, "T": 0.25, "solver": []}),
+        ("simulate", ["--sample-grid", "0.25"], {"M": 1}),
+        ("local-error", [], {"M": 3, "T": 1.0}),
+    ])
+    def test_outputs_identical_across_threads(self, tmp_path, monkeypatch,
+                                              experiment, argv, overrides):
+        # small blocks, so that diagnose's replications span several of them
         monkeypatch.setattr(analysis, "_BLOCK_ROWS", 6)
         cfg = tmp_path / "c.json"
-        write_config(cfg, M=20, T=0.25, solver=[])
+        write_config(cfg, **overrides)
+        out = tmp_path / "out"
         blobs = []
         for threads in ("1", "2"):
-            assert cli.main(["diagnose", "--config", str(cfg), "--no-timestamp",
-                             "--threads", threads]) == 0
-            out = tmp_path / "out"
-            blobs.append([(out / n).read_bytes()
-                          for n in ("diagnose.csv", "meta.json")])
-        assert blobs[0] == blobs[1]
+            shutil.rmtree(out, ignore_errors=True)
+            assert cli.main([experiment, "--config", str(cfg), "--no-timestamp",
+                             "--threads", threads] + argv) == 0
+            blobs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(blobs[0]) >= 2 and blobs[0] == blobs[1]
+
+    def test_simulate_tables_read_back_exactly(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        doc = write_config(cfg, T=0.25, solver=[{"theta": 0.5, "h": [0.125]}])
+        assert cli.main(["simulate", "--config", str(cfg), "--no-timestamp",
+                         "--sample-grid", "0.125", "--threads", "1"]) == 0
+        out = tmp_path / "out"
+        model = make_config(doc).build_model()
+        traj = rs.solve_trajectory(model, rs.SolverConfig(theta=0.5, h=0.125),
+                                   rs.PathBundle(11, 0, 1), [10.0], 0.25)
+        exact = rs.exact_trajectory(model, rs.PathBundle(11, 0, 1), [10.0], 0.25)
+        assert exact.jump_count > 0
+
+        comments, header, rows = read_table(out / "traj_theta0.5-euler-h0.125.csv")
+        assert comments[0].startswith("rte-sim v")
+        assert comments[-1] == "variant=theta0.5-euler-h0.125"
+        assert header == ["t", "x_1", "tau_1"]
+        assert np.array_equal(rows, np.column_stack([traj.grid, traj.states,
+                                                     traj.clocks]))
+
+        comments, header, rows = read_table(out / "exact_jumps.csv")
+        assert comments[0].startswith("rte-sim v")
+        assert header == ["jump_time", "process_id", "x_1"]
+        assert len(rows) == exact.jump_count
+        assert np.array_equal(rows[:, 0], exact.jump_times)
+        assert np.array_equal(rows[:, 1], exact.jump_ids + 1)  # 1-based ids
+        assert np.array_equal(rows[:, 2:], exact.states_post_jump)
+        lines = (out / "exact_jumps.csv").read_text().splitlines()
+        assert {line.split(",")[1] for line in lines[len(comments) + 1:]} == {"1"}
+
+        comments, header, rows = read_table(out / "exact_segments.csv")
+        assert header == ["seg_start", "duration", "x_1"]
+        assert len(rows) == len(exact.seg_starts) == exact.jump_count + 1
+        assert np.array_equal(rows, np.column_stack(
+            [exact.seg_starts, exact.seg_durations, exact.seg_states]))
+
+        comments, header, rows = read_table(out / "exact_grid.csv")
+        times, states = exact.sample_grid(0.125)
+        assert header == ["t", "x_1"]
+        assert np.array_equal(rows, np.column_stack([times, states]))
+
+    def test_report_rows_and_slope_trailer(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        doc = write_config(cfg, M=3, solver=[{"theta": 0.0, "h": [1, 0.5, 0.25]}])
+        assert cli.main(["converge", "--config", str(cfg), "--no-timestamp",
+                         "--threads", "1"]) == 0
+        lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert lines[0].startswith("# rte-sim v")
+        assert lines[3:5] == ["h,mean_abs_error,std_error,M",
+                              "# variant=theta0-euler"]
+        cells = [line.split(",") for line in lines[5:8]]
+        assert [c[0] for c in cells] == ["1", "0.5", "0.25"]  # JSON ints stay
+        assert [c[3] for c in cells] == ["3", "3", "3"]
+        config = make_config(doc)
+        report = rs.strong_error(config.build_model(), "exact",
+                                 config.solver_configs(doc["solver"][0]),
+                                 [10.0], 2.0, 3, 11)
+        assert [tuple(float(v) for v in c) for c in cells] == report.rows
+        fit = rs.fit_order(report)
+        assert lines[8:] == [f"# slope={fit.slope!r}, intercept={fit.intercept!r}, "
+                             f"r2={fit.r_squared!r}"]
 
     def test_converge_on_scaled_hybrid_model(self, tmp_path):
         # desk-scale version of the hybrid-model study: fine-step reference,
@@ -341,3 +437,92 @@ class TestOutputs:
         assert cli.main(["converge", "--config", str(cfg), "--threads", "1"]) == 0
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert "timestamp" in meta
+
+
+# A small valid document whose every field, nested ones included, the fuzz
+# test below replaces in turn.
+FUZZ_DOC = {
+    "schema": 1,
+    "model": {"name": "linear-scalar",
+              "params": {"alpha": 1.5, "lambda": 200.0, "epsilon": 0.007},
+              "scaling": {"N": 100.0, "alpha": [1.0], "c": [0.0]}},
+    "solver": [{"theta": 0.5, "quadrature": "trapezoidal", "h": [0.5, 0.25],
+                "fp_tol": 1e-12, "fp_max_iter": 50, "negativity": "allow",
+                "clamp_phi3": True}],
+    "T": 1.0,
+    "x0": [10.0],
+    "M": 2,
+    "seed": 1,
+    "reference": {"h_ref": 0.125, "theta": 0.0, "quadrature": "euler",
+                  "fp_tol": 1e-12, "fp_max_iter": 100,
+                  "negativity": "reset-to-zero", "clamp_phi3": True},
+    "output": "out",
+    "error_norm": "euclidean",
+    "observable": {"kind": "component", "index": 0},
+}
+
+
+def _field_paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=5)
+
+
+def _is_real(v):
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and np.isfinite(v))
+
+
+def _assert_typed(cfg):
+    assert isinstance(cfg, rs.SolverConfig)
+    assert all(_is_real(getattr(cfg, name)) for name in ("theta", "h", "fp_tol"))
+    assert isinstance(cfg.fp_max_iter, int) and not isinstance(cfg.fp_max_iter, bool)
+    assert isinstance(cfg.clamp_phi3, bool)
+    assert cfg.quadrature in rs.QUADRATURES
+    assert 0.0 <= cfg.theta <= 1.0 and cfg.h > 0.0 and cfg.fp_tol > 0.0
+
+
+class TestConfigFuzz:
+    """Any one field of a valid document replaced by any JSON value.
+
+    Only validation and the builders run, never a simulation: a valid
+    document with a huge T or M would run for a very long time.
+    """
+
+    def test_base_document_is_valid(self):
+        for experiment in cli.EXPERIMENTS:
+            assert cli.validate(cli.RunConfig(FUZZ_DOC, experiment, 1)) == []
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(path=st.sampled_from(list(_field_paths(FUZZ_DOC))),
+           value=JSON_VALUES, experiment=st.sampled_from(cli.EXPERIMENTS))
+    def test_validate_never_raises(self, path, value, experiment):
+        doc = copy.deepcopy(FUZZ_DOC)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        config = cli.RunConfig(doc, experiment, 1)
+        findings = cli.validate(config)
+        if any(level == "error" for level, _ in findings):
+            return
+        assert isinstance(config.build_model(), rs.RteModel)
+        assert _is_real(config.T) and config.T > 0
+        assert isinstance(config.M, int) and not isinstance(config.M, bool)
+        for entry in config.solver_entries:
+            for cfg in config.solver_configs(entry):
+                _assert_typed(cfg)
+        ref = config.reference_spec()
+        if ref != "exact":
+            assert _is_real(ref.h_ref) and ref.h_ref > 0
+            _assert_typed(ref.config_ref)

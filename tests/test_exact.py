@@ -155,23 +155,6 @@ class TestExactTrajectory:
         assert states[0, 0] == 10.0
         assert states[-1, 0] == pytest.approx(traj.endpoint[0], rel=1e-12)
 
-    def test_csv_exports(self, tmp_path):
-        m = rs.builtin_linear_scalar(**SET1)
-        traj = rs.exact_trajectory(m, rs.PathBundle(4, 2, 1), [10.0], 0.05)
-        jumps = tmp_path / "jumps.csv"
-        segs = tmp_path / "segs.csv"
-        with open(jumps, "w") as f:
-            traj.write_jumps_csv(f)
-        with open(segs, "w") as f:
-            traj.write_segments_csv(f)
-        jl = jumps.read_text().splitlines()
-        assert jl[0] == "jump_time,process_id,x_1"
-        assert len(jl) == traj.jump_count + 1
-        assert jl[1].split(",")[1] == "1"  # process ids reported 1-based
-        sl = segs.read_text().splitlines()
-        assert sl[0] == "seg_start,duration,x_1"
-        assert len(sl) == len(traj.seg_starts) + 1
-
 
 def birth_death(alpha=1.5, birth=150.0, death=100.0, eps=0.007):
     """Linear decay with two processes: up-jumps at birth*x, down at death*x."""

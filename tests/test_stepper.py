@@ -259,19 +259,3 @@ class TestSolveTrajectory:
                 rs.solve_trajectory(m, cfg, rs.PathBundle(0, 0, 1), [10.0], 2.0)
             except ImplicitSolveError:
                 pass
-
-    def test_csv_round_trip(self, tmp_path):
-        m = rs.builtin_linear_scalar(**SET1)
-        cfg = rs.SolverConfig(theta=0.0, h=0.5)
-        traj = rs.solve_trajectory(m, cfg, rs.PathBundle(2, 0, 1), [10.0], 2.0)
-        out = tmp_path / "traj.csv"
-        with open(out, "w") as f:
-            traj.write_csv(f, comments=["hello"])
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# hello"
-        assert lines[1] == "t,x_1,tau_1"
-        parsed = np.array([[float(v) for v in line.split(",")]
-                           for line in lines[2:]])
-        assert np.array_equal(parsed[:, 0], traj.grid)
-        assert np.array_equal(parsed[:, 1], traj.states[:, 0])
-        assert np.array_equal(parsed[:, 2], traj.clocks[:, 0])
