@@ -21,27 +21,27 @@ from .model import (AnalyticHooks, RteModel, ScalingSpec, apply_scaling,
                     builtin_bacteriophage_scaled, builtin_linear_scalar,
                     builtin_quadratic_scalar, eval_drift, eval_rate,
                     eval_rates, get_model, model_names)
-from .poisson import PathBundle, PoissonPath
-from .stepper import (QUADRATURES, SolverConfig, StepperState, Trajectory,
-                      phi3, solve_trajectory, step)
+from .poisson import EpochWindows, PathBundle, PoissonPath
+from .stepper import (QUADRATURES, SolverConfig, Trajectory, phi3,
+                      solve_trajectory)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticHooks", "BlockEnds", "ConfigurationError", "ErrorReport",
-    "ErrorRow",
+    "AnalyticHooks", "BlockEnds", "ConfigurationError", "EpochWindows",
+    "ErrorReport", "ErrorRow",
     "ExactTrajectory", "FitError", "GridError", "ImplicitSolveError",
     "LocalErrorSample", "MartingaleCheck", "ModelEvaluationError",
     "NegativeStateError", "OrderFit", "PathBundle", "PoissonPath",
     "QUADRATURES", "QueryError", "ReferenceSpec", "RteModel", "RteSimError",
-    "RunawayJumpError", "ScalingSpec", "SolverConfig", "StepperState",
-    "Trajectory", "UnsupportedModelError", "apply_scaling",
+    "RunawayJumpError", "ScalingSpec", "SolverConfig", "Trajectory",
+    "UnsupportedModelError", "apply_scaling",
     "bacteriophage_scaling", "builtin_bacteriophage",
     "builtin_bacteriophage_scaled", "builtin_linear_scalar",
     "builtin_quadratic_scalar", "eval_drift", "eval_rate", "eval_rates",
     "exact_block", "exact_trajectory", "fit_order", "generator_apply",
     "get_model",
     "integrate_along_path", "local_errors", "martingale_check", "model_names",
-    "next_jump", "phi3", "reference_trajectory", "solve_trajectory", "step",
+    "next_jump", "phi3", "reference_trajectory", "solve_trajectory",
     "strong_error",
 ]

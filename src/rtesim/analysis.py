@@ -20,7 +20,7 @@ from .errors import (ConfigurationError, FitError, ModelEvaluationError,
                      RteSimError, UnsupportedModelError, in_replication)
 from .exact import exact_block, exact_trajectory
 from .model import eval_drift
-from .poisson import PathBundle
+from .poisson import EpochWindows, PathBundle
 from .stepper import _phi3_vector, grid_steps, solve_trajectory
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,9 @@ def run_replications(worker, M, threads=1):
 # ---------------------------------------------------------------------------
 # strong error and order fitting
 
+# most rows per block of replications; results do not depend on it
+_BLOCK_ROWS = 128
+
 
 class ErrorRow(NamedTuple):
     h: float
@@ -65,11 +68,17 @@ class ErrorRow(NamedTuple):
 
 @dataclass
 class ErrorReport:
-    """Per-step-size endpoint errors of one Monte Carlo experiment."""
+    """Per-step-size endpoint errors of one Monte Carlo experiment.
+
+    ``signed_errors`` (M, nconfig, d) holds each replication's endpoint
+    minus the reference endpoint, in replication order; ``rows`` summarise
+    their norms.
+    """
 
     rows: list
     seed: int = 0
     meta: dict = field(default_factory=dict)
+    signed_errors: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,11 @@ def fit_order(report):
 
 
 def _norm_fn(norm):
+    """Norm over the last axis."""
     if norm == "euclidean":
-        return lambda v: float(np.sqrt(np.sum(v * v)))
+        return lambda v: np.sqrt(np.sum(v * v, axis=-1))
     if norm == "max":
-        return lambda v: float(np.max(np.abs(v)))
+        return lambda v: np.max(np.abs(v), axis=-1)
     raise ConfigurationError(f"unknown norm {norm!r}; use 'euclidean' or 'max'")
 
 
@@ -109,9 +119,12 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
                  threads=1, norm="euclidean"):
     """Coupled-path endpoint errors of the given solver variants.
 
-    For each replication one PathBundle is built; the reference (exact
-    solver for hooked models, or a nested fine-step run) and every config
-    consume those same epochs.  Rows follow the order of ``configs``.
+    Replication j's reference (exact solver for hooked models, or a nested
+    fine-step run) and every config read the epochs of PathBundle(
+    master_seed, j, p).  Replications are solved in blocks of rows, each
+    config and a fine-step reference on a whole block at once; the exact
+    reference solves one row at a time.  Rows follow the order of
+    ``configs``.
 
     ``reference`` is the string "exact" or a ReferenceSpec.
     """
@@ -132,27 +145,35 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     dist = _norm_fn(norm)
     labels = [cfg.label() for cfg in configs]
     p = model.jump_count
+    # rows are independent, so the partition may follow the thread count
+    block = min(_BLOCK_ROWS, -(-M // max(1, int(threads))))
 
-    def worker(j):
-        bundle = PathBundle(master_seed, j, p)
+    def solve(cfg, reps, where, label):
         try:
-            if use_exact:
-                ref_x = exact_trajectory(model, bundle, x0, T).endpoint
-            else:
-                ref_x = solve_trajectory(model, ref_config, bundle, x0, T).endpoint
+            return solve_trajectory(model, cfg, EpochWindows(master_seed, reps, p),
+                                    x0, T).endpoint
         except RteSimError as e:
-            raise in_replication(e, j, "reference", config="reference") from e
-        errs = np.empty(len(configs))
-        for i, cfg in enumerate(configs):
-            try:
-                end = solve_trajectory(model, cfg, bundle, x0, T).endpoint
-            except RteSimError as e:
-                raise in_replication(e, j, f"config {labels[i]}",
-                                     config=labels[i]) from e
-            errs[i] = dist(ref_x - end)
-        return errs
+            # an error raised before the first step has no row: it is every row's
+            j = reps[e.row or 0]
+            raise in_replication(e, j, where, config=label) from e
 
-    samples = np.array(run_replications(worker, M, threads))  # (M, nconfig)
+    def worker(b):
+        reps = range(b * block, min(M, (b + 1) * block))
+        if use_exact:
+            ref = np.empty((len(reps), model.dim))
+            for i, j in enumerate(reps):
+                try:
+                    ref[i] = exact_trajectory(model, PathBundle(master_seed, j, p),
+                                              x0, T).endpoint
+                except RteSimError as e:
+                    raise in_replication(e, j, "reference", config="reference") from e
+        else:
+            ref = solve(ref_config, reps, "reference", "reference")
+        return np.stack([solve(cfg, reps, f"config {label}", label) - ref
+                         for cfg, label in zip(configs, labels)], axis=1)
+
+    signed = np.concatenate(run_replications(worker, -(-M // block), threads))
+    samples = dist(signed)  # (M, nconfig)
     means = samples.mean(axis=0)
     if M > 1:
         ses = samples.std(axis=0, ddof=1) / math.sqrt(M)
@@ -167,7 +188,8 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
         "T": T,
         "norm": norm,
     }
-    return ErrorReport(rows=rows, seed=master_seed, meta=meta)
+    return ErrorReport(rows=rows, seed=master_seed, meta=meta,
+                       signed_errors=signed)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +410,6 @@ class _TwoLevelSums:
             per_chunk = np.einsum("ck,k->c", vals, _GL01_W) * length
             self.levels[i] += np.bincount(bins, per_chunk,
                                           minlength=2 * width).reshape(2, width)
-
-
-# rows per exact_block call; results do not depend on it
-_BLOCK_ROWS = 128
 
 
 def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8):

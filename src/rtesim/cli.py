@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, FitError, GridError,
 from .exact import ReferenceSpec, exact_trajectory
 from .model import get_model, is_finite_number
 from .poisson import PathBundle
-from .stepper import (SolverConfig, grid_steps, solve_trajectory,
+from .stepper import (MAX_STEPS, SolverConfig, grid_steps, solve_trajectory,
                       step_size_warning)
 
 DEFAULT_SEED = 0x5EED
@@ -154,8 +154,8 @@ def validate(config):
     err = lambda m: findings.append(("error", m))
     warn = lambda m: findings.append(("warning", m))
     doc = config.doc
-    if doc.get("schema") != 1:
-        err(f"config schema must be 1, got {doc.get('schema')!r}")
+    if type(doc.get("schema")) is not int or doc.get("schema") != 1:
+        err(f"config schema must be the integer 1, got {doc.get('schema')!r}")
     for key in sorted(set(doc) - _TOP_KEYS):
         warn(f"ignoring unknown config field {key!r}")
     if doc.get("experiment") not in (None, config.experiment):
@@ -194,6 +194,10 @@ def validate(config):
     if ref == "exact" and model is not None and model.analytic is None:
         err(f"reference 'exact' needs analytic hooks; model "
             f"{config.model_name!r} has none (use a fine-step reference)")
+    if isinstance(ref, ReferenceSpec) and T_ok and config.T / ref.h_ref > MAX_STEPS:
+        err(f"reference step h_ref={ref.h_ref!r} gives more than {MAX_STEPS} "
+            f"steps over T={config.T!r}")
+        ref = None  # its nesting checks would repeat the finding
     for entry in entries:
         try:
             cfgs = config.solver_configs(entry)
@@ -206,6 +210,8 @@ def validate(config):
                     grid_steps(config.T, cfg.h)
                 except GridError:
                     err(f"step size h={cfg.h!r} does not divide T={config.T!r}")
+                except ConfigurationError as e:
+                    err(f"step size h={cfg.h!r}: {e}")
             if isinstance(ref, ReferenceSpec):
                 try:
                     ref.check_nesting([cfg.h])

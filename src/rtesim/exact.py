@@ -21,7 +21,7 @@ from .errors import (ConfigurationError, GridError, ModelEvaluationError,
                      QueryError, RunawayJumpError, UnsupportedModelError,
                      in_replication)
 from .model import is_finite_number
-from .poisson import epoch_generator, next_epochs
+from .poisson import EpochWindows
 from .stepper import SolverConfig, grid_steps, solve_trajectory
 
 
@@ -176,52 +176,6 @@ class BlockEnds(NamedTuple):
     jump_counts: np.ndarray
 
 
-class _EpochWindows:
-    """The current epoch batch of every (row, process) stream of a block.
-
-    Each stream draws its batches exactly as PoissonPath does, so a window
-    holds the epochs PoissonPath would list at the same positions; only
-    the batch that the cursor sits in is kept.
-    """
-
-    def __init__(self, master_seed, replications, p, batch=128):
-        self.batch = batch
-        self.gens = [[epoch_generator(master_seed, j, k) for k in range(p)]
-                     for j in replications]
-        self.win = np.array([[next_epochs(g, 0.0, batch) for g in row]
-                             for row in self.gens]).reshape(-1, p, batch)
-        self.cur = np.zeros((len(self.gens), p), dtype=np.intp)
-        self._reindex()
-
-    def _reindex(self):
-        m, p = self.cur.shape
-        self._flat = self.win.reshape(-1)
-        self._base = np.arange(m * p).reshape(m, p) * self.batch
-
-    def next_after(self, clocks):
-        """Smallest epoch strictly above each clock, shape (m, p).
-
-        Clocks never decrease, so cursors only move forward.
-        """
-        while True:
-            ep = self._flat[self._base + self.cur]
-            behind = ep <= clocks
-            if not behind.any():
-                return ep
-            self.cur += behind
-            for i, k in zip(*np.nonzero(self.cur == self.batch)):
-                self.win[i, k] = next_epochs(self.gens[i][k],
-                                             self.win[i, k, -1], self.batch)
-                self.cur[i, k] = 0
-
-    def keep(self, mask):
-        """Drop the rows where ``mask`` is False."""
-        self.gens = [g for g, kept in zip(self.gens, mask) if kept]
-        self.win = self.win[mask]
-        self.cur = self.cur[mask]
-        self._reindex()
-
-
 def exact_block(model, master_seed, replications, x0, T, on_segment,
                 max_jumps=10_000_000):
     """Davis construction of a block of replications, in lock step.
@@ -255,7 +209,7 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
     x = np.repeat(x0[None, :], B, axis=0)
     t = np.zeros(B)
     clocks = np.zeros((B, p))
-    epochs = _EpochWindows(master_seed, reps, p)
+    epochs = EpochWindows(master_seed, reps, p)
     jumps = 0  # every active row has jumped once per pass so far
     while rows.size:
         if not (clocks.min() >= 0.0 and clocks.max() < math.inf):

@@ -117,10 +117,18 @@ def is_finite_number(v):
         return False
 
 
+def _first_nonfinite(x, vals):
+    """x for one state (d,); for a batch, its first row where vals is not finite."""
+    if x.ndim < 2:
+        return x
+    return x[np.argmax(~np.isfinite(vals.reshape(len(x), -1)).all(axis=1))]
+
+
 def eval_drift(model, x):
     """Evaluate f(x), raising ModelEvaluationError on non-finite output."""
     fx = np.asarray(model.drift(x), dtype=float)
     if not np.isfinite(fx).all():
+        x = _first_nonfinite(x, fx)
         raise ModelEvaluationError(f"drift of {model.name!r} non-finite at x={x!r}", x=x)
     return fx
 
@@ -152,6 +160,7 @@ def eval_rates(model, x):
     if vals.min() >= 0.0 and vals.max() < math.inf:
         return vals
     if not np.isfinite(vals).all():
+        x = _first_nonfinite(x, vals)
         raise ModelEvaluationError(
             f"rates of {model.name!r} non-finite at x={x!r}", x=x)
     neg = vals < 0.0

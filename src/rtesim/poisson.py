@@ -6,6 +6,9 @@ the key: queries may arrive in any order, from any consumer, and the stream
 always contains the same epochs.  This is what makes coupled-path
 comparisons possible -- the exact solver and every fixed-step variant of one
 replication read the very same epochs.
+
+``PoissonPath`` keeps every epoch of one stream; ``EpochWindows``, the
+block solvers' reader, keeps only the batch each stream of a block is in.
 """
 
 import bisect
@@ -98,6 +101,7 @@ class PathBundle:
     def __init__(self, master_seed, replication, p, batch=128):
         self.master_seed = master_seed
         self.replication = replication
+        self.batch = int(batch)
         self.paths = [PoissonPath(master_seed, replication, k, batch=batch)
                       for k in range(p)]
 
@@ -109,3 +113,75 @@ class PathBundle:
 
     def __iter__(self):
         return iter(self.paths)
+
+
+class EpochWindows:
+    """The current epoch batch of every (row, process) stream of a block.
+
+    Row i reads the streams of replication ``replications[i]``.  Each
+    stream draws its batches exactly as PoissonPath does, so a window holds
+    the epochs PoissonPath would list at the same positions; only the batch
+    that the cursor sits in is kept.  A cursor sits on the first epoch above
+    the latest clock queried; clocks never decrease.
+    """
+
+    def __init__(self, master_seed, replications, p, batch=128):
+        self.master_seed = master_seed
+        self.replications = list(replications)
+        self.batch = int(batch)
+        self.gens = [[epoch_generator(master_seed, j, k) for k in range(p)]
+                     for j in self.replications]
+        self.win = np.array([[next_epochs(g, 0.0, self.batch) for g in row]
+                             for row in self.gens]).reshape(-1, p, self.batch)
+        self.cur = np.zeros((len(self.gens), p), dtype=np.intp)
+        self.drawn = np.zeros((len(self.gens), p), dtype=np.int64)
+        self._reindex()
+
+    def _reindex(self):
+        m, p = self.cur.shape
+        self._flat = self.win.reshape(-1)
+        self._base = np.arange(m * p).reshape(m, p) * self.batch
+
+    def _refill(self):
+        """Load the next batch of every window whose cursor ran off its end.
+
+        Returns whether any window was refilled.
+        """
+        full = np.nonzero(self.cur == self.batch)
+        for i, k in zip(*full):
+            self.win[i, k] = next_epochs(self.gens[i][k], self.win[i, k, -1],
+                                         self.batch)
+            self.drawn[i, k] += self.batch
+            self.cur[i, k] = 0
+        return full[0].size > 0
+
+    def next_after(self, clocks):
+        """Smallest epoch strictly above each clock, shape (m, p).
+
+        Cursors step one epoch at a time: between two calls a clock passes
+        at most a few epochs.
+        """
+        while True:
+            ep = self._flat[self._base + self.cur]
+            behind = ep <= clocks
+            if not behind.any():
+                return ep
+            self.cur += behind
+            self._refill()
+
+    def count(self, clocks):
+        """Number of epochs in (0, clock] of each stream, Y(clock), shape (m, p)."""
+        while True:
+            # a window is sorted: the epochs at or below a clock come first
+            self.cur = (self.win <= clocks[..., None]).sum(axis=-1)
+            if not self._refill():
+                return self.drawn + self.cur
+
+    def keep(self, mask):
+        """Drop the rows where ``mask`` is False."""
+        self.replications = [j for j, kept in zip(self.replications, mask) if kept]
+        self.gens = [g for g, kept in zip(self.gens, mask) if kept]
+        self.win = self.win[mask]
+        self.cur = self.cur[mask]
+        self.drawn = self.drawn[mask]
+        self._reindex()

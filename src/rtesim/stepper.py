@@ -5,7 +5,8 @@ plus the actual Poisson counts observed while each internal clock moves
 forward by h * phi3, where phi3 is one of five quadrature rules for the
 rate integral.  Because the counts come from shared epoch streams rather
 than fresh Poisson draws, runs with different step sizes or rules on the
-same PathBundle are pathwise coupled.
+same PathBundle are pathwise coupled.  One engine solves one replication
+or a block of them in lock step.
 """
 
 import math
@@ -16,12 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigurationError, GridError, ImplicitSolveError,
-                     NegativeStateError)
+                     NegativeStateError, QueryError, RteSimError)
 from .model import eval_drift, eval_rates, is_finite_number
+from .poisson import EpochWindows, PathBundle
 
 QUADRATURES = ("euler", "midpoint", "trapezoidal",
                "improved-midpoint", "improved-trapezoidal")
 NEGATIVITY_POLICIES = ("reset-to-zero", "allow", "error")
+# largest T/h of a grid; a solve records (T/h + 1) * B * (d + p) floats
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -80,19 +84,12 @@ class SolverConfig:
 
 
 @dataclass
-class StepperState:
-    """Iterate of the fixed-step method: grid index, state, internal clocks."""
-
-    n: int
-    t: float
-    x: np.ndarray
-    clocks: np.ndarray
-    jump_counts: np.ndarray
-
-
-@dataclass
 class Trajectory:
-    """Grid, states and internal clocks of one fixed-step run."""
+    """Grid, states and internal clocks of one fixed-step run.
+
+    States are (nbar+1, d) and clocks (nbar+1, p); a block of B
+    replications adds a row axis after the step axis.
+    """
 
     grid: np.ndarray
     states: np.ndarray
@@ -100,12 +97,16 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     @property
-    def clocks_final(self):
-        return self.clocks[-1]
-
-    @property
     def endpoint(self):
         return self.states[-1]
+
+
+def _jump_sum(v, model):
+    """sum_k v[..., k] nu_k, each row of v (m, p) its own vector-matrix product.
+
+    A matrix product over the rows, or einsum, rounds differently.
+    """
+    return (v[..., None, :] @ model.jumps)[..., 0, :]
 
 
 def _shifted_rates(model, x):
@@ -127,10 +128,10 @@ def _phi3_vector(model, x, h, rule, clamp):
     if rule == "euler":
         return lam0, 0
     if rule == "midpoint":
-        xm = x + 0.5 * h * eval_drift(model, x) + 0.5 * h * (lam0 @ model.jumps)
+        xm = x + 0.5 * h * eval_drift(model, x) + 0.5 * h * _jump_sum(lam0, model)
         return eval_rates(model, xm), 0
     if rule == "trapezoidal":
-        xe = x + h * eval_drift(model, x) + h * (lam0 @ model.jumps)
+        xe = x + h * eval_drift(model, x) + h * _jump_sum(lam0, model)
         return 0.5 * (lam0 + eval_rates(model, xe)), 0
     shifted = _shifted_rates(model, x)
     corr = 0.5 * h * ((lam0[..., None, :] @ shifted)[..., 0, :]
@@ -161,59 +162,91 @@ def phi3(model, k, x, h, rule="euler", clamp=True):
 def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx):
     """Picard iteration for y = x_prev + h*theta*f(y) + h*(1-theta)*f(x_prev) + disp.
 
-    The map is a contraction for h*theta*L_f < 1; the explicit full step is
-    the initial guess.
+    Each row of (m, d) stops at its own first iterate within fp_tol of the
+    one before.  The map is a contraction for h*theta*L_f < 1; the explicit
+    full step is the initial guess.
     """
     f_prev = eval_drift(model, x_prev)
     base = x_prev + h * (1.0 - theta) * f_prev + disp
     y = x_prev + h * f_prev + disp
     ht = h * theta
+    out = np.empty_like(y)
+    rows = np.arange(len(y))
     for _ in range(fp_max_iter):
         y_next = base + ht * eval_drift(model, y)
-        resid = float(np.max(np.abs(y_next - y)))
-        if resid < fp_tol:
-            return y_next
+        resid = np.abs(y_next - y).max(axis=-1)
+        done = resid < fp_tol
+        if done.any():
+            out[rows[done]] = y_next[done]
+            if done.all():
+                return out
+            go = ~done
+            rows, base, y_next = rows[go], base[go], y_next[go]
         y = y_next
+    resid = float(resid[~done][0])
     raise ImplicitSolveError(
         f"implicit drift solve stalled at step {step_idx}: residual {resid:.3e} "
         f"after {fp_max_iter} iterations (tolerance {fp_tol:.1e})",
         residual=resid, step=step_idx)
 
 
-def _advance(model, config, paths, x, clocks, step_idx):
-    """One Theta-Maruyama update; returns (x_new, r, dys, clamp_count)."""
+def _step(model, config, epochs, x, clocks, counts, step_idx):
+    """One Theta-Maruyama update of every row: (x, clocks, counts Y(clocks), clamps)."""
     h = config.h
     vals, nclamp = _phi3_vector(model, x, h, config.quadrature, config.clamp_phi3)
     r = h * vals
-    dys = np.array([paths[k].increment(clocks[k], clocks[k] + r[k])
-                    for k in range(model.jump_count)])
-    disp = dys @ model.jumps
+    ahead = clocks + r
+    if not (r.min() >= 0.0 and ahead.max() < math.inf):
+        bad = np.argwhere(~((clocks <= ahead) & (ahead < math.inf)))
+        if bad.size:
+            a, b = float(clocks[tuple(bad[0])]), float(ahead[tuple(bad[0])])
+            need = "a <= b" if a > b else "finite 0 <= a <= b"
+            raise QueryError(f"increment needs {need}, got a={a!r} b={b!r}")
+    ahead_counts = epochs.count(ahead)
+    disp = _jump_sum(ahead_counts - counts, model)
     if config.theta == 0.0:
         x_new = x + h * eval_drift(model, x) + disp
     else:
         x_new = _implicit_solve(model, x, h, config.theta, disp,
                                 config.fp_tol, config.fp_max_iter, step_idx)
-    if x_new.min() < 0.0:
+    low = x_new.min(axis=-1) < 0.0
+    if low.any():
         if config.negativity == "reset-to-zero":
-            x_new = np.maximum(x_new, 0.0)
+            x_new = np.where(low[:, None], np.maximum(x_new, 0.0), x_new)
         elif config.negativity == "error":
-            raise NegativeStateError(
-                f"negative component at step {step_idx}: x={x_new!r}")
-    return x_new, r, dys, nclamp
+            raise NegativeStateError(f"negative component at step {step_idx}: "
+                                     f"x={x_new[np.argmax(low)]!r}")
+    return x_new, ahead, ahead_counts, nclamp
 
 
-def step(state, model, config, paths):
-    """Advance one StepperState by a single step (functional)."""
-    x_new, r, dys, _ = _advance(model, config, paths, state.x, state.clocks, state.n)
-    n = state.n + 1
-    return StepperState(n=n, t=n * config.h, x=x_new,
-                        clocks=state.clocks + r,
-                        jump_counts=state.jump_counts + dys)
+def _raise_first_failing_row(model, config, epochs, x, clocks, counts, step_idx):
+    """Step each row alone, in row order, and raise the first error, naming its row.
+
+    Rows do not interact, so a row fails alone as it fails in the block.
+    """
+    for i in range(len(x)):
+        one = EpochWindows(epochs.master_seed, epochs.replications[i:i + 1],
+                           clocks.shape[1], epochs.batch)
+        one.count(clocks[i:i + 1])
+        try:
+            _step(model, config, one, x[i:i + 1], clocks[i:i + 1],
+                  counts[i:i + 1], step_idx)
+        except RteSimError as e:
+            e.row = i
+            raise
 
 
 def grid_steps(T, h):
-    """Number of steps n with n*h = T, or GridError if T/h is not integral."""
+    """Number of steps n with n*h = T.
+
+    GridError if T/h is not integral; ConfigurationError if it is above
+    MAX_STEPS, which bounds the history a solve records.
+    """
     ratio = T / h
+    if ratio > MAX_STEPS:
+        raise ConfigurationError(
+            f"T/h = {ratio:g} steps (T={T}, h={h}) is above the limit of "
+            f"{MAX_STEPS} steps")
     nbar = int(round(ratio)) if math.isfinite(ratio) else 0
     if nbar < 1 or abs(ratio - nbar) > 1e-9 * max(1.0, abs(ratio)):
         raise GridError(f"horizon T={T} is not an integer multiple of h={h}")
@@ -240,41 +273,58 @@ def check_step_size(model, config):
         warnings.warn(message, stacklevel=3)
 
 
-def solve_trajectory(model, config, paths, x0, T):
+def solve_trajectory(model, config, epochs, x0, T):
     """Run the Theta-Maruyama method over [0, T] on the given epoch streams.
 
-    Deterministic in (model, config, paths, x0, T).  Grid times are n*h by
-    integer multiplication, never accumulated.
+    ``epochs`` is one replication's PathBundle, or an EpochWindows whose B
+    rows are solved in lock step; a row has the same bits in any block.
+    Deterministic in (model, config, epochs, x0, T).  Grid times are n*h by
+    integer multiplication, never accumulated.  A block raises the error
+    of its lowest-indexed row among those failing at the earliest failing
+    step, with ``row`` set to it.
     """
     nbar = grid_steps(T, config.h)
     check_step_size(model, config)
     d, p = model.dim, model.jump_count
     try:
-        x = np.asarray(x0, dtype=float).reshape(d).copy()
+        x0 = np.asarray(x0, dtype=float).reshape(d)
     except ValueError:
         raise ConfigurationError(
             f"initial state {x0!r} does not match model dimension {d}") from None
-    if not np.isfinite(x).all():
+    if not np.isfinite(x0).all():
         raise ConfigurationError(f"initial state must be finite, got {x0!r}")
-    clocks = np.zeros(p)
-    jump_counts = np.zeros(p, dtype=np.int64)
-    states = np.empty((nbar + 1, d))
-    clock_hist = np.empty((nbar + 1, p))
+    one_bundle = isinstance(epochs, PathBundle)
+    if one_bundle:
+        epochs = EpochWindows(epochs.master_seed, [epochs.replication], p,
+                              epochs.batch)
+    B = len(epochs.replications)
+    x = np.repeat(x0[None, :], B, axis=0)
+    clocks = np.zeros((B, p))
+    counts = np.zeros((B, p), dtype=np.int64)
+    states = np.empty((nbar + 1, B, d))
+    clock_hist = np.empty((nbar + 1, B, p))
     states[0] = x
     clock_hist[0] = clocks
     clamp_total = 0
     for n in range(nbar):
-        x, r, dys, nclamp = _advance(model, config, paths, x, clocks, n)
-        clocks = clocks + r
-        jump_counts += dys
+        try:
+            x, clocks, counts, nclamp = _step(model, config, epochs, x, clocks,
+                                              counts, n)
+        except RteSimError as e:
+            e.row = 0
+            if B > 1:
+                _raise_first_failing_row(model, config, epochs, x, clocks, counts, n)
+            raise
         clamp_total += nclamp
         states[n + 1] = x
         clock_hist[n + 1] = clocks
+    if one_bundle:
+        states, clock_hist, counts = states[:, 0], clock_hist[:, 0], counts[0]
     grid = np.arange(nbar + 1) * config.h
     meta = {
         "model": model.name,
         "config": config,
-        "jump_counts": jump_counts,
+        "jump_counts": counts,
         "phi3_clamps": clamp_total,
     }
     return Trajectory(grid=grid, states=states, clocks=clock_hist, meta=meta)

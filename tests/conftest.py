@@ -7,7 +7,7 @@ states (m, d) give flows (m, d) and hazards (m,).
 import numpy as np
 
 from rtesim.model import AnalyticHooks, RteModel
-from rtesim.poisson import PoissonPath
+from rtesim.poisson import EpochWindows, PoissonPath
 
 SENTINEL = 1e18
 
@@ -17,6 +17,17 @@ def fixed_path(epochs):
     p = PoissonPath(0, 0, 0)
     p._epochs = [float(e) for e in epochs] + [SENTINEL]
     return p
+
+
+def fixed_windows(epochs):
+    """One-row EpochWindows whose one stream holds the given epochs.
+
+    At most one batch of epochs; queries must stay < 1e18.
+    """
+    w = EpochWindows(0, [0], 1)
+    w.win[0, 0] = SENTINEL
+    w.win[0, 0, :len(epochs)] = epochs
+    return w
 
 
 def zero_rate_model(alpha=1.5, with_hooks=True):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per shipping criterion, full protocol scale.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Criteria 1-3 and 7 are Monte Carlo studies at M=200..10^4 and
-take a few minutes together.
+criterion.  Criteria 1-3 and 7 are Monte Carlo studies at M=200..10^4.
+Together they take about 35 s on two cores, two thirds of it criterion 7.
 """
 
 import json
@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 import rtesim as rs
-from conftest import fixed_path
+from conftest import fixed_path, fixed_windows
 from rtesim import cli
-from rtesim.analysis import run_replications
 from rtesim.poisson import PathBundle
 
 SEED = 0x5EED
@@ -70,14 +69,7 @@ def test_criterion_1_order_half_regime():
     # (measured |z| <= 1.97) and the window is applied to the centred error
     # mean_j |e_j - mean e| (measured slope 0.430).
     x0, T, M = 10.0, 5.0, 200
-
-    def signed_impl_errors(j):
-        bundle = PathBundle(SEED, j, 1)
-        ref = rs.exact_trajectory(m, bundle, [x0], T).endpoint[0]
-        return [rs.solve_trajectory(m, c, bundle, [x0], T).endpoint[0] - ref
-                for c in impl]
-
-    errs = np.array(run_replications(signed_impl_errors, M, THREADS))
+    errs = rep.signed_errors[:, 6:12, 0]
     alpha, lam_eps = SET1["alpha"], SET1["lam"] * SET1["eps"]
     bias = np.array([x0 * (((1.0 + h * lam_eps) / (1.0 + h * alpha)) ** (T / h)
                            - math.exp((lam_eps - alpha) * T)) for h in hs])
@@ -101,7 +93,7 @@ def test_criterion_1_order_half_regime():
     assert ok_expl, f"explicit Euler slope {s_expl:.3f} outside [0.35, 0.70]"
     assert dominated, "trapezoidal error exceeded an Euler method beyond 2 SE"
     assert reproduced, (
-        "recomputed implicit Euler errors do not reproduce strong_error rows: "
+        "signed implicit Euler errors do not reproduce strong_error rows: "
         f"{mean_abs} vs {row_abs}")
     assert max_z <= 3.0, (
         f"implicit Euler mean error {mean_e} departs from the predicted bias "
@@ -160,13 +152,10 @@ def test_criterion_3_bacteriophage_convergence():
 def test_criterion_4_exactness_oracles():
     m = rs.builtin_linear_scalar(**SET1)
     # implicit single step against the scalar closed-form solve
-    from rtesim.stepper import StepperState
-    state = StepperState(n=0, t=0.0, x=np.array([10.0]), clocks=np.zeros(1),
-                         jump_counts=np.zeros(1, dtype=int))
-    out = rs.step(state, m, rs.SolverConfig(theta=1.0, h=0.1),
-                  [fixed_path([1.0, 2.0, 3.0])])
+    out = rs.solve_trajectory(m, rs.SolverConfig(theta=1.0, h=0.1),
+                              fixed_windows([1.0, 2.0, 3.0]), [10.0], 0.1)
     closed = (10.0 + 3 * 0.007) / 1.15
-    d_step = abs(out.x[0] - closed)
+    d_step = abs(out.endpoint[0, 0] - closed)
     # hazard inversion round trip
     worst_rt = 0.0
     for x0 in (0.5, 2.0, 10.0, 25.0):

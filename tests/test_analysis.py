@@ -136,6 +136,43 @@ class TestStrongError:
         assert e.replication in range(4) and e.config == "theta0-euler-h0.25"
         assert e.x is not None and e.x[0] < 9.0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["linear-exact", "bacteriophage-fine-step"])
+    def test_block_size_does_not_change_results(self, monkeypatch, case, threads):
+        if case == "linear-exact":
+            m, ref, x0 = rs.builtin_linear_scalar(**SET1), "exact", [10.0]
+            cfgs = [rs.SolverConfig(theta=t, h=0.25, quadrature=q)
+                    for t, q in ((0.0, "euler"), (1.0, "euler"), (0.5, "trapezoidal"))]
+        else:
+            m, ref, x0 = (rs.builtin_bacteriophage_scaled(),
+                          rs.ReferenceSpec(h_ref=0.05), [2.0, 2.0, 1.0])
+            cfgs = [rs.SolverConfig(theta=t, h=0.2, quadrature=q)
+                    for t, q in ((0.0, "euler"), (0.5, "improved-trapezoidal"))]
+        reports = []
+        for block in (1, 7, 64):
+            monkeypatch.setattr(analysis, "_BLOCK_ROWS", block)
+            reports.append(rs.strong_error(m, ref, cfgs, x0, 1.0, 20, 4,
+                                           threads=threads))
+        for rep in reports[1:]:
+            assert rep.rows == reports[0].rows
+            assert np.array_equal(rep.signed_errors, reports[0].signed_errors)
+
+    def test_signed_errors_are_endpoint_differences(self):
+        m = rs.builtin_bacteriophage_scaled()
+        spec = rs.ReferenceSpec(h_ref=0.05)
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.2), rs.SolverConfig(theta=1.0, h=0.1)]
+        x0 = [2.0, 2.0, 1.0]
+        rep = rs.strong_error(m, spec, cfgs, x0, 1.0, 5, 8, norm="max")
+        assert rep.signed_errors.shape == (5, 2, 3)
+        for j in range(5):
+            ref = rs.solve_trajectory(m, spec.resolve_config(),
+                                      rs.PathBundle(8, j, 4), x0, 1.0).endpoint
+            for i, cfg in enumerate(cfgs):
+                end = rs.solve_trajectory(m, cfg, rs.PathBundle(8, j, 4), x0, 1.0).endpoint
+                assert np.array_equal(rep.signed_errors[j, i], end - ref)
+        norms = np.abs(rep.signed_errors).max(axis=-1)
+        assert [r.mean_abs_error for r in rep.rows] == norms.mean(axis=0).tolist()
+
     def test_max_norm_option(self):
         m = rs.builtin_bacteriophage_scaled()
         spec = rs.ReferenceSpec(h_ref=0.05)

@@ -222,6 +222,11 @@ class TestExitCodes:
         ([], {"reference": {"h_ref": 5e-324},
               "solver": [{"theta": 0.0, "h": 0.5}]}),
         ([], {"T": 10 ** 400}),
+        ([], {"schema": True}),
+        ([], {"schema": 1.0}),
+        ([], {"solver": [{"theta": 0.0, "h": [1e-300]}]}),
+        ([], {"reference": {"h_ref": 1e-300},
+              "solver": [{"theta": 0.0, "h": 0.5}]}),
         ([], {"model": dict(LINEAR, scaling={"N": 1e300, "alpha": [2.0],
                                              "c": [0.0]})}),
     ], ids=["negative-seed", "string-horizon", "array-document",
@@ -231,6 +236,7 @@ class TestExitCodes:
             "float-fp-max-iter", "string-h-ref", "null-h-ref",
             "string-reference-theta", "string-theta", "empty-h-list",
             "h-beyond-grid", "h-ref-beyond-grid", "huge-int-horizon",
+            "bool-schema", "float-schema", "tiny-h", "tiny-h-ref",
             "overflowing-scaling"])
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys,
                                                   argv, overrides):

@@ -6,7 +6,7 @@ from scipy import stats
 
 from conftest import fixed_path
 from rtesim.errors import QueryError
-from rtesim.poisson import PathBundle, PoissonPath
+from rtesim.poisson import EpochWindows, PathBundle, PoissonPath
 
 
 class TestCounting:
@@ -124,3 +124,32 @@ class TestBundle:
         b = PathBundle(1, 3, 4)
         assert len(b) == 4
         assert [p.stream_id for p in b] == [(3, k) for k in range(4)]
+
+
+class TestEpochWindows:
+    def test_queries_match_poisson_path(self):
+        # clocks that stay put, land exactly on epochs and skip whole batches
+        rng = np.random.default_rng(5)
+        reps = [0, 3, 9]
+        w = EpochWindows(11, reps, 2)
+        paths = [[PoissonPath(11, j, k) for k in range(2)] for j in reps]
+        clocks = np.zeros((3, 2))
+        for n in range(60):
+            if n % 3 == 2:
+                land = rng.random((3, 2)) < 0.5
+                clocks = np.where(land, w.next_after(clocks), clocks)
+            else:
+                gaps = rng.exponential(1.0, (3, 2))
+                clocks = clocks + gaps * rng.choice([0.0, 1.0, 300.0], (3, 2))
+            counts, nxt = w.count(clocks), w.next_after(clocks)
+            for i in range(3):
+                for k in range(2):
+                    assert counts[i, k] == paths[i][k].count_at(clocks[i, k])
+                    assert nxt[i, k] == paths[i][k].next_epoch_after(clocks[i, k])
+        assert counts.min() > 128  # every stream left its first batch
+
+    def test_row_does_not_depend_on_its_block(self):
+        w = EpochWindows(2, [4, 7], 3)
+        one = EpochWindows(2, [7], 3)
+        clocks = np.array([[50.0, 0.5, 200.0]])
+        assert np.array_equal(one.count(clocks), w.count(np.repeat(clocks, 2, 0))[1:])
