@@ -276,8 +276,8 @@ def check_step_size(model, config):
 def solve_trajectory(model, config, epochs, x0, T):
     """Run the Theta-Maruyama method over [0, T] on the given epoch streams.
 
-    ``epochs`` is one replication's PathBundle, or an EpochWindows whose B
-    rows are solved in lock step; a row has the same bits in any block.
+    ``epochs`` is one replication's PathBundle, or a new EpochWindows whose
+    B rows are solved in lock step; a row has the same bits in any block.
     Deterministic in (model, config, epochs, x0, T).  Grid times are n*h by
     integer multiplication, never accumulated.  A block raises the error
     of its lowest-indexed row among those failing at the earliest failing
