@@ -18,8 +18,8 @@ x0 = np.array([2.0, 2.0, 1.0])          # scaled deterministic equilibrium
 print("unscaled equilibrium:", spec.unscale_state(x0))
 
 bundle = rs.PathBundle(7, 0, scaled.jump_count)
-ref = rs.reference_trajectory(scaled, rs.ReferenceSpec(h_ref=1 / 320),
-                              bundle, x0, 10.0)
+ref = rs.solve_trajectory(scaled, rs.SolverConfig(theta=0.0, h=1 / 320),
+                         bundle, x0, 10.0)
 print(f"reference (h=1/320): X(10) = {np.array2string(ref.endpoint, precision=5)}")
 print(f"jumps per reaction channel: {ref.meta['jump_counts']}")
 

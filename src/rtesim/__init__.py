@@ -14,8 +14,8 @@ from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
                      NegativeStateError, QueryError, RteSimError,
                      RunawayJumpError, UnsupportedModelError)
-from .exact import (BlockEnds, ExactTrajectory, ReferenceSpec, exact_block,
-                    exact_trajectory, next_jump, reference_trajectory)
+from .exact import (BlockEnds, ExactTrajectory, exact_block, exact_trajectory,
+                    next_jump)
 from .model import (AnalyticHooks, RteModel, ScalingSpec, apply_scaling,
                     bacteriophage_scaling, builtin_bacteriophage,
                     builtin_bacteriophage_scaled, builtin_linear_scalar,
@@ -33,7 +33,7 @@ __all__ = [
     "ExactTrajectory", "FitError", "GridError", "ImplicitSolveError",
     "LocalErrorSample", "MartingaleCheck", "ModelEvaluationError",
     "NegativeStateError", "OrderFit", "PathBundle", "PoissonPath",
-    "QUADRATURES", "QueryError", "ReferenceSpec", "RteModel", "RteSimError",
+    "QUADRATURES", "QueryError", "RteModel", "RteSimError",
     "RunawayJumpError", "ScalingSpec", "SolverConfig", "Trajectory",
     "UnsupportedModelError", "apply_scaling",
     "bacteriophage_scaling", "builtin_bacteriophage",
@@ -42,6 +42,6 @@ __all__ = [
     "exact_block", "exact_trajectory", "fit_order", "generator_apply",
     "get_model",
     "integrate_along_path", "local_errors", "martingale_check", "model_names",
-    "next_jump", "phi3", "reference_trajectory", "solve_trajectory",
+    "next_jump", "phi3", "solve_trajectory",
     "strong_error",
 ]

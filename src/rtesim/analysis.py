@@ -21,7 +21,8 @@ from .errors import (ConfigurationError, FitError, ModelEvaluationError,
 from .exact import exact_block, exact_trajectory
 from .model import eval_drift
 from .poisson import EpochWindows, PathBundle
-from .stepper import _phi3_vector, grid_steps, solve_trajectory
+from .stepper import (SolverConfig, _phi3_vector, check_nesting, grid_steps,
+                      solve_trajectory)
 
 # ---------------------------------------------------------------------------
 # replication worker pool (fork-based; serial fallback elsewhere)
@@ -57,6 +58,17 @@ def run_replications(worker, M, threads=1):
 
 # most rows per block of replications; results do not depend on it
 _BLOCK_ROWS = 128
+
+
+def _run_blocks(worker, M, threads):
+    """worker(reps) on blocks of rows that partition range(M), in block order.
+
+    Blocks hold at most _BLOCK_ROWS rows and, when M allows, there is one
+    per thread.  A row's results do not depend on the block it is in.
+    """
+    size = min(_BLOCK_ROWS, -(-M // max(1, int(threads))))
+    blocks = [range(i, min(M, i + size)) for i in range(0, M, size)]
+    return run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
 
 
 class ErrorRow(NamedTuple):
@@ -119,14 +131,13 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
                  threads=1, norm="euclidean"):
     """Coupled-path endpoint errors of the given solver variants.
 
-    Replication j's reference (exact solver for hooked models, or a nested
-    fine-step run) and every config read the epochs of PathBundle(
-    master_seed, j, p).  Replications are solved in blocks of rows, each
-    config and a fine-step reference on a whole block at once; the exact
-    reference solves one row at a time.  Rows follow the order of
-    ``configs``.
-
-    ``reference`` is the string "exact" or a ReferenceSpec.
+    ``reference`` is "exact" (the exact solver, for hooked models) or the
+    SolverConfig of a fine-step run whose step divides every config's.
+    Replication j's reference and every config read the epochs of
+    PathBundle(master_seed, j, p).  Replications are solved in blocks of
+    rows, each config and a fine-step reference on a whole block at once;
+    the exact reference solves one row at a time.  Rows follow the order
+    of ``configs``.
     """
     configs = list(configs)
     if M < 1:
@@ -135,18 +146,15 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
         raise ConfigurationError("at least one solver config is required")
     for cfg in configs:
         grid_steps(T, cfg.h)  # validates divisibility up front
-    use_exact = isinstance(reference, str)
-    if use_exact:
-        if reference != "exact":
-            raise ConfigurationError(f"unknown reference {reference!r}")
-    else:
-        reference.check_nesting([cfg.h for cfg in configs])
-        ref_config = reference.resolve_config()
+    use_exact = isinstance(reference, str) and reference == "exact"
+    if not (use_exact or isinstance(reference, SolverConfig)):
+        raise ConfigurationError(
+            f"reference must be 'exact' or a SolverConfig, got {reference!r}")
+    if not use_exact:
+        check_nesting(reference.h, [cfg.h for cfg in configs])
     dist = _norm_fn(norm)
     labels = [cfg.label() for cfg in configs]
     p = model.jump_count
-    # rows are independent, so the partition may follow the thread count
-    block = min(_BLOCK_ROWS, -(-M // max(1, int(threads))))
 
     def solve(cfg, reps, where, label):
         try:
@@ -157,8 +165,7 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
             j = reps[e.row or 0]
             raise in_replication(e, j, where, config=label) from e
 
-    def worker(b):
-        reps = range(b * block, min(M, (b + 1) * block))
+    def worker(reps):
         if use_exact:
             ref = np.empty((len(reps), model.dim))
             for i, j in enumerate(reps):
@@ -168,11 +175,11 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
                 except RteSimError as e:
                     raise in_replication(e, j, "reference", config="reference") from e
         else:
-            ref = solve(ref_config, reps, "reference", "reference")
+            ref = solve(reference, reps, "reference", "reference")
         return np.stack([solve(cfg, reps, f"config {label}", label) - ref
                          for cfg, label in zip(configs, labels)], axis=1)
 
-    signed = np.concatenate(run_replications(worker, -(-M // block), threads))
+    signed = np.concatenate(_run_blocks(worker, M, threads))
     samples = dist(signed)  # (M, nconfig)
     means = samples.mean(axis=0)
     if M > 1:
@@ -184,7 +191,7 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     meta = {
         "model": model.name,
         "configs": labels,
-        "reference": "exact" if use_exact else f"h_ref={reference.h_ref!r}",
+        "reference": "exact" if use_exact else f"h_ref={reference.h!r}",
         "T": T,
         "norm": norm,
     }
@@ -419,8 +426,8 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     and (m, d)); the built-in scalar models' coefficients broadcast the
     same way, which keeps the per-path time integrals vectorised.
 
-    Replications are solved in fixed blocks of rows by exact_block, and
-    both path integrals are summed as the paths are built.  A row whose
+    Replications are solved in blocks of rows by exact_block, and both
+    path integrals are summed as the paths are built.  A row whose
     first two refinement levels differ by ``tol`` or more is recomputed by
     integrate_along_path on its exact_trajectory, which refines further.
     """
@@ -430,10 +437,8 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     p = model.jump_count
     x0 = np.asarray(x0, dtype=float).reshape(model.dim)
     f_start = float(np.asarray(F(x0.reshape(1, -1)), dtype=float).reshape(-1)[0])
-    block = _BLOCK_ROWS
 
-    def worker(b):
-        reps = range(b * block, min(M, (b + 1) * block))
+    def worker(reps):
         sums = _TwoLevelSums(model.analytic.flow, integrands, len(reps))
         ends = exact_block(model, master_seed, reps, x0, T, sums.add)
         f_end = np.asarray(F(ends.endpoints), dtype=float).reshape(-1)
@@ -448,7 +453,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
                     traj, lambda xs, i=i: integrands(xs)[i], tol=tol)
         return f_end - f_start - vals[0], vals[1]
 
-    blocks = run_replications(worker, -(-M // block), threads)
+    blocks = _run_blocks(worker, M, threads)
     mf = np.concatenate([b[0] for b in blocks])
     qv = np.concatenate([b[1] for b in blocks])
     mean = float(mf.mean())

@@ -21,11 +21,11 @@ from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
                      NegativeStateError, QueryError, RteSimError,
                      RunawayJumpError, UnsupportedModelError)
-from .exact import ReferenceSpec, exact_trajectory
+from .exact import exact_trajectory
 from .model import get_model, is_finite_number
 from .poisson import PathBundle
-from .stepper import (MAX_STEPS, SolverConfig, grid_steps, solve_trajectory,
-                      step_size_warning)
+from .stepper import (MAX_STEPS, SolverConfig, check_nesting, grid_steps,
+                      solve_trajectory, step_size_warning)
 
 DEFAULT_SEED = 0x5EED
 EXPERIMENTS = ("simulate", "converge", "local-error", "diagnose")
@@ -112,7 +112,8 @@ class RunConfig:
                 for h in hs]
         return sorted(cfgs, key=lambda c: c.h, reverse=True)
 
-    def reference_spec(self):
+    def reference_config(self):
+        """The string "exact", or the SolverConfig of the fine-step reference."""
         if self.reference == "exact":
             return "exact"
         if not isinstance(self.reference, dict):
@@ -121,10 +122,12 @@ class RunConfig:
                 f"got {self.reference!r}")
         ref = dict(self.reference)
         _reject_unknown(ref, _REFERENCE_KEYS, "reference")
-        h_ref = ref.pop("h_ref", 1.0 / 320.0)
-        cfg = SolverConfig(h=h_ref, theta=ref.pop("theta", 0.0),
-                           quadrature=ref.pop("quadrature", "euler"), **ref)
-        return ReferenceSpec(h_ref=h_ref, config_ref=cfg)
+        # explicit Euler treats every variant family alike: a reference that
+        # shares a variant's scheme cancels their common error at the finest
+        # steps and distorts fitted orders
+        return SolverConfig(h=ref.pop("h_ref", 1.0 / 320.0),
+                            theta=ref.pop("theta", 0.0),
+                            quadrature=ref.pop("quadrature", "euler"), **ref)
 
     def config_hash(self):
         """Hash of every semantically meaningful field plus the effective seed."""
@@ -188,14 +191,14 @@ def validate(config):
         err("at least one solver entry is required")
     ref = None
     try:
-        ref = config.reference_spec()
+        ref = config.reference_config()
     except RteSimError as e:
         err(f"reference: {e}")
     if ref == "exact" and model is not None and model.analytic is None:
         err(f"reference 'exact' needs analytic hooks; model "
             f"{config.model_name!r} has none (use a fine-step reference)")
-    if isinstance(ref, ReferenceSpec) and T_ok and config.T / ref.h_ref > MAX_STEPS:
-        err(f"reference step h_ref={ref.h_ref!r} gives more than {MAX_STEPS} "
+    if isinstance(ref, SolverConfig) and T_ok and config.T / ref.h > MAX_STEPS:
+        err(f"reference step h_ref={ref.h!r} gives more than {MAX_STEPS} "
             f"steps over T={config.T!r}")
         ref = None  # its nesting checks would repeat the finding
     for entry in entries:
@@ -212,18 +215,19 @@ def validate(config):
                     err(f"step size h={cfg.h!r} does not divide T={config.T!r}")
                 except ConfigurationError as e:
                     err(f"step size h={cfg.h!r}: {e}")
-            if isinstance(ref, ReferenceSpec):
+            if isinstance(ref, SolverConfig):
                 try:
-                    ref.check_nesting([cfg.h])
+                    check_nesting(ref.h, [cfg.h])
                 except GridError as e:
                     err(str(e))
             if model is not None and (message := step_size_warning(model, cfg)):
                 warn(message)
-    if config.experiment in ("simulate", "converge", "local-error", "diagnose"):
-        if not config.output:
-            err("output directory is required")
-        elif not isinstance(config.output, str):
-            err(f"output directory must be a string, got {config.output!r}")
+    if not config.output:
+        err("output directory is required")
+    elif not isinstance(config.output, str):
+        err(f"output directory must be a string, got {config.output!r}")
+    elif "\0" in config.output:
+        err(f"output directory {config.output!r} contains a NUL byte")
     if config.experiment == "local-error" and model is not None:
         if model.analytic is None or model.analytic.drift_integral is None:
             err(f"local-error needs analytic hooks with a drift integral; "
@@ -313,7 +317,7 @@ def _observable(config, model):
 
 def _run_converge(config, model, outdir, threads, comments):
     x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
-    ref = config.reference_spec()
+    ref = config.reference_config()
     variant_cfgs = [config.solver_configs(e) for e in config.solver_entries]
     flat = [c for cfgs in variant_cfgs for c in cfgs]
     report = strong_error(model, ref, flat, x0, config.T, config.M,
@@ -358,10 +362,9 @@ def _run_simulate(config, model, outdir, threads, comments, sample_grid=None):
     files = [write_trajectory(f"traj_{cfg.label()}.csv", cfg, cfg.label())
              for entry in config.solver_entries
              for cfg in config.solver_configs(entry)]
-    ref = config.reference_spec()
+    ref = config.reference_config()
     if ref != "exact":
-        return files + [write_trajectory("traj_reference.csv",
-                                         ref.resolve_config(), "reference")]
+        return files + [write_trajectory("traj_reference.csv", ref, "reference")]
     traj = exact_trajectory(model, bundle, x0, config.T)
     jumps = zip(traj.jump_times.tolist(), (traj.jump_ids + 1).tolist(),
                 traj.states_post_jump.tolist())
@@ -417,17 +420,19 @@ def _run_diagnose(config, model, outdir, threads, comments):
 def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
     """Execute one validated run; returns the exit status."""
     findings = validate(config)
-    for level, message in findings:
-        log(f"{level}: {message}")
-    if any(level == "error" for level, _ in findings):
+    errors = [message for level, message in findings if level == "error"]
+    for message in (m for level, m in findings if level == "warning"):
+        log(f"warning: {message}")
+    if errors:  # one line, however many findings
+        log("error: " + "; ".join(errors))
         return EXIT_CONFIG
     model = config.build_model()
     outdir = config.output
-    os.makedirs(outdir, exist_ok=True)
     stamp = (datetime.now(timezone.utc).isoformat(timespec="seconds")
              if timestamp else None)
     comments = _meta_comments(config, stamp)
     try:
+        os.makedirs(outdir, exist_ok=True)
         if config.experiment == "converge":
             files = _run_converge(config, model, outdir, threads, comments)
         elif config.experiment == "simulate":
@@ -440,6 +445,7 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
         else:
             log(f"error: unknown experiment {config.experiment!r}")
             return EXIT_CONFIG
+        _write_meta_json(config, outdir, files, stamp)
     except _CONFIG_ERRORS as e:
         log(f"error: {e}")
         return EXIT_CONFIG
@@ -449,7 +455,9 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
     except _NUMERICAL_ERRORS as e:
         log(f"error: {e}")
         return EXIT_NUMERICAL
-    _write_meta_json(config, outdir, files, stamp)
+    except OSError as e:  # the output directory cannot be made or written
+        log(f"error: output: {e}")
+        return EXIT_CONFIG
     for name in files:
         log(f"wrote {os.path.join(outdir, name)}")
     return EXIT_OK
@@ -496,7 +504,7 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         seed = resolve_seed(args.seed, doc)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         print(f"error: bad seed: {e}", file=sys.stderr)
         return EXIT_CONFIG
     config = RunConfig(doc, args.experiment, seed)

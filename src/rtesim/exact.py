@@ -1,11 +1,12 @@
-"""Exact jump-adapted solving and the fine-step reference protocol.
+"""Exact jump-adapted solving.
 
 For models with analytic hooks the trajectory is constructed jump by jump:
 each internal clock runs toward its next Poisson epoch, the cumulative
 hazard inverse gives the physical time at which each clock would hit, and
 the earliest hitter fires.  Between jumps the state follows the closed-form
 flow, so the result is exact up to floating-point roundoff.  Models without
-hooks fall back to a fine-step reference run on the same epoch streams.
+hooks have no exact path: their reference is a fine-step run of the
+fixed-step solver (a SolverConfig) on the same epoch streams.
 
 ``exact_trajectory`` builds one path and keeps it; ``exact_block`` runs a
 block of replications in lock step and streams their segments instead.
@@ -17,12 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigurationError, GridError, ModelEvaluationError,
-                     QueryError, RunawayJumpError, UnsupportedModelError,
-                     in_replication)
-from .model import is_finite_number
+from .errors import (ConfigurationError, ModelEvaluationError, QueryError,
+                     RunawayJumpError, UnsupportedModelError, in_replication)
 from .poisson import EpochWindows
-from .stepper import SolverConfig, grid_steps, solve_trajectory
+from .stepper import grid_steps
 
 
 @dataclass
@@ -77,7 +76,7 @@ def _require_hooks(model):
     if model.analytic is None:
         raise UnsupportedModelError(
             f"model {model.name!r} has no analytic hooks; use a fine-step "
-            f"reference (ReferenceSpec) instead of exact solving")
+            f"reference (a SolverConfig) instead of exact solving")
     return model.analytic
 
 
@@ -257,43 +256,3 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
                 f"more than {max_jumps} jumps before t={t[0]:g} (T={T}); "
                 f"runaway rates or too small a jump height"), reps[rows[0]])
     return ends
-
-
-@dataclass(frozen=True)
-class ReferenceSpec:
-    """Fine-step reference protocol for models without analytic hooks.
-
-    The reference grid must nest into every experimental grid, i.e. h_ref
-    divides each experimental h.
-    """
-
-    h_ref: float = 1.0 / 320.0
-    config_ref: SolverConfig = None
-
-    def __post_init__(self):
-        if not (is_finite_number(self.h_ref) and self.h_ref > 0):
-            raise ConfigurationError(f"h_ref must be positive, got {self.h_ref}")
-        if self.config_ref is not None and self.config_ref.h != self.h_ref:
-            raise ConfigurationError(
-                f"config_ref.h={self.config_ref.h} differs from h_ref={self.h_ref}")
-
-    def resolve_config(self):
-        if self.config_ref is not None:
-            return self.config_ref
-        # explicit Euler treats every variant family alike: a reference that
-        # shares a variant's scheme cancels their common error at the finest
-        # steps and distorts fitted orders
-        return SolverConfig(theta=0.0, h=self.h_ref, quadrature="euler")
-
-    def check_nesting(self, h_values):
-        for h in h_values:
-            ratio = h / self.h_ref
-            if not (math.isfinite(ratio) and ratio >= 1 - 1e-9
-                    and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)):
-                raise GridError(
-                    f"reference step h_ref={self.h_ref} does not divide h={h}")
-
-
-def reference_trajectory(model, spec, paths, x0, T):
-    """Fine-step run used in place of an exact solution."""
-    return solve_trajectory(model, spec.resolve_config(), paths, x0, T)

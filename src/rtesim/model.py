@@ -236,48 +236,29 @@ def apply_scaling(model, spec):
                                  f"positive and finite")
     down = 1.0 / up
 
-    def scaled_drift(y, _f=model.drift, _up=up, _down=down):
-        return _down * np.asarray(_f(_up * y), dtype=float)
-
-    def _scaled_rate(rate_fn):
-        def scaled(y, _r=rate_fn, _up=up):
-            return _r(_up * y)
+    def scale_in(fn):
+        def scaled(*args):  # the state is the last argument
+            return fn(*args[:-1], up * args[-1])
         return scaled
 
-    scaled_rates = tuple(_scaled_rate(r) for r in model.rates)
-    scaled_jumps = model.jumps * down
+    def scale_both(fn):
+        scaled = scale_in(fn)
+        return lambda *args: down * np.asarray(scaled(*args), dtype=float)
 
     hooks = None
     if model.analytic is not None:
         a = model.analytic
-
-        def scaled_flow(t, y, _flow=a.flow, _up=up, _down=down):
-            return _down * np.asarray(_flow(t, _up * y), dtype=float)
-
-        def _scaled_haz(fn):
-            def scaled(t, y, _fn=fn, _up=up):
-                return _fn(t, _up * y)
-            return scaled
-
-        def _scaled_inv(fn):
-            def scaled(delta, y, _fn=fn, _up=up):
-                return _fn(delta, _up * y)
-            return scaled
-
-        drift_int = None
-        if a.drift_integral is not None:
-            def drift_int(t, y, _fn=a.drift_integral, _up=up, _down=down):
-                return _down * np.asarray(_fn(t, _up * y), dtype=float)
-
         hooks = AnalyticHooks(
-            flow=scaled_flow,
-            hazard_integral=tuple(_scaled_haz(f) for f in a.hazard_integral),
-            hazard_inverse=tuple(_scaled_inv(f) for f in a.hazard_inverse),
-            drift_integral=drift_int,
+            flow=scale_both(a.flow),
+            hazard_integral=tuple(map(scale_in, a.hazard_integral)),
+            hazard_inverse=tuple(map(scale_in, a.hazard_inverse)),
+            drift_integral=(None if a.drift_integral is None
+                            else scale_both(a.drift_integral)),
         )
 
     # declared Lipschitz bounds do not transform mechanically; drop them
-    return RteModel(model.dim, scaled_drift, scaled_rates, scaled_jumps,
+    return RteModel(model.dim, scale_both(model.drift),
+                    tuple(map(scale_in, model.rates)), model.jumps * down,
                     analytic=hooks, name=f"{model.name}-scaled")
 
 

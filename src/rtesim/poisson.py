@@ -19,6 +19,9 @@ import numpy as np
 from .errors import QueryError
 
 _TINY = np.finfo(float).tiny
+# epochs drawn per stream at a time; batch boundaries set the rounding of
+# the cumulative sums, so every reader of a stream draws the same batches
+BATCH = 128
 
 
 def epoch_generator(master_seed, replication, process):
@@ -45,13 +48,12 @@ class PoissonPath:
     between solver variants inside one replication, never across threads.
     """
 
-    __slots__ = ("stream_id", "_gen", "_epochs", "_batch")
+    __slots__ = ("stream_id", "_gen", "_epochs")
 
-    def __init__(self, master_seed, replication, process, batch=128):
+    def __init__(self, master_seed, replication, process):
         self.stream_id = (replication, process)
         self._gen = epoch_generator(master_seed, replication, process)
         self._epochs = []
-        self._batch = int(batch)
 
     @property
     def epochs(self):
@@ -62,7 +64,7 @@ class PoissonPath:
         e = self._epochs
         last = e[-1] if e else 0.0
         while last <= u:
-            e.extend(next_epochs(self._gen, last, self._batch).tolist())
+            e.extend(next_epochs(self._gen, last, BATCH).tolist())
             last = e[-1]
 
     def count_at(self, u):
@@ -98,12 +100,10 @@ class PoissonPath:
 class PathBundle:
     """The p driving streams of one replication, derived from one master seed."""
 
-    def __init__(self, master_seed, replication, p, batch=128):
+    def __init__(self, master_seed, replication, p):
         self.master_seed = master_seed
         self.replication = replication
-        self.batch = int(batch)
-        self.paths = [PoissonPath(master_seed, replication, k, batch=batch)
-                      for k in range(p)]
+        self.paths = [PoissonPath(master_seed, replication, k) for k in range(p)]
 
     def __len__(self):
         return len(self.paths)
@@ -125,14 +125,13 @@ class EpochWindows:
     the latest clock queried; clocks never decrease.
     """
 
-    def __init__(self, master_seed, replications, p, batch=128):
+    def __init__(self, master_seed, replications, p):
         self.master_seed = master_seed
         self.replications = list(replications)
-        self.batch = int(batch)
         self.gens = [[epoch_generator(master_seed, j, k) for k in range(p)]
                      for j in self.replications]
-        self.win = np.array([[next_epochs(g, 0.0, self.batch) for g in row]
-                             for row in self.gens]).reshape(-1, p, self.batch)
+        self.win = np.array([[next_epochs(g, 0.0, BATCH) for g in row]
+                             for row in self.gens]).reshape(-1, p, BATCH)
         self.cur = np.zeros((len(self.gens), p), dtype=np.intp)
         self.drawn = np.zeros((len(self.gens), p), dtype=np.int64)
         self._reindex()
@@ -140,18 +139,17 @@ class EpochWindows:
     def _reindex(self):
         m, p = self.cur.shape
         self._flat = self.win.reshape(-1)
-        self._base = np.arange(m * p).reshape(m, p) * self.batch
+        self._base = np.arange(m * p).reshape(m, p) * BATCH
 
     def _refill(self):
         """Load the next batch of every window whose cursor ran off its end.
 
         Returns whether any window was refilled.
         """
-        full = np.nonzero(self.cur == self.batch)
+        full = np.nonzero(self.cur == BATCH)
         for i, k in zip(*full):
-            self.win[i, k] = next_epochs(self.gens[i][k], self.win[i, k, -1],
-                                         self.batch)
-            self.drawn[i, k] += self.batch
+            self.win[i, k] = next_epochs(self.gens[i][k], self.win[i, k, -1], BATCH)
+            self.drawn[i, k] += BATCH
             self.cur[i, k] = 0
         return full[0].size > 0
 

@@ -226,7 +226,7 @@ def _raise_first_failing_row(model, config, epochs, x, clocks, counts, step_idx)
     """
     for i in range(len(x)):
         one = EpochWindows(epochs.master_seed, epochs.replications[i:i + 1],
-                           clocks.shape[1], epochs.batch)
+                           clocks.shape[1])
         one.count(clocks[i:i + 1])
         try:
             _step(model, config, one, x[i:i + 1], clocks[i:i + 1],
@@ -234,6 +234,13 @@ def _raise_first_failing_row(model, config, epochs, x, clocks, counts, step_idx)
         except RteSimError as e:
             e.row = i
             raise
+
+
+def _whole_ratio(a, b):
+    """The integer n >= 1 with a = n*b up to roundoff, or None."""
+    ratio = a / b
+    n = round(ratio) if math.isfinite(ratio) else 0
+    return n if n >= 1 and abs(ratio - n) <= 1e-9 * max(1.0, ratio) else None
 
 
 def grid_steps(T, h):
@@ -247,10 +254,17 @@ def grid_steps(T, h):
         raise ConfigurationError(
             f"T/h = {ratio:g} steps (T={T}, h={h}) is above the limit of "
             f"{MAX_STEPS} steps")
-    nbar = int(round(ratio)) if math.isfinite(ratio) else 0
-    if nbar < 1 or abs(ratio - nbar) > 1e-9 * max(1.0, abs(ratio)):
+    nbar = _whole_ratio(T, h)
+    if nbar is None:
         raise GridError(f"horizon T={T} is not an integer multiple of h={h}")
     return nbar
+
+
+def check_nesting(h_ref, h_values):
+    """GridError unless the reference step h_ref divides every h, so grids nest."""
+    for h in h_values:
+        if _whole_ratio(h, h_ref) is None:
+            raise GridError(f"reference step h_ref={h_ref} does not divide h={h}")
 
 
 def step_size_warning(model, config):
@@ -266,13 +280,6 @@ def step_size_warning(model, config):
     return None
 
 
-def check_step_size(model, config):
-    """Warn when an implicit run violates the contraction condition."""
-    message = step_size_warning(model, config)
-    if message:
-        warnings.warn(message, stacklevel=3)
-
-
 def solve_trajectory(model, config, epochs, x0, T):
     """Run the Theta-Maruyama method over [0, T] on the given epoch streams.
 
@@ -284,7 +291,8 @@ def solve_trajectory(model, config, epochs, x0, T):
     step, with ``row`` set to it.
     """
     nbar = grid_steps(T, config.h)
-    check_step_size(model, config)
+    if message := step_size_warning(model, config):
+        warnings.warn(message, stacklevel=2)
     d, p = model.dim, model.jump_count
     try:
         x0 = np.asarray(x0, dtype=float).reshape(d)
@@ -295,8 +303,7 @@ def solve_trajectory(model, config, epochs, x0, T):
         raise ConfigurationError(f"initial state must be finite, got {x0!r}")
     one_bundle = isinstance(epochs, PathBundle)
     if one_bundle:
-        epochs = EpochWindows(epochs.master_seed, [epochs.replication], p,
-                              epochs.batch)
+        epochs = EpochWindows(epochs.master_seed, [epochs.replication], p)
     B = len(epochs.replications)
     x = np.repeat(x0[None, :], B, axis=0)
     clocks = np.zeros((B, p))

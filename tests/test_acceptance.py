@@ -118,7 +118,7 @@ def test_criterion_2_order_one_small_noise():
 def test_criterion_3_bacteriophage_convergence():
     m = rs.builtin_bacteriophage_scaled()
     hs = [1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160]
-    ref = rs.ReferenceSpec(h_ref=1 / 320)
+    ref = rs.SolverConfig(theta=0.0, h=1 / 320)
     variants = [
         ("theta0-euler", [rs.SolverConfig(theta=0.0, h=h) for h in hs]),
         ("theta1-euler", [rs.SolverConfig(theta=1.0, h=h) for h in hs]),

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,9 +61,8 @@ class TestFitOrder:
 class TestStrongError:
     def test_variant_equal_to_reference_has_zero_error(self):
         m = rs.builtin_bacteriophage_scaled()
-        spec = rs.ReferenceSpec(h_ref=0.1)
-        cfg = spec.resolve_config()
-        rep = rs.strong_error(m, spec, [cfg], [2.0, 2.0, 1.0], 1.0, 3, 5)
+        cfg = rs.SolverConfig(theta=0.0, h=0.1)
+        rep = rs.strong_error(m, cfg, [cfg], [2.0, 2.0, 1.0], 1.0, 3, 5)
         assert rep.rows[0].mean_abs_error == 0.0
         assert rep.rows[0].std_error == 0.0
 
@@ -70,9 +70,9 @@ class TestStrongError:
         # drift and rates vanish: every scheme reproduces x0 exactly
         m = rs.RteModel(1, lambda x: 0.0 * x, (lambda x: 0.0 * x[..., 0],),
                         [[0.0]], name="frozen")
-        spec = rs.ReferenceSpec(h_ref=0.125)
+        ref = rs.SolverConfig(theta=0.0, h=0.125)
         cfgs = [rs.SolverConfig(theta=t, h=0.25) for t in (0.0, 1.0)]
-        rep = rs.strong_error(m, spec, cfgs, [4.0], 1.0, 2, 0)
+        rep = rs.strong_error(m, ref, cfgs, [4.0], 1.0, 2, 0)
         assert all(r.mean_abs_error == 0.0 for r in rep.rows)
 
     def test_single_replication_deterministic(self):
@@ -145,7 +145,7 @@ class TestStrongError:
                     for t, q in ((0.0, "euler"), (1.0, "euler"), (0.5, "trapezoidal"))]
         else:
             m, ref, x0 = (rs.builtin_bacteriophage_scaled(),
-                          rs.ReferenceSpec(h_ref=0.05), [2.0, 2.0, 1.0])
+                          rs.SolverConfig(theta=0.0, h=0.05), [2.0, 2.0, 1.0])
             cfgs = [rs.SolverConfig(theta=t, h=0.2, quadrature=q)
                     for t, q in ((0.0, "euler"), (0.5, "improved-trapezoidal"))]
         reports = []
@@ -159,13 +159,13 @@ class TestStrongError:
 
     def test_signed_errors_are_endpoint_differences(self):
         m = rs.builtin_bacteriophage_scaled()
-        spec = rs.ReferenceSpec(h_ref=0.05)
+        ref_cfg = rs.SolverConfig(theta=0.0, h=0.05)
         cfgs = [rs.SolverConfig(theta=0.0, h=0.2), rs.SolverConfig(theta=1.0, h=0.1)]
         x0 = [2.0, 2.0, 1.0]
-        rep = rs.strong_error(m, spec, cfgs, x0, 1.0, 5, 8, norm="max")
+        rep = rs.strong_error(m, ref_cfg, cfgs, x0, 1.0, 5, 8, norm="max")
         assert rep.signed_errors.shape == (5, 2, 3)
         for j in range(5):
-            ref = rs.solve_trajectory(m, spec.resolve_config(),
+            ref = rs.solve_trajectory(m, ref_cfg,
                                       rs.PathBundle(8, j, 4), x0, 1.0).endpoint
             for i, cfg in enumerate(cfgs):
                 end = rs.solve_trajectory(m, cfg, rs.PathBundle(8, j, 4), x0, 1.0).endpoint
@@ -173,12 +173,41 @@ class TestStrongError:
         norms = np.abs(rep.signed_errors).max(axis=-1)
         assert [r.mean_abs_error for r in rep.rows] == norms.mean(axis=0).tolist()
 
+    def test_solver_config_reference_is_that_config_on_the_same_blocks(self):
+        m = rs.builtin_bacteriophage_scaled()
+        ref = rs.SolverConfig(theta=0.5, h=0.05, quadrature="midpoint")
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.2),
+                rs.SolverConfig(theta=1.0, h=0.1, quadrature="trapezoidal")]
+        x0, M = [2.0, 2.0, 1.0], 7
+        rep = rs.strong_error(m, ref, cfgs, x0, 1.0, M, 3, threads=2)
+
+        def endpoints(cfg):  # 7 rows on 2 threads: blocks of 4 and 3 rows
+            return np.concatenate([rs.solve_trajectory(
+                m, cfg, rs.EpochWindows(3, reps, 4), x0, 1.0).endpoint
+                for reps in (range(0, 4), range(4, 7))])
+
+        signed = np.stack([endpoints(c) - endpoints(ref) for c in cfgs], axis=1)
+        assert np.array_equal(rep.signed_errors, signed)
+        norms = np.sqrt(np.sum(signed * signed, axis=-1))
+        means, ses = norms.mean(axis=0), norms.std(axis=0, ddof=1) / math.sqrt(M)
+        assert rep.rows == [ErrorRow(c.h, float(means[i]), float(ses[i]), M)
+                            for i, c in enumerate(cfgs)]
+
+    @pytest.mark.parametrize("reference", [
+        0.05, None, "fine-step", {"h_ref": 0.05},
+        [rs.SolverConfig(theta=0.0, h=0.05)]])
+    def test_unknown_reference_is_configuration_error(self, reference):
+        m = rs.builtin_linear_scalar(**SET1)
+        with pytest.raises(ConfigurationError, match=re.escape(repr(reference))):
+            rs.strong_error(m, reference, [rs.SolverConfig(theta=0.0, h=0.25)],
+                            [10.0], 1.0, 2, 0)
+
     def test_max_norm_option(self):
         m = rs.builtin_bacteriophage_scaled()
-        spec = rs.ReferenceSpec(h_ref=0.05)
+        ref = rs.SolverConfig(theta=0.0, h=0.05)
         cfgs = [rs.SolverConfig(theta=0.0, h=0.2)]
-        eu = rs.strong_error(m, spec, cfgs, [2.0, 2.0, 1.0], 1.0, 4, 1)
-        mx = rs.strong_error(m, spec, cfgs, [2.0, 2.0, 1.0], 1.0, 4, 1, norm="max")
+        eu = rs.strong_error(m, ref, cfgs, [2.0, 2.0, 1.0], 1.0, 4, 1)
+        mx = rs.strong_error(m, ref, cfgs, [2.0, 2.0, 1.0], 1.0, 4, 1, norm="max")
         assert mx.rows[0].mean_abs_error <= eu.rows[0].mean_abs_error
 
     def test_endpoints_anchor_to_exact_solution(self):
@@ -443,9 +472,9 @@ class TestMartingale:
             results.append(self._check(model, 20, 5, x0=x0))
         assert results[0] == results[1] == results[2]
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_thread_count_does_not_change_results(self):
+        # at the default block size, 1 and 2 threads partition M = 30 differently
         m = rs.builtin_linear_scalar(**SET1)
-        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 8)
         assert self._check(m, 30, 2) == self._check(m, 30, 2, threads=2)
 
     def test_matches_per_path_integrals(self):

@@ -1,12 +1,15 @@
+import contextlib
 import copy
+import io
 import json
 import numbers
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import rtesim as rs
@@ -127,6 +130,13 @@ class TestValidate:
                            reference={"h_ref": 0.125})
         findings = cli.validate(make_config(doc, experiment="diagnose"))
         assert any(lvl == "error" and "hooks" in msg for lvl, msg in findings)
+
+    def test_empty_reference_block_is_explicit_euler_at_1_320(self, tmp_path):
+        doc = write_config(tmp_path / "c.json", reference={})
+        config = make_config(doc)
+        assert cli.validate(config) == []
+        assert config.reference_config() == rs.SolverConfig(
+            theta=0.0, h=1.0 / 320.0, quadrature="euler")
 
     def test_schema_required(self, tmp_path):
         doc = write_config(tmp_path / "c.json", schema=2)
@@ -251,6 +261,19 @@ class TestExitCodes:
         lines = (out.out + out.err).splitlines()
         assert [ln for ln in lines if ln.startswith("error:")] == lines[:1]
         assert len(lines) == 1 and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("name", ["a\0b", "file"],
+                             ids=["nul-byte", "existing-file"])
+    def test_unusable_output_is_one_error_line(self, tmp_path, capsys, name):
+        (tmp_path / "file").write_text("kept")
+        cfg = tmp_path / "c.json"
+        write_config(cfg, M=2, output=str(tmp_path / name))
+        assert cli.main(["converge", "--config", str(cfg), "--threads", "1",
+                         "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert (tmp_path / "file").read_text() == "kept"
 
     @pytest.mark.parametrize("observable", [[0], {"index": "0"}, {"index": True}])
     def test_malformed_observable_is_one_error_line(self, tmp_path, capsys,
@@ -528,7 +551,97 @@ class TestConfigFuzz:
         for entry in config.solver_entries:
             for cfg in config.solver_configs(entry):
                 _assert_typed(cfg)
-        ref = config.reference_spec()
+        ref = config.reference_config()
         if ref != "exact":
-            assert _is_real(ref.h_ref) and ref.h_ref > 0
-            _assert_typed(ref.config_ref)
+            _assert_typed(ref)
+
+
+# Documents light enough to run in milliseconds (lambda * x0 * T = 100),
+# one per reference kind; the fine-step one also runs the scaled hooks.
+_RUN_BASE = {
+    "schema": 1,
+    "model": {"name": "linear-scalar",
+              "params": {"alpha": 1.5, "lambda": 20.0, "epsilon": 0.05}},
+    "solver": [{"theta": 0.5, "quadrature": "trapezoidal", "h": [0.25, 0.125],
+                "fp_tol": 1e-12, "fp_max_iter": 50, "negativity": "allow",
+                "clamp_phi3": True}],
+    "T": 0.5,
+    "x0": [10.0],
+    "M": 3,
+    "seed": 1,
+    "reference": "exact",
+    "error_norm": "euclidean",
+    "observable": {"kind": "component", "index": 0},
+}
+RUN_DOCS = {
+    "exact": _RUN_BASE,
+    "fine-step": dict(
+        _RUN_BASE, x0=[0.1],
+        model=dict(_RUN_BASE["model"],
+                   scaling={"N": 100.0, "alpha": [1.0], "c": [0.0]}),
+        reference={"h_ref": 0.03125, "theta": 0.0, "quadrature": "euler",
+                   "fp_tol": 1e-12, "fp_max_iter": 100,
+                   "negativity": "reset-to-zero", "clamp_phi3": True}),
+}
+# every field but the model, which the validate fuzz covers, and output
+RUN_FIELDS = [(kind, path) for kind, doc in RUN_DOCS.items()
+              for path in _field_paths(doc) if path[0] != "model"]
+
+
+def _reals(value):
+    values = value if isinstance(value, list) else [value]
+    return [v for v in values
+            if isinstance(v, numbers.Real) and not isinstance(v, bool)]
+
+
+def _asks_unbounded_work(doc):
+    """M > 3, T > 1, an h or h_ref below 1/64, or |x0| > 100."""
+    steps = []
+    for entry in doc["solver"] if isinstance(doc["solver"], list) else []:
+        if isinstance(entry, dict):
+            steps += _reals(entry.get("h"))
+    if isinstance(doc["reference"], dict):
+        steps += _reals(doc["reference"].get("h_ref"))
+    return (any(m > 3 for m in _reals(doc["M"]))
+            or any(t > 1 for t in _reals(doc["T"]))
+            or any(0 < h < 1 / 64 for h in steps)
+            or any(abs(x) > 100 for x in _reals(doc["x0"])))
+
+
+class TestRunFuzz:
+    """Small documents with one field replaced by any JSON value, run end to end."""
+
+    @pytest.mark.parametrize("kind", list(RUN_DOCS))
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_base_documents_run(self, tmp_path, kind, experiment):
+        doc = dict(RUN_DOCS[kind], output=str(tmp_path / "out"))
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert cli.main([experiment, "--config", str(tmp_path / "c.json"),
+                         "--threads", "1", "--no-timestamp"]) == 0
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(RUN_FIELDS), value=JSON_VALUES,
+           experiment=st.sampled_from(cli.EXPERIMENTS))
+    def test_run_exits_with_a_code_and_at_most_one_error(self, tmp_path, field,
+                                                         experiment, value):
+        kind, path = field
+        doc = copy.deepcopy(RUN_DOCS[kind])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assume(not _asks_unbounded_work(doc))
+        where = tempfile.mkdtemp(dir=tmp_path)
+        doc["output"] = os.path.join(where, "out")
+        cfg = os.path.join(where, "c.json")
+        with open(cfg, "w") as f:
+            json.dump(doc, f)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([experiment, "--config", cfg, "--threads", "1",
+                             "--no-timestamp"])
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert code in (0, 1, 2, 3)
+        assert sum(line.startswith("error:") for line in lines) <= 1

@@ -6,7 +6,7 @@ from scipy import integrate
 
 import rtesim as rs
 from conftest import fixed_path, zero_rate_model
-from rtesim.errors import (ConfigurationError, GridError, ModelEvaluationError,
+from rtesim.errors import (ConfigurationError, ModelEvaluationError,
                            RunawayJumpError, UnsupportedModelError)
 from rtesim.exact import exact_block
 
@@ -253,37 +253,3 @@ class TestExactBlock:
         with pytest.raises(UnsupportedModelError):
             exact_block(rs.builtin_bacteriophage(), 0, range(2), np.ones(3), 1.0,
                         lambda *a: None)
-
-
-class TestReference:
-    def test_default_step_size(self):
-        assert rs.ReferenceSpec().h_ref == pytest.approx(1.0 / 320.0)
-
-    def test_reference_equals_same_config_run(self):
-        m = rs.builtin_bacteriophage_scaled()
-        x0 = np.array([2.0, 2.0, 1.0])
-        spec = rs.ReferenceSpec(h_ref=0.05)
-        a = rs.reference_trajectory(m, spec, rs.PathBundle(1, 0, 4), x0, 1.0)
-        b = rs.solve_trajectory(m, spec.resolve_config(), rs.PathBundle(1, 0, 4),
-                                x0, 1.0)
-        assert np.array_equal(a.states, b.states)
-
-    def test_nesting_validation(self):
-        spec = rs.ReferenceSpec(h_ref=1.0 / 320.0)
-        spec.check_nesting([1.0 / 10.0, 1.0 / 160.0])
-        with pytest.raises(GridError):
-            spec.check_nesting([1.0 / 300.0])
-
-    def test_config_step_must_match(self):
-        with pytest.raises(ConfigurationError):
-            rs.ReferenceSpec(h_ref=0.01,
-                             config_ref=rs.SolverConfig(theta=0.0, h=0.02))
-
-    def test_zero_rate_reference_is_deterministic_integration(self):
-        m = zero_rate_model(alpha=1.5)
-        spec = rs.ReferenceSpec(h_ref=0.025)
-        traj = rs.reference_trajectory(m, spec, rs.PathBundle(0, 0, 1), [10.0], 1.0)
-        x = 10.0
-        for _ in range(40):
-            x *= 1 - 0.025 * 1.5
-        assert traj.endpoint[0] == pytest.approx(x, rel=1e-12)

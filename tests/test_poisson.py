@@ -90,7 +90,7 @@ class TestStatistics:
     def test_gaps_pass_ks_against_unit_exponential(self):
         gaps = []
         for rep in range(100):
-            p = PoissonPath(2024, rep, 0, batch=1024)
+            p = PoissonPath(2024, rep, 0)
             p.count_at(990.0)
             e = np.array(p.epochs[:1000])
             gaps.append(np.diff(np.concatenate([[0.0], e])))
@@ -101,7 +101,7 @@ class TestStatistics:
     def test_increment_mean_matches_interval_length(self):
         # fresh stream per sample: mean of Y(3) over 1e5 streams
         n = 100_000
-        total = sum(PoissonPath(99, rep, 0, batch=16).increment(0.0, 3.0)
+        total = sum(PoissonPath(99, rep, 0).increment(0.0, 3.0)
                     for rep in range(n))
         assert abs(total / n - 3.0) < 3.0 * np.sqrt(3.0 / n)
 
@@ -109,7 +109,7 @@ class TestStatistics:
         n = 20_000
         first, second = np.empty(n), np.empty(n)
         for rep in range(n):
-            p = PoissonPath(7, rep, 0, batch=16)
+            p = PoissonPath(7, rep, 0)
             first[rep] = p.increment(0.0, 2.0)
             second[rep] = p.increment(2.0, 4.0)
         bound = 4.0 * np.sqrt(2.0 / n)

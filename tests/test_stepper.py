@@ -8,7 +8,7 @@ from conftest import fixed_windows, zero_rate_model
 from rtesim.errors import (ConfigurationError, GridError, ImplicitSolveError,
                            NegativeStateError, RteSimError)
 from rtesim.model import eval_drift
-from rtesim.stepper import _phi3_vector
+from rtesim.stepper import _phi3_vector, check_nesting
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -210,6 +210,12 @@ class TestSolveTrajectory:
         cfg = rs.SolverConfig(theta=0.0, h=0.3)
         with pytest.raises(GridError):
             rs.solve_trajectory(m, cfg, rs.PathBundle(0, 0, 1), [1.0], 1.0)
+
+    def test_reference_step_must_divide_every_step(self):
+        check_nesting(1.0 / 320.0, [1.0 / 10.0, 1.0 / 160.0])
+        with pytest.raises(GridError, match=r"^reference step h_ref=0\.003125 "
+                                            r"does not divide h=0\.00333"):
+            check_nesting(1.0 / 320.0, [1.0 / 10.0, 1.0 / 300.0])
 
     def test_clock_monotonicity(self):
         m = rs.builtin_linear_scalar(**SET1)
