@@ -16,7 +16,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import fit_order, local_errors, martingale_check, strong_error
+from .analysis import (_norm_fn, fit_order, local_errors, martingale_check,
+                       strong_error)
 from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
                      NegativeStateError, QueryError, RteSimError,
@@ -145,7 +146,9 @@ def resolve_seed(cli_seed, doc):
     elif os.environ.get("RTE_SIM_SEED") is not None:
         seed = int(os.environ["RTE_SIM_SEED"], 0)
     else:
-        seed = int(doc.get("seed", DEFAULT_SEED))
+        seed = doc.get("seed", DEFAULT_SEED)
+        if type(seed) is not int:  # no bool, float or string coerced to one
+            raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
@@ -180,6 +183,10 @@ def validate(config):
             f"got {config.x0!r}")
     elif model is not None and len(x0) != model.dim:
         err(f"x0 has shape ({len(x0)},), model dim is {model.dim}")
+    try:
+        _norm_fn(config.error_norm)
+    except ConfigurationError as e:
+        err(f"error_norm: {e}")
     if (not isinstance(config.M, int) or isinstance(config.M, bool)
             or config.M < 1):
         err(f"replication count M must be a positive integer, got {config.M!r}")

@@ -183,12 +183,13 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
     ``PathBundle(master_seed, replications[i], p)`` holds, and agrees with
     exact_trajectory on that bundle bit for bit (given hooks whose batched
     calls compute each row as their single-state calls do, as the built-in
-    ones do).  Each pass advances every unfinished row by one segment:
-    ``flow`` and each ``hazard_integral`` are called once on all those
-    rows, ``hazard_inverse`` once per row and process.  Paths are not stored: each pass hands its segments to
-    ``on_segment(rows, x, dur)`` -- block row indices (m,), segment start
-    states (m, d) and durations (m,) -- so every row's segments arrive in
-    path order.  Returns BlockEnds.
+    ones do; see AnalyticHooks).  Each pass advances every unfinished row
+    by one segment: ``flow`` and each ``hazard_integral`` and
+    ``hazard_inverse`` are called once on all those rows, increments (m,)
+    with states (m, d).  Paths are not stored: each pass hands its
+    segments to ``on_segment(rows, x, dur)`` -- block row indices (m,),
+    segment start states (m, d) and durations (m,) -- so every row's
+    segments arrive in path order.  Returns BlockEnds.
     """
     hooks = _require_hooks(model)
     p, d = model.jump_count, model.dim
@@ -220,7 +221,7 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
         delta = ep - clocks
         tk = np.empty_like(delta)
         for k, inverse in enumerate(hooks.hazard_inverse):
-            tk[:, k] = [inverse(dl, xi) for dl, xi in zip(delta[:, k].tolist(), x)]
+            tk[:, k] = inverse(delta[:, k], x)
         if not (tk >= 0.0).all():  # NaN fails too
             k, i = np.argwhere(~(tk >= 0.0).T)[0]
             raise in_replication(ModelEvaluationError(

@@ -239,6 +239,9 @@ class TestExitCodes:
               "solver": [{"theta": 0.0, "h": 0.5}]}),
         ([], {"model": dict(LINEAR, scaling={"N": 1e300, "alpha": [2.0],
                                              "c": [0.0]})}),
+        ([], {"seed": True}),
+        ([], {"seed": 1.5}),
+        ([], {"seed": "3"}),
     ], ids=["negative-seed", "string-horizon", "array-document",
             "array-model", "array-params", "array-name", "string-scaling",
             "string-x0", "nan-x0", "inf-x0",
@@ -247,7 +250,7 @@ class TestExitCodes:
             "string-reference-theta", "string-theta", "empty-h-list",
             "h-beyond-grid", "h-ref-beyond-grid", "huge-int-horizon",
             "bool-schema", "float-schema", "tiny-h", "tiny-h-ref",
-            "overflowing-scaling"])
+            "overflowing-scaling", "bool-seed", "float-seed", "string-seed"])
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys,
                                                   argv, overrides):
         cfg = tmp_path / "c.json"
@@ -274,6 +277,18 @@ class TestExitCodes:
         lines = (out.out + out.err).splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_unknown_error_norm_is_one_error_line(self, tmp_path, capsys,
+                                                  experiment):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, M=2, error_norm="l1")
+        assert cli.main([experiment, "--config", str(cfg), "--threads", "1",
+                         "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: error_norm: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("observable", [[0], {"index": "0"}, {"index": True}])
     def test_malformed_observable_is_one_error_line(self, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -236,6 +237,41 @@ class TestExactBlock:
             exact_block(bad, 0, range(4, 8), [10.0], 1.0, lambda *a: None)
         assert info.value.replication == 4
         assert np.array_equal(info.value.x, [10.0])
+
+    def test_nan_in_one_row_names_its_replication(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        inverse = m.analytic.hazard_inverse[0]
+
+        def nan_in_row_2(delta, x):
+            t = inverse(delta, x)
+            t[2] = math.nan
+            return t
+
+        hooks = dataclasses.replace(m.analytic, hazard_inverse=(nan_in_row_2,))
+        bad = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
+        with pytest.raises(ModelEvaluationError, match=r"^replication 6: ") as info:
+            exact_block(bad, 0, range(4, 8), [10.0], 1.0, lambda *a: None)
+        assert info.value.replication == 6
+        assert np.array_equal(info.value.x, [10.0])
+
+    def test_inverse_called_once_per_process_and_pass(self):
+        m = birth_death()
+        rows_per_call = []
+
+        def counted(inverse):
+            def hook(delta, x):
+                rows_per_call.append(len(delta))
+                return inverse(delta, x)
+            return hook
+
+        hooks = dataclasses.replace(
+            m.analytic,
+            hazard_inverse=tuple(map(counted, m.analytic.hazard_inverse)))
+        counted_model = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
+        ends = exact_block(counted_model, 21, range(7), [10.0], 0.25,
+                           lambda *a: None)
+        assert len(rows_per_call) == 2 * (ends.jump_counts.max() + 1)
+        assert rows_per_call[:2] == [7, 7]
 
     def test_runaway_guard(self):
         m = rs.builtin_linear_scalar(**SET1)

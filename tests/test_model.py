@@ -181,6 +181,38 @@ class TestLinearScalarHooks:
         assert q.analytic.hazard_integral[0](0.4, x) == pytest.approx(quad, rel=1e-9)
 
 
+HOOK_MODELS = {
+    "linear-scalar": (lambda: rs.builtin_linear_scalar(**SET1), 1.0),
+    "quadratic-scalar": (lambda: rs.builtin_quadratic_scalar(beta=20.0), 1.0),
+    "linear-scalar-scaled": (lambda: rs.apply_scaling(
+        rs.builtin_linear_scalar(**SET1),
+        rs.ScalingSpec(N=100.0, alpha=(1.0,), c=(0.0,))), 0.01),
+}
+
+
+class TestBatchedHazardInverse:
+    @pytest.mark.parametrize("name", list(HOOK_MODELS))
+    def test_batch_rows_equal_single_calls_bitwise(self, name):
+        build, unit = HOOK_MODELS[name]
+        inverse = build().analytic.hazard_inverse[0]
+        # x = 0 gives r = 0 (x < 0 also r < 0 when linear); large deltas
+        # pass the total hazard r / a
+        xs = np.array([-2.0, 0.0, 0.5, 3.0, 10.0, 40.0]) * unit
+        deltas = [-1.0, 0.0, 1e-300, 1e-6, 0.3, 5.0, 77.0, 1e3, 1e6]
+        x = np.repeat(xs, len(deltas))[:, None]
+        delta = np.tile(deltas, len(xs))
+        batch = inverse(delta, x)
+        rows = np.array([inverse(dl, xi) for dl, xi in zip(delta.tolist(), x)])
+        assert batch.shape == delta.shape
+        assert batch.tobytes() == rows.tobytes()
+        # every branch is reached: delta <= 0, r <= 0, a delta >= r, finite
+        positive = delta > 0.0
+        assert (batch[~positive] == 0.0).all()
+        assert (batch[positive & (x[:, 0] == 0.0)] == math.inf).all()
+        assert (batch[positive & (x[:, 0] > 0.0)] == math.inf).any()
+        assert (np.isfinite(batch) & (batch > 0.0)).any()
+
+
 class TestRegistry:
     def test_names(self):
         assert set(rs.model_names()) >= {"linear-scalar", "bacteriophage",
