@@ -35,7 +35,10 @@ def _pool_call(j):
 
 
 def run_replications(worker, M, threads=1):
-    """Evaluate worker(0..M-1), in replication order, optionally in parallel."""
+    """Evaluate worker(0..M-1), in index order, optionally in parallel.
+
+    Each index is its own pool task, since tasks may differ in cost.
+    """
     threads = max(1, int(threads))
     if threads == 1 or M < 2:
         return [worker(j) for j in range(M)]
@@ -47,8 +50,7 @@ def run_replications(worker, M, threads=1):
     _ACTIVE_WORKER = worker
     try:
         with ctx.Pool(min(threads, M)) as pool:
-            chunk = max(1, M // (4 * threads))
-            return pool.map(_pool_call, range(M), chunksize=chunk)
+            return pool.map(_pool_call, range(M), chunksize=1)
     finally:
         _ACTIVE_WORKER = None
 
@@ -60,15 +62,12 @@ def run_replications(worker, M, threads=1):
 _BLOCK_ROWS = 128
 
 
-def _run_blocks(worker, M, threads):
-    """worker(reps) on blocks of rows that partition range(M), in block order.
+def _blocks(M, size):
+    """Blocks of at most ``size`` rows that partition range(M), in order.
 
-    Blocks hold at most _BLOCK_ROWS rows and, when M allows, there is one
-    per thread.  A row's results do not depend on the block it is in.
+    A row's results do not depend on the block it is in.
     """
-    size = min(_BLOCK_ROWS, -(-M // max(1, int(threads))))
-    blocks = [range(i, min(M, i + size)) for i in range(0, M, size)]
-    return run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
+    return [range(i, min(M, i + size)) for i in range(0, M, size)]
 
 
 class ErrorRow(NamedTuple):
@@ -134,10 +133,16 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     ``reference`` is "exact" (the exact solver, for hooked models) or the
     SolverConfig of a fine-step run whose step divides every config's.
     Replication j's reference and every config read the epochs of
-    PathBundle(master_seed, j, p).  Replications are solved in blocks of
-    rows, each config and a fine-step reference on a whole block at once;
-    the exact reference solves one row at a time.  Rows follow the order
-    of ``configs``.
+    PathBundle(master_seed, j, p).  Rows follow the order of ``configs``.
+
+    Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  A task
+    is one solver on one block: each config and a fine-step reference
+    solve the whole block, and the exact reference takes one task per row.
+    Blocks are not split across threads, because a block solve pays a
+    fixed cost per step (about 150 us, against 8.5 us per added row and
+    step on the linear-scalar study model, 2-vCPU VM); the configs,
+    independent given the block's epochs, run in parallel instead.  Tasks
+    run block by block, reference first.
     """
     configs = list(configs)
     if M < 1:
@@ -165,21 +170,29 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
             j = reps[e.row or 0]
             raise in_replication(e, j, where, config=label) from e
 
-    def worker(reps):
-        if use_exact:
-            ref = np.empty((len(reps), model.dim))
-            for i, j in enumerate(reps):
-                try:
-                    ref[i] = exact_trajectory(model, PathBundle(master_seed, j, p),
-                                              x0, T).endpoint
-                except RteSimError as e:
-                    raise in_replication(e, j, "reference", config="reference") from e
-        else:
-            ref = solve(reference, reps, "reference", "reference")
-        return np.stack([solve(cfg, reps, f"config {label}", label) - ref
-                         for cfg, label in zip(configs, labels)], axis=1)
+    def exact_row(j):
+        try:
+            return exact_trajectory(model, PathBundle(master_seed, j, p),
+                                    x0, T).endpoint
+        except RteSimError as e:
+            raise in_replication(e, j, "reference", config="reference") from e
 
-    signed = np.concatenate(_run_blocks(worker, M, threads))
+    blocks = _blocks(M, _BLOCK_ROWS)
+    tasks = []
+    for reps in blocks:
+        if use_exact:
+            tasks += [functools.partial(exact_row, j) for j in reps]
+        else:
+            tasks.append(functools.partial(solve, reference, reps, "reference",
+                                           "reference"))
+        tasks += [functools.partial(solve, cfg, reps, f"config {label}", label)
+                  for cfg, label in zip(configs, labels)]
+    ends = iter(run_replications(lambda t: tasks[t](), len(tasks), threads))
+    signed = []
+    for reps in blocks:
+        ref = np.stack([next(ends) for _ in reps]) if use_exact else next(ends)
+        signed.append(np.stack([next(ends) - ref for _ in configs], axis=1))
+    signed = np.concatenate(signed)
     samples = dist(signed)  # (M, nconfig)
     means = samples.mean(axis=0)
     if M > 1:
@@ -426,7 +439,8 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     and (m, d)); the built-in scalar models' coefficients broadcast the
     same way, which keeps the per-path time integrals vectorised.
 
-    Replications are solved in blocks of rows by exact_block, and both
+    Replications are solved by exact_block in blocks of
+    min(_BLOCK_ROWS, ceil(M / threads)) rows, one task each, and both
     path integrals are summed as the paths are built.  A row whose
     first two refinement levels differ by ``tol`` or more is recomputed by
     integrate_along_path on its exact_trajectory, which refines further.
@@ -453,9 +467,10 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
                     traj, lambda xs, i=i: integrands(xs)[i], tol=tol)
         return f_end - f_start - vals[0], vals[1]
 
-    blocks = _run_blocks(worker, M, threads)
-    mf = np.concatenate([b[0] for b in blocks])
-    qv = np.concatenate([b[1] for b in blocks])
+    blocks = _blocks(M, min(_BLOCK_ROWS, -(-M // max(1, int(threads)))))
+    results = run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
+    mf = np.concatenate([r[0] for r in results])
+    qv = np.concatenate([r[1] for r in results])
     mean = float(mf.mean())
     se_mean = float(mf.std(ddof=1)) / math.sqrt(M)
     if se_mean > 0.0:

@@ -392,6 +392,8 @@ def _run_simulate(config, model, outdir, threads, comments, sample_grid=None):
 
 
 def _run_local_error(config, model, outdir, threads, comments):
+    # looked up per call, not at import: perfbench/child.py wraps
+    # analysis.run_replications after importing this module
     from .analysis import run_replications
 
     x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))

@@ -136,7 +136,28 @@ class TestStrongError:
         assert e.replication in range(4) and e.config == "theta0-euler-h0.25"
         assert e.x is not None and e.x[0] < 9.0
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reference_error_comes_before_config_errors(self):
+        # the config's drift fails at its second step on every row, so on
+        # replication 0 first; the exact reference, solved first, fails on
+        # replications 2 and 3 (epoch gaps below 1e-3)
+        m = rs.builtin_linear_scalar(**SET1)
+        inverse = m.analytic.hazard_inverse[0]
+        hooks = rs.AnalyticHooks(
+            flow=m.analytic.flow, hazard_integral=m.analytic.hazard_integral,
+            hazard_inverse=(lambda delta, x: (math.nan if delta < 1e-3
+                                              else inverse(delta, x)),),
+            drift_integral=m.analytic.drift_integral)
+        fragile = rs.RteModel(
+            1, lambda x: np.where(x < 9.9, np.nan, -1.5 * x), m.rates, m.jumps,
+            analytic=hooks, name="fragile")
+        with pytest.raises(ModelEvaluationError) as info:
+            rs.strong_error(fragile, "exact", [rs.SolverConfig(theta=0.0, h=0.25)],
+                            [10.0], 0.5, 4, 0, threads=1)
+        e = info.value
+        assert (e.replication, e.config) == (2, "reference")
+        assert str(e).startswith("replication 2, reference: hazard_inverse[0]")
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("case", ["linear-exact", "bacteriophage-fine-step"])
     def test_block_size_does_not_change_results(self, monkeypatch, case, threads):
         if case == "linear-exact":
@@ -173,7 +194,7 @@ class TestStrongError:
         norms = np.abs(rep.signed_errors).max(axis=-1)
         assert [r.mean_abs_error for r in rep.rows] == norms.mean(axis=0).tolist()
 
-    def test_solver_config_reference_is_that_config_on_the_same_blocks(self):
+    def test_solver_config_reference_is_that_config_on_the_same_epochs(self):
         m = rs.builtin_bacteriophage_scaled()
         ref = rs.SolverConfig(theta=0.5, h=0.05, quadrature="midpoint")
         cfgs = [rs.SolverConfig(theta=0.0, h=0.2),
@@ -181,7 +202,7 @@ class TestStrongError:
         x0, M = [2.0, 2.0, 1.0], 7
         rep = rs.strong_error(m, ref, cfgs, x0, 1.0, M, 3, threads=2)
 
-        def endpoints(cfg):  # 7 rows on 2 threads: blocks of 4 and 3 rows
+        def endpoints(cfg):  # any partition: a row does not depend on its block
             return np.concatenate([rs.solve_trajectory(
                 m, cfg, rs.EpochWindows(3, reps, 4), x0, 1.0).endpoint
                 for reps in (range(0, 4), range(4, 7))])
