@@ -59,40 +59,25 @@ def _reject_unknown(block, allowed, where):
 
 
 class RunConfig:
-    """Validated view of one run document."""
+    """One run document and, after a `validate` that finds no error, its objects:
+    ``model``, the float array ``x0``, ``variants`` (one `solver_configs` list
+    per entry), ``reference`` ("exact" or a SolverConfig) and, for diagnose,
+    ``observable`` (F, gradF).
+    """
 
     def __init__(self, doc, experiment, seed):
         self.doc = doc
         self.experiment = experiment
         self.seed = seed
         model_block = doc.get("model", {})
-        if not isinstance(model_block, dict):
-            model_block = {}
-        self.model_name = model_block.get("name")
-        self.model_params = model_block.get("params", {})
-        self.scaling = model_block.get("scaling")
+        self.model_name = (model_block.get("name")
+                           if isinstance(model_block, dict) else None)
         self.solver_entries = doc.get("solver", [])
         self.T = doc.get("T")
-        self.x0 = doc.get("x0")
         self.M = doc.get("M", 1)
-        self.reference = doc.get("reference", "exact")
         self.output = doc.get("output")
         self.error_norm = doc.get("error_norm", "euclidean")
-        self.observable = doc.get("observable", {"kind": "component", "index": 0})
-
-    def build_model(self):
-        block = self.doc.get("model", {})
-        if not isinstance(block, dict):
-            raise ConfigurationError(
-                f"model block must be an object, got {type(block).__name__}")
-        _reject_unknown(block, _MODEL_KEYS, "model")
-        if not isinstance(self.model_params, dict):
-            raise ConfigurationError(
-                f"model params must be an object, got {self.model_params!r}")
-        if self.scaling is not None and not isinstance(self.scaling, dict):
-            raise ConfigurationError(
-                f"model scaling must be an object, got {self.scaling!r}")
-        return get_model(self.model_name, self.model_params, self.scaling)
+        self.model = self.x0 = self.variants = self.reference = self.observable = None
 
     def solver_configs(self, entry):
         """SolverConfig per h of one solver entry, h descending."""
@@ -102,33 +87,12 @@ class RunConfig:
         for key in ("theta", "h"):
             if key not in entry:
                 raise ConfigurationError(f"field {key!r} is required")
-        kwargs = {k: entry[k] for k in
-                  ("fp_tol", "fp_max_iter", "negativity", "clamp_phi3")
-                  if k in entry}
         hs = entry["h"] if isinstance(entry["h"], list) else [entry["h"]]
         if not hs:
             raise ConfigurationError("h lists no step size")
-        cfgs = [SolverConfig(theta=entry["theta"], h=h,
-                             quadrature=entry.get("quadrature", "euler"), **kwargs)
-                for h in hs]
+        fields = {k: v for k, v in entry.items() if k != "h"}
+        cfgs = [SolverConfig(h=h, **fields) for h in hs]
         return sorted(cfgs, key=lambda c: c.h, reverse=True)
-
-    def reference_config(self):
-        """The string "exact", or the SolverConfig of the fine-step reference."""
-        if self.reference == "exact":
-            return "exact"
-        if not isinstance(self.reference, dict):
-            raise ConfigurationError(
-                f"reference must be 'exact' or a fine-step block, "
-                f"got {self.reference!r}")
-        ref = dict(self.reference)
-        _reject_unknown(ref, _REFERENCE_KEYS, "reference")
-        # explicit Euler treats every variant family alike: a reference that
-        # shares a variant's scheme cancels their common error at the finest
-        # steps and distorts fitted orders
-        return SolverConfig(h=ref.pop("h_ref", 1.0 / 320.0),
-                            theta=ref.pop("theta", 0.0),
-                            quadrature=ref.pop("quadrature", "euler"), **ref)
 
     def config_hash(self):
         """Hash of every semantically meaningful field plus the effective seed."""
@@ -137,6 +101,58 @@ class RunConfig:
         semantic["experiment"] = self.experiment
         canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _build_model(block):
+    if not isinstance(block, dict):
+        raise ConfigurationError(
+            f"model block must be an object, got {type(block).__name__}")
+    _reject_unknown(block, _MODEL_KEYS, "model")
+    params, scaling = block.get("params", {}), block.get("scaling")
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"model params must be an object, got {params!r}")
+    if scaling is not None and not isinstance(scaling, dict):
+        raise ConfigurationError(f"model scaling must be an object, got {scaling!r}")
+    return get_model(block.get("name"), params, scaling)
+
+
+def _reference_config(block):
+    """The string "exact", or the SolverConfig of the fine-step reference."""
+    if block == "exact":
+        return "exact"
+    if not isinstance(block, dict):
+        raise ConfigurationError(
+            f"must be 'exact' or a fine-step block, got {block!r}")
+    ref = dict(block)
+    _reject_unknown(ref, _REFERENCE_KEYS, "reference")
+    # explicit Euler treats every variant family alike: a reference that
+    # shares a variant's scheme cancels their common error at the finest
+    # steps and distorts fitted orders
+    return SolverConfig(h=ref.pop("h_ref", 1.0 / 320.0),
+                        theta=ref.pop("theta", 0.0),
+                        quadrature=ref.pop("quadrature", "euler"), **ref)
+
+
+def _observable(spec, dim):
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"must be an object, got {spec!r}")
+    kind = spec.get("kind", "component")
+    if kind == "component":
+        i = spec.get("index", 0)
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
+            raise ConfigurationError(f"component {i!r} out of range")
+        F = lambda xs: np.asarray(xs, dtype=float)[..., i]
+
+        def gradF(xs):
+            g = np.zeros_like(np.asarray(xs, dtype=float))
+            g[..., i] = 1.0
+            return g
+        return F, gradF
+    if kind == "sum":
+        F = lambda xs: np.asarray(xs, dtype=float).sum(axis=-1)
+        gradF = lambda xs: np.ones_like(np.asarray(xs, dtype=float))
+        return F, gradF
+    raise ConfigurationError(f"unknown kind {kind!r}")
 
 
 def resolve_seed(cli_seed, doc):
@@ -154,8 +170,8 @@ def resolve_seed(cli_seed, doc):
     return seed
 
 
-def validate(config):
-    """Collect findings as (level, message) pairs; never raises."""
+def validate(config, sample_grid=None):
+    """Collect (level, message) findings and build RunConfig's objects; never raises."""
     findings = []
     err = lambda m: findings.append(("error", m))
     warn = lambda m: findings.append(("warning", m))
@@ -164,25 +180,30 @@ def validate(config):
         err(f"config schema must be the integer 1, got {doc.get('schema')!r}")
     for key in sorted(set(doc) - _TOP_KEYS):
         warn(f"ignoring unknown config field {key!r}")
+    if config.experiment not in EXPERIMENTS:
+        err(f"unknown experiment {config.experiment!r}")
     if doc.get("experiment") not in (None, config.experiment):
         err(f"config names experiment {doc.get('experiment')!r} but "
             f"{config.experiment!r} was invoked")
     model = None
     try:
-        model = config.build_model()
+        model = config.model = _build_model(doc.get("model", {}))
     except RteSimError as e:
         err(f"model: {e}")
     T_ok = is_finite_number(config.T) and config.T > 0
     if not T_ok:
         err(f"horizon T must be a positive number, got {config.T!r}")
-    x0 = config.x0 if isinstance(config.x0, list) else [config.x0]
-    if config.x0 is None:
+    x0 = doc.get("x0")
+    values = x0 if isinstance(x0, list) else [x0]
+    if x0 is None:
         err("initial state x0 is required")
-    elif not all(is_finite_number(v) for v in x0):
+    elif not all(is_finite_number(v) for v in values):
         err(f"initial state x0 must be a finite number or a list of them, "
-            f"got {config.x0!r}")
-    elif model is not None and len(x0) != model.dim:
-        err(f"x0 has shape ({len(x0)},), model dim is {model.dim}")
+            f"got {x0!r}")
+    elif model is not None and len(values) != model.dim:
+        err(f"x0 has shape ({len(values)},), model dim is {model.dim}")
+    else:
+        config.x0 = np.array(values, dtype=float)
     try:
         _norm_fn(config.error_norm)
     except ConfigurationError as e:
@@ -190,6 +211,8 @@ def validate(config):
     if (not isinstance(config.M, int) or isinstance(config.M, bool)
             or config.M < 1):
         err(f"replication count M must be a positive integer, got {config.M!r}")
+    elif config.experiment == "diagnose" and config.M < 2:
+        err(f"diagnose needs M >= 2 replications, got {config.M}")
     entries = config.solver_entries
     if not isinstance(entries, list):
         err(f"solver must be a list of entries, got {entries!r}")
@@ -198,7 +221,7 @@ def validate(config):
         err("at least one solver entry is required")
     ref = None
     try:
-        ref = config.reference_config()
+        ref = config.reference = _reference_config(doc.get("reference", "exact"))
     except RteSimError as e:
         err(f"reference: {e}")
     if ref == "exact" and model is not None and model.analytic is None:
@@ -208,12 +231,14 @@ def validate(config):
         err(f"reference step h_ref={ref.h!r} gives more than {MAX_STEPS} "
             f"steps over T={config.T!r}")
         ref = None  # its nesting checks would repeat the finding
+    config.variants = []
     for entry in entries:
         try:
             cfgs = config.solver_configs(entry)
         except RteSimError as e:
             err(f"solver entry {entry!r}: {e}")
             continue
+        config.variants.append(cfgs)
         for cfg in cfgs:
             if T_ok:
                 try:
@@ -229,6 +254,11 @@ def validate(config):
                     err(str(e))
             if model is not None and (message := step_size_warning(model, cfg)):
                 warn(message)
+    if sample_grid is not None and T_ok:
+        try:
+            grid_steps(config.T, sample_grid)
+        except (ConfigurationError, GridError) as e:
+            err(f"--sample-grid: {e}")
     if not config.output:
         err("output directory is required")
     elif not isinstance(config.output, str):
@@ -239,12 +269,14 @@ def validate(config):
         if model.analytic is None or model.analytic.drift_integral is None:
             err(f"local-error needs analytic hooks with a drift integral; "
                 f"model {config.model_name!r} lacks them")
-    if config.experiment == "diagnose" and not isinstance(config.observable, dict):
-        err(f"observable must be an object, got {config.observable!r}")
     if config.experiment == "diagnose" and model is not None:
         if model.analytic is None:
             err(f"diagnose runs on exact paths; model {config.model_name!r} "
                 f"has no analytic hooks")
+        try:
+            config.observable = _observable(doc.get("observable", {}), model.dim)
+        except ConfigurationError as e:
+            err(f"observable: {e}")
     return findings
 
 
@@ -253,16 +285,22 @@ def validate(config):
 
 
 def _write_table(outdir, name, comments, columns, rows):
-    """Write the CSV file outdir/name and return name.
+    """Write the file outdir/name and return name.
 
-    The file holds each of ``comments`` as a '# ' line, the header
+    The file holds each of ``comments`` as a '# ' line, the CSV header
     ``columns``, then ``rows``.  A row is a sequence of Python ints and
-    floats, written as their repr so that every float reads back exactly
-    and a JSON-integer step size stays an integer, or a str, written in
-    place as one more '# ' line.
+    floats (or a row of a 2-D float array), written as their repr so that
+    every float reads back exactly and a JSON-integer step size stays an
+    integer, or a str, written in place as one more '# ' line.  With
+    ``columns`` None the file is plain text, one line per row.
     """
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
     with open(os.path.join(outdir, name), "w") as f:
         f.writelines(f"# {line}\n" for line in comments)
+        if columns is None:
+            f.writelines(f"{line}\n" for line in rows)
+            return name
         f.write(",".join(columns) + "\n")
         for row in rows:
             f.write(f"# {row}\n" if isinstance(row, str)
@@ -280,7 +318,7 @@ def _meta_comments(config, timestamp):
     return lines
 
 
-def _write_meta_json(config, outdir, files, timestamp):
+def _meta_table(config, files, timestamp):
     meta = {
         "version": __version__,
         "schema": 1,
@@ -292,46 +330,21 @@ def _write_meta_json(config, outdir, files, timestamp):
     }
     if timestamp:
         meta["timestamp"] = timestamp
-    path = os.path.join(outdir, "meta.json")
-    with open(path, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _observable(config, model):
-    kind = config.observable.get("kind", "component")
-    if kind == "component":
-        i = config.observable.get("index", 0)
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < model.dim:
-            raise ConfigurationError(f"observable component {i} out of range")
-        F = lambda xs: np.asarray(xs, dtype=float)[..., i]
-
-        def gradF(xs):
-            g = np.zeros_like(np.asarray(xs, dtype=float))
-            g[..., i] = 1.0
-            return g
-        return F, gradF
-    if kind == "sum":
-        F = lambda xs: np.asarray(xs, dtype=float).sum(axis=-1)
-        gradF = lambda xs: np.ones_like(np.asarray(xs, dtype=float))
-        return F, gradF
-    raise ConfigurationError(f"unknown observable kind {kind!r}")
+    return "meta.json", [], None, [json.dumps(meta, indent=2, sort_keys=True)]
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each returns its output files as tables and writes nothing
 
 
-def _run_converge(config, model, outdir, threads, comments):
-    x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
-    ref = config.reference_config()
-    variant_cfgs = [config.solver_configs(e) for e in config.solver_entries]
-    flat = [c for cfgs in variant_cfgs for c in cfgs]
-    report = strong_error(model, ref, flat, x0, config.T, config.M,
-                          config.seed, threads=threads, norm=config.error_norm)
+def _run_converge(config, threads, comments):
+    flat = [c for cfgs in config.variants for c in cfgs]
+    report = strong_error(config.model, config.reference, flat, config.x0,
+                          config.T, config.M, config.seed, threads=threads,
+                          norm=config.error_norm)
     rows, fit_lines = [], []
     i = 0
-    for cfgs in variant_cfgs:
+    for cfgs in config.variants:
         variant = cfgs[0].variant()
         rows.append(f"variant={variant}")
         variant_rows = report.rows[i:i + len(cfgs)]
@@ -346,115 +359,99 @@ def _run_converge(config, model, outdir, threads, comments):
                     f"r2={fit.r_squared!r}")
         fit_lines.append(f"{variant}: slope={fit.slope!r} "
                          f"intercept={fit.intercept!r} r2={fit.r_squared!r}")
-    _write_table(outdir, "report.csv", comments,
-                 ["h", "mean_abs_error", "std_error", "M"], rows)
-    with open(os.path.join(outdir, "fit.txt"), "w") as f:
-        f.writelines(f"# {line}\n" for line in comments)
-        f.writelines(f"{line}\n" for line in fit_lines)
-    return ["report.csv", "fit.txt"]
+    return [("report.csv", comments, ["h", "mean_abs_error", "std_error", "M"],
+             rows),
+            ("fit.txt", comments, None, fit_lines)]
 
 
-def _run_simulate(config, model, outdir, threads, comments, sample_grid=None):
-    x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
+def _run_simulate(config, comments, sample_grid):
+    model = config.model
     bundle = PathBundle(config.seed, 0, model.jump_count)
     x_cols = [f"x_{i + 1}" for i in range(model.dim)]
     traj_cols = ["t"] + x_cols + [f"tau_{k + 1}" for k in range(model.jump_count)]
 
-    def write_trajectory(name, cfg, variant):
-        traj = solve_trajectory(model, cfg, bundle, x0, config.T)
-        rows = np.column_stack([traj.grid, traj.states, traj.clocks]).tolist()
-        return _write_table(outdir, name, comments + [f"variant={variant}"],
-                            traj_cols, rows)
+    def trajectory(name, cfg, variant):
+        traj = solve_trajectory(model, cfg, bundle, config.x0, config.T)
+        return (name, comments + [f"variant={variant}"], traj_cols,
+                np.column_stack([traj.grid, traj.states, traj.clocks]))
 
-    files = [write_trajectory(f"traj_{cfg.label()}.csv", cfg, cfg.label())
-             for entry in config.solver_entries
-             for cfg in config.solver_configs(entry)]
-    ref = config.reference_config()
-    if ref != "exact":
-        return files + [write_trajectory("traj_reference.csv", ref, "reference")]
-    traj = exact_trajectory(model, bundle, x0, config.T)
+    tables = [trajectory(f"traj_{cfg.label()}.csv", cfg, cfg.label())
+              for cfgs in config.variants for cfg in cfgs]
+    if config.reference != "exact":
+        return tables + [trajectory("traj_reference.csv", config.reference,
+                                    "reference")]
+    traj = exact_trajectory(model, bundle, config.x0, config.T)
     jumps = zip(traj.jump_times.tolist(), (traj.jump_ids + 1).tolist(),
                 traj.states_post_jump.tolist())
-    files.append(_write_table(outdir, "exact_jumps.csv", comments,
-                              ["jump_time", "process_id"] + x_cols,
-                              ([t, k, *x] for t, k, x in jumps)))
-    segments = np.column_stack([traj.seg_starts, traj.seg_durations,
-                                traj.seg_states])
-    files.append(_write_table(outdir, "exact_segments.csv", comments,
-                              ["seg_start", "duration"] + x_cols,
-                              segments.tolist()))
+    tables.append(("exact_jumps.csv", comments,
+                   ["jump_time", "process_id"] + x_cols,
+                   ([t, k, *x] for t, k, x in jumps)))
+    tables.append(("exact_segments.csv", comments,
+                   ["seg_start", "duration"] + x_cols,
+                   np.column_stack([traj.seg_starts, traj.seg_durations,
+                                    traj.seg_states])))
     if sample_grid is not None:
-        times, states = traj.sample_grid(sample_grid)
-        files.append(_write_table(outdir, "exact_grid.csv", comments,
-                                  ["t"] + x_cols,
-                                  np.column_stack([times, states]).tolist()))
-    return files
+        tables.append(("exact_grid.csv", comments, ["t"] + x_cols,
+                       np.column_stack(traj.sample_grid(sample_grid))))
+    return tables
 
 
-def _run_local_error(config, model, outdir, threads, comments):
+def _run_local_error(config, threads, comments):
     # looked up per call, not at import: perfbench/child.py wraps
     # analysis.run_replications after importing this module
     from .analysis import run_replications
 
-    x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
-    all_cfgs = [c for e in config.solver_entries for c in config.solver_configs(e)]
+    model = config.model
+    all_cfgs = [c for cfgs in config.variants for c in cfgs]
 
     def worker(j):
         bundle = PathBundle(config.seed, j, model.jump_count)
-        traj = exact_trajectory(model, bundle, x0, config.T)
+        traj = exact_trajectory(model, bundle, config.x0, config.T)
         return [local_errors(model, traj, cfg) for cfg in all_cfgs]
 
     per_rep = run_replications(worker, config.M, threads)
-    return [_write_table(outdir, f"local_{cfg.label()}.csv",
-                         comments + [f"variant={cfg.label()}"],
-                         ["n", "L_abs", "K_abs"],
-                         ((s.n, s.L_abs, s.K_abs) for rep in per_rep
-                          for s in rep[i]))
-            for i, cfg in enumerate(all_cfgs)]
+    # each generator binds its config's samples now; run reads them later
+    return [(f"local_{cfg.label()}.csv", comments + [f"variant={cfg.label()}"],
+             ["n", "L_abs", "K_abs"],
+             ((s.n, s.L_abs, s.K_abs) for samples in reps for s in samples))
+            for cfg, reps in zip(all_cfgs, zip(*per_rep))]
 
 
-def _run_diagnose(config, model, outdir, threads, comments):
-    x0 = np.atleast_1d(np.asarray(config.x0, dtype=float))
-    F, gradF = _observable(config, model)
-    c = martingale_check(model, F, gradF, x0, config.T, config.M,
+def _run_diagnose(config, threads, comments):
+    F, gradF = config.observable
+    c = martingale_check(config.model, F, gradF, config.x0, config.T, config.M,
                          config.seed, threads=threads)
-    return [_write_table(
-        outdir, "diagnose.csv", comments,
-        ["M", "mean", "abs_z", "se_mean", "second_moment_lhs", "se_lhs",
-         "second_moment_rhs", "se_rhs"],
-        [(c.M, c.mean, c.abs_z, c.se_mean, c.second_moment_lhs, c.se_lhs,
-          c.second_moment_rhs, c.se_rhs)])]
+    return [("diagnose.csv", comments,
+             ["M", "mean", "abs_z", "se_mean", "second_moment_lhs", "se_lhs",
+              "second_moment_rhs", "se_rhs"],
+             [(c.M, c.mean, c.abs_z, c.se_mean, c.second_moment_lhs, c.se_lhs,
+               c.second_moment_rhs, c.se_rhs)])]
 
 
 def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
-    """Execute one validated run; returns the exit status."""
-    findings = validate(config)
+    """Validate, compute every table, then write them; returns the exit status."""
+    findings = validate(config, sample_grid)
     errors = [message for level, message in findings if level == "error"]
     for message in (m for level, m in findings if level == "warning"):
         log(f"warning: {message}")
     if errors:  # one line, however many findings
         log("error: " + "; ".join(errors))
         return EXIT_CONFIG
-    model = config.build_model()
-    outdir = config.output
     stamp = (datetime.now(timezone.utc).isoformat(timespec="seconds")
              if timestamp else None)
     comments = _meta_comments(config, stamp)
     try:
-        os.makedirs(outdir, exist_ok=True)
         if config.experiment == "converge":
-            files = _run_converge(config, model, outdir, threads, comments)
+            tables = _run_converge(config, threads, comments)
         elif config.experiment == "simulate":
-            files = _run_simulate(config, model, outdir, threads, comments,
-                                  sample_grid=sample_grid)
+            tables = _run_simulate(config, comments, sample_grid)
         elif config.experiment == "local-error":
-            files = _run_local_error(config, model, outdir, threads, comments)
-        elif config.experiment == "diagnose":
-            files = _run_diagnose(config, model, outdir, threads, comments)
+            tables = _run_local_error(config, threads, comments)
         else:
-            log(f"error: unknown experiment {config.experiment!r}")
-            return EXIT_CONFIG
-        _write_meta_json(config, outdir, files, stamp)
+            tables = _run_diagnose(config, threads, comments)
+        os.makedirs(config.output, exist_ok=True)
+        names = [_write_table(config.output, *table) for table in tables]
+        _write_table(config.output, *_meta_table(config, names, stamp))
     except _CONFIG_ERRORS as e:
         log(f"error: {e}")
         return EXIT_CONFIG
@@ -467,8 +464,8 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
     except OSError as e:  # the output directory cannot be made or written
         log(f"error: output: {e}")
         return EXIT_CONFIG
-    for name in files:
-        log(f"wrote {os.path.join(outdir, name)}")
+    for name in names:
+        log(f"wrote {os.path.join(config.output, name)}")
     return EXIT_OK
 
 

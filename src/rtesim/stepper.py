@@ -246,9 +246,11 @@ def _whole_ratio(a, b):
 def grid_steps(T, h):
     """Number of steps n with n*h = T.
 
-    GridError if T/h is not integral; ConfigurationError if it is above
-    MAX_STEPS, which bounds the history a solve records.
+    GridError if T/h is not integral; ConfigurationError if h is not finite
+    and positive or T/h is above MAX_STEPS, which bounds a solve's history.
     """
+    if not 0.0 < h < math.inf:
+        raise ConfigurationError(f"step size h={h!r} is not a finite positive number")
     ratio = T / h
     if ratio > MAX_STEPS:
         raise ConfigurationError(

@@ -135,7 +135,7 @@ class TestValidate:
         doc = write_config(tmp_path / "c.json", reference={})
         config = make_config(doc)
         assert cli.validate(config) == []
-        assert config.reference_config() == rs.SolverConfig(
+        assert config.reference == rs.SolverConfig(
             theta=0.0, h=1.0 / 320.0, quadrature="euler")
 
     def test_schema_required(self, tmp_path):
@@ -278,28 +278,28 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert (tmp_path / "file").read_text() == "kept"
 
-    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
-    def test_unknown_error_norm_is_one_error_line(self, tmp_path, capsys,
-                                                  experiment):
+    @pytest.mark.parametrize("experiment,argv,overrides,prefix", [
+        *[(e, [], {"error_norm": "l1"}, "error_norm: ") for e in cli.EXPERIMENTS],
+        ("diagnose", [], {"M": 1}, "diagnose needs M >= 2"),
+        *[("diagnose", [], {"observable": v}, "observable: ")
+          for v in ([0], {"index": "0"}, {"index": True}, {"kind": "bogus"},
+                    {"index": 5})],
+        *[("simulate", ["--sample-grid", v], {}, "--sample-grid: ")
+          for v in ("0", "-0.25", "nan", "0.3")],
+    ], ids=[*(f"{e}-error-norm" for e in cli.EXPERIMENTS), "diagnose-M-1",
+            "array-observable", "string-index", "bool-index", "unknown-kind",
+            "index-out-of-range", "sample-grid-0", "negative-sample-grid",
+            "nan-sample-grid", "non-divisor-sample-grid"])
+    def test_bad_field_or_flag_writes_nothing(self, tmp_path, capsys, experiment,
+                                              argv, overrides, prefix):
         cfg = tmp_path / "c.json"
-        write_config(cfg, M=2, error_norm="l1")
+        write_config(cfg, **dict({"M": 2}, **overrides))
         assert cli.main([experiment, "--config", str(cfg), "--threads", "1",
-                         "--no-timestamp"]) == 1
+                         "--no-timestamp"] + argv) == 1
         out = capsys.readouterr()
         lines = (out.out + out.err).splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: error_norm: ")
+        assert len(lines) == 1 and lines[0].startswith("error: " + prefix)
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("observable", [[0], {"index": "0"}, {"index": True}])
-    def test_malformed_observable_is_one_error_line(self, tmp_path, capsys,
-                                                    observable):
-        cfg = tmp_path / "c.json"
-        write_config(cfg, M=2, solver=[], observable=observable)
-        assert cli.main(["diagnose", "--config", str(cfg), "--threads", "1",
-                         "--no-timestamp"]) == 1
-        out = capsys.readouterr()
-        lines = (out.out + out.err).splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("exc,code", [
         (GridError("g"), 1),
@@ -319,6 +319,17 @@ class TestExitCodes:
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_model_is_built_once_per_run(self, tmp_path, monkeypatch, experiment):
+        built = []
+        monkeypatch.setattr(cli, "get_model",
+                            lambda *a: built.append(a) or rs.get_model(*a))
+        cfg = tmp_path / "c.json"
+        write_config(cfg, M=2, T=0.5)
+        assert cli.main([experiment, "--config", str(cfg), "--no-timestamp",
+                         "--threads", "1"]) == 0
+        assert len(built) == 1
+
     def test_converge_outputs(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(cfg, M=3)
@@ -359,13 +370,15 @@ class TestOutputs:
 
     def test_local_error_outputs(self, tmp_path):
         cfg = tmp_path / "c.json"
-        write_config(cfg, M=2, T=1.0, solver=[{"theta": 0.0, "h": [0.25]}])
+        write_config(cfg, M=2, T=1.0, solver=[{"theta": 0.0, "h": [0.25, 0.5]}])
         assert cli.main(["local-error", "--config", str(cfg), "--no-timestamp",
                          "--threads", "1"]) == 0
-        lines = (tmp_path / "out" / "local_theta0-euler-h0.25.csv").read_text().splitlines()
-        assert "n,L_abs,K_abs" in lines
-        data = [line for line in lines if not line.startswith("#")]
-        assert len(data) == 1 + 2 * 4  # header + M * (T/h) rows
+        for h, steps in ((0.25, 4), (0.5, 2)):
+            path = tmp_path / "out" / f"local_theta0-euler-h{h}.csv"
+            lines = path.read_text().splitlines()
+            assert "n,L_abs,K_abs" in lines
+            data = [line for line in lines if not line.startswith("#")]
+            assert len(data) == 1 + 2 * steps  # header + M * (T/h) rows
 
     def test_diagnose_outputs(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -402,7 +415,7 @@ class TestOutputs:
         assert cli.main(["simulate", "--config", str(cfg), "--no-timestamp",
                          "--sample-grid", "0.125", "--threads", "1"]) == 0
         out = tmp_path / "out"
-        model = make_config(doc).build_model()
+        model = rs.get_model(LINEAR["name"], LINEAR["params"])
         traj = rs.solve_trajectory(model, rs.SolverConfig(theta=0.5, h=0.125),
                                    rs.PathBundle(11, 0, 1), [10.0], 0.25)
         exact = rs.exact_trajectory(model, rs.PathBundle(11, 0, 1), [10.0], 0.25)
@@ -449,8 +462,8 @@ class TestOutputs:
         assert [c[0] for c in cells] == ["1", "0.5", "0.25"]  # JSON ints stay
         assert [c[3] for c in cells] == ["3", "3", "3"]
         config = make_config(doc)
-        report = rs.strong_error(config.build_model(), "exact",
-                                 config.solver_configs(doc["solver"][0]),
+        assert cli.validate(config) == []
+        report = rs.strong_error(config.model, "exact", config.variants[0],
                                  [10.0], 2.0, 3, 11)
         assert [tuple(float(v) for v in c) for c in cells] == report.rows
         fit = rs.fit_order(report)
@@ -538,8 +551,8 @@ def _assert_typed(cfg):
 class TestConfigFuzz:
     """Any one field of a valid document replaced by any JSON value.
 
-    Only validation and the builders run, never a simulation: a valid
-    document with a huge T or M would run for a very long time.
+    Only validation runs, never a simulation: a valid document with a huge
+    T or M would run for a very long time.
     """
 
     def test_base_document_is_valid(self):
@@ -560,15 +573,21 @@ class TestConfigFuzz:
         findings = cli.validate(config)
         if any(level == "error" for level, _ in findings):
             return
-        assert isinstance(config.build_model(), rs.RteModel)
+        assert isinstance(config.model, rs.RteModel)
         assert _is_real(config.T) and config.T > 0
         assert isinstance(config.M, int) and not isinstance(config.M, bool)
-        for entry in config.solver_entries:
-            for cfg in config.solver_configs(entry):
+        assert config.x0.dtype == float and config.x0.shape == (config.model.dim,)
+        assert np.isfinite(config.x0).all()
+        assert len(config.variants) == len(config.solver_entries)
+        for cfgs in config.variants:
+            for cfg in cfgs:
                 _assert_typed(cfg)
-        ref = config.reference_config()
-        if ref != "exact":
-            _assert_typed(ref)
+        if config.reference != "exact":
+            _assert_typed(config.reference)
+        if experiment == "diagnose":
+            assert config.M >= 2
+            F, gradF = config.observable
+            assert callable(F) and callable(gradF)
 
 
 # Documents light enough to run in milliseconds (lambda * x0 * T = 100),
@@ -660,3 +679,4 @@ class TestRunFuzz:
         lines = (out.getvalue() + err.getvalue()).splitlines()
         assert code in (0, 1, 2, 3)
         assert sum(line.startswith("error:") for line in lines) <= 1
+        assert code == 0 or not os.path.exists(doc["output"])

@@ -155,6 +155,8 @@ class TestExactTrajectory:
         assert states.shape == (5, 1)
         assert states[0, 0] == 10.0
         assert states[-1, 0] == pytest.approx(traj.endpoint[0], rel=1e-12)
+        with pytest.raises(ConfigurationError, match="not a finite positive"):
+            traj.sample_grid(0.0)
 
 
 def birth_death(alpha=1.5, birth=150.0, death=100.0, eps=0.007):

@@ -211,6 +211,11 @@ class TestSolveTrajectory:
         with pytest.raises(GridError):
             rs.solve_trajectory(m, cfg, rs.PathBundle(0, 0, 1), [1.0], 1.0)
 
+    @pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf])
+    def test_grid_steps_rejects_a_step_that_is_not_finite_and_positive(self, h):
+        with pytest.raises(ConfigurationError, match="not a finite positive"):
+            rs.stepper.grid_steps(1.0, h)
+
     def test_reference_step_must_divide_every_step(self):
         check_nesting(1.0 / 320.0, [1.0 / 10.0, 1.0 / 160.0])
         with pytest.raises(GridError, match=r"^reference step h_ref=0\.003125 "
