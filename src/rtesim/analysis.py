@@ -58,8 +58,13 @@ def run_replications(worker, M, threads=1):
 # ---------------------------------------------------------------------------
 # strong error and order fitting
 
-# most rows per block of replications; results do not depend on it
+# Most rows per block of replications; results do not depend on either.
+# A strong_error block solve stores its whole history, (nbar + 1, B, d + p)
+# floats: at MAX_STEPS a block of 1024 rows with d + p = 3 would need about
+# 2.4 GB, so strong_error stays at 128.  exact_block keeps only O(p * BATCH)
+# floats per row, so martingale_check's blocks can fill a worker.
 _BLOCK_ROWS = 128
+_MARTINGALE_BLOCK_ROWS = 1024
 
 
 def _blocks(M, size):
@@ -288,64 +293,80 @@ def generator_apply(model, F, gradF, x):
     return val
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_GL01_X = 0.5 * (_GL_X + 1.0)
-_GL01_W = 0.5 * _GL_W
+# Gauss-Kronrod 7-15 pair (QUADPACK qk15) on [-1, 1]: the nodes x >= 0 in
+# decreasing order, their Kronrod weights and the 7-point Gauss weights,
+# whose nodes are every second one of these
+_GK_HALF = np.array([
+    [0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0],
+    [0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082],
+    [0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0],
+    [0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780],
+    [0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0],
+    [0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975],
+    [0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0],
+    [0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327]])
+# the 15 nodes on [0, 1] in increasing order, with both weight vectors
+_GK_X = 0.5 + 0.5 * np.concatenate([-_GK_HALF[:, 0], _GK_HALF[-2::-1, 0]])
+_GK_W, _G7_W = 0.5 * np.concatenate([_GK_HALF, _GK_HALF[-2::-1]])[:, 1:].T.copy()
 _CHUNK_CAP = 0.25
 
 
-def _gl_chunks(durs, cap, subdiv):
-    """Chunks of the composite rule: (segment index, offset, length) each.
+def _chunks(durs, cap, subdiv):
+    """Chunks of the composite rule: (segment index, node times, length).
 
     Each segment is split into ceil(duration/cap) * subdiv equal chunks,
-    so doubling ``subdiv`` genuinely refines every segment.
+    so doubling ``subdiv`` genuinely refines every segment.  Node times
+    are (chunks, 15), measured from the segment start.
     """
     reps = np.maximum(1, np.ceil(durs / cap).astype(np.int64)) * subdiv
     seg = np.repeat(np.arange(durs.size), reps)
     length = (durs / reps)[seg]
     rank = np.arange(seg.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    return seg, rank * length, length
+    return seg, (rank * length)[:, None] + length[:, None] * _GK_X, length
 
 
-def _gl_nodes(offs, length):
-    """Node times (chunks, nodes) of chunks at the given offsets."""
-    return offs[:, None] + length[:, None] * _GL01_X[None, :]
+def _gk_per_chunk(vals, length):
+    """Kronrod and Gauss values (chunks,) of each chunk, from (chunks, 15)."""
+    # each chunk reduced on its own, never a BLAS product over chunks, so
+    # that a chunk's value does not depend on the other chunks
+    return (np.einsum("ck,k->c", vals, _GK_W) * length,
+            np.einsum("ck,k->c", vals, _G7_W) * length)
 
 
-def _composite_gl(exact, g, cap, subdiv=1):
-    """Composite Gauss-Legendre value of integral g(X(s)) ds."""
-    flow = exact.model.analytic.flow
+def _composite_gk(exact, g, cap, subdiv):
+    """Composite (K15, G7) values of integral g(X(s)) ds."""
     durs = exact.seg_durations
     keep = durs > 0.0
-    durs = durs[keep]
-    if durs.size == 0:
-        return 0.0
-    seg, offs, chunk_len = _gl_chunks(durs, cap, subdiv)
-    t_nodes = _gl_nodes(offs, chunk_len)
-    x_nodes = flow(t_nodes.ravel(),
-                   np.repeat(exact.seg_states[keep][seg], _GL01_X.size, axis=0))
+    if not keep.any():
+        return 0.0, 0.0
+    seg, t_nodes, length = _chunks(durs[keep], cap, subdiv)
+    x_nodes = exact.model.analytic.flow(
+        t_nodes.ravel(), np.repeat(exact.seg_states[keep][seg], _GK_X.size, axis=0))
     vals = np.asarray(g(np.asarray(x_nodes, dtype=float)), dtype=float)
-    return float(np.sum((vals.reshape(t_nodes.shape) @ _GL01_W) * chunk_len))
+    kron, gauss = _gk_per_chunk(vals.reshape(t_nodes.shape), length)
+    return float(np.sum(kron)), float(np.sum(gauss))
 
 
 def integrate_along_path(exact, g, tol=1e-8, chunk_cap=_CHUNK_CAP, max_levels=10):
     """Integral of g(X(s)) ds over [0, T] on a piecewise-flow trajectory.
 
     ``g`` maps a batch of states with shape (m, d) to values of shape (m,).
-    Chunk lengths are halved until two successive composite rules agree to
-    ``tol`` in absolute value.
+    Each level applies the Gauss-Kronrod 7-15 pair to every chunk and
+    returns the Kronrod value K15 once |K15 - G7| < ``tol``; otherwise the
+    chunks are halved.
     """
-    prev = None
     subdiv = 1
     for _ in range(max_levels):
-        val = _composite_gl(exact, g, chunk_cap, subdiv)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
+        kron, gauss = _composite_gk(exact, g, chunk_cap, subdiv)
+        if abs(kron - gauss) < tol:
+            return kron
         subdiv *= 2
-    warnings.warn(f"path integral refinement stalled at |diff|="
-                  f"{abs(val - prev):.2e} (tol {tol:.1e})", stacklevel=2)
-    return val
+    warnings.warn(f"path integral refinement stalled at |K15 - G7|="
+                  f"{abs(kron - gauss):.2e} (tol {tol:.1e})", stacklevel=2)
+    return kron
 
 
 def _martingale_integrands(model, F, gradF, xs):
@@ -391,45 +412,38 @@ class MartingaleCheck:
         return math.hypot(self.se_lhs, self.se_rhs)
 
 
-class _TwoLevelSums:
-    """Per-row level-1 and level-2 composite sums of path integrals.
+class _PathSums:
+    """Per-row (K15, G7) composite sums of both martingale path integrals.
 
     ``add`` takes each pass of exact_block's segments.  They are chunked
-    as integrate_along_path chunks them at its first two levels, the nodes
-    of both levels are flowed in one call and ``integrands`` is called
-    once, returning the pair of integrands at those nodes.  A row's sums
-    are accumulated from its own chunks only, so they do not depend on
-    which rows share its block.
+    as integrate_along_path chunks them at its first level, the nodes are
+    flowed in one call and ``integrands`` is called once, returning the
+    pair of integrands at those nodes.  ``totals[i, 0]`` holds the Kronrod
+    and ``totals[i, 1]`` the Gauss sum of integrand i, per row.  A row's
+    sums are accumulated from its own chunks only, so they do not depend
+    on which rows share its block.
     """
 
     def __init__(self, flow, integrands, rows):
         self.flow = flow
         self.integrands = integrands
-        self.levels = np.zeros((2, 2, rows))
+        self.totals = np.zeros((2, 2, rows))
 
     def add(self, rows, x, dur):
         keep = dur > 0.0
         if not keep.all():
             rows, x, dur = rows[keep], x[keep], dur[keep]
-        m = dur.size
-        if m == 0:
+        if dur.size == 0:
             return
-        # level 1 then level 2: segment i < m is level 1, i >= m level 2
-        seg, offs, length = _gl_chunks(np.concatenate([dur, dur]), _CHUNK_CAP,
-                                       np.repeat([1, 2], m))
-        t_nodes = _gl_nodes(offs, length)
+        seg, t_nodes, length = _chunks(dur, _CHUNK_CAP, 1)
         x_nodes = np.asarray(self.flow(t_nodes.ravel(),
-                                       np.repeat(x[seg % m], _GL01_X.size, axis=0)),
+                                       np.repeat(x[seg], _GK_X.size, axis=0)),
                              dtype=float)
-        width = self.levels.shape[2]
-        # bin (level, row) of every chunk
-        bins = np.where(seg < m, 0, width) + np.concatenate([rows, rows])[seg]
+        bins, width = rows[seg], self.totals.shape[2]
         for i, vals in enumerate(self.integrands(x_nodes)):
-            vals = vals.reshape(t_nodes.shape)
-            # each chunk reduced on its own, never a BLAS product over chunks
-            per_chunk = np.einsum("ck,k->c", vals, _GL01_W) * length
-            self.levels[i] += np.bincount(bins, per_chunk,
-                                          minlength=2 * width).reshape(2, width)
+            per_chunk = _gk_per_chunk(vals.reshape(t_nodes.shape), length)
+            for r in range(2):
+                self.totals[i, r] += np.bincount(bins, per_chunk[r], minlength=width)
 
 
 def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8):
@@ -440,9 +454,10 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     same way, which keeps the per-path time integrals vectorised.
 
     Replications are solved by exact_block in blocks of
-    min(_BLOCK_ROWS, ceil(M / threads)) rows, one task each, and both
-    path integrals are summed as the paths are built.  A row whose
-    first two refinement levels differ by ``tol`` or more is recomputed by
+    min(_MARTINGALE_BLOCK_ROWS, ceil(M / threads)) rows, one task each, so
+    each worker usually runs one block, and both path integrals are summed
+    as the paths are built.  A row's value is its Kronrod sum K15; a row
+    whose K15 and G7 sums differ by ``tol`` or more is recomputed by
     integrate_along_path on its exact_trajectory, which refines further.
     """
     if M < 2:
@@ -453,12 +468,12 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     f_start = float(np.asarray(F(x0.reshape(1, -1)), dtype=float).reshape(-1)[0])
 
     def worker(reps):
-        sums = _TwoLevelSums(model.analytic.flow, integrands, len(reps))
+        sums = _PathSums(model.analytic.flow, integrands, len(reps))
         ends = exact_block(model, master_seed, reps, x0, T, sums.add)
         f_end = np.asarray(F(ends.endpoints), dtype=float).reshape(-1)
-        level1, level2 = sums.levels[:, 0], sums.levels[:, 1]
-        vals = level2.copy()
-        unsettled = ~(np.abs(level2 - level1) < tol)
+        kron, gauss = sums.totals[:, 0], sums.totals[:, 1]
+        vals = kron.copy()
+        unsettled = ~(np.abs(kron - gauss) < tol)
         for row in np.flatnonzero(unsettled.any(axis=0)):
             traj = exact_trajectory(model, PathBundle(master_seed, reps[row], p),
                                     x0, T)
@@ -467,7 +482,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
                     traj, lambda xs, i=i: integrands(xs)[i], tol=tol)
         return f_end - f_start - vals[0], vals[1]
 
-    blocks = _blocks(M, min(_BLOCK_ROWS, -(-M // max(1, int(threads)))))
+    blocks = _blocks(M, min(_MARTINGALE_BLOCK_ROWS, -(-M // max(1, int(threads)))))
     results = run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
     mf = np.concatenate([r[0] for r in results])
     qv = np.concatenate([r[1] for r in results])

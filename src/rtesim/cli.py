@@ -254,7 +254,10 @@ def validate(config, sample_grid=None):
                     err(str(e))
             if model is not None and (message := step_size_warning(model, cfg)):
                 warn(message)
-    if sample_grid is not None and T_ok:
+    if sample_grid is not None and isinstance(config.reference, SolverConfig):
+        err("--sample-grid: samples the exact path, but the reference is a "
+            f"fine-step run (h_ref={config.reference.h!r})")
+    elif sample_grid is not None and T_ok:
         try:
             grid_steps(config.T, sample_grid)
         except (ConfigurationError, GridError) as e:

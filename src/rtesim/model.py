@@ -10,6 +10,7 @@ in and registered by name for the CLI.
 import math
 import numbers
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -446,6 +447,9 @@ def get_model(name, params=None, scaling=None):
     if not isinstance(name, str) or name not in _REGISTRY:
         raise ConfigurationError(
             f"unknown model {name!r}; known: {', '.join(model_names())}")
+    if params is not None and not isinstance(params, Mapping):
+        raise ConfigurationError(
+            f"params for model {name!r} must be a mapping, got {params!r}")
     kwargs = {}
     for key, value in (params or {}).items():
         kwargs[_PARAM_ALIASES.get(key, key)] = value

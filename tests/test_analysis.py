@@ -441,6 +441,24 @@ class TestGenerator:
         assert val == pytest.approx(2.0 * 3.0 * (-4.5), rel=1e-12)
 
 
+class TestGaussKronrod:
+    def test_kronrod_rule_is_exact_to_degree_22(self):
+        assert np.dot(analysis._GK_W, analysis._GK_X ** 22) == \
+            pytest.approx(1.0 / 23.0, rel=1e-14)
+
+    def test_gauss_rule_is_exact_to_degree_13(self):
+        assert np.dot(analysis._G7_W, analysis._GK_X ** 13) == \
+            pytest.approx(1.0 / 14.0, rel=1e-14)
+
+    def test_gauss_nodes_are_legendre_nodes(self):
+        x, w = np.polynomial.legendre.leggauss(7)
+        gauss = analysis._G7_W > 0.0
+        assert np.allclose(analysis._GK_X[gauss], 0.5 * (x + 1.0),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(analysis._G7_W[gauss], 0.5 * w, rtol=0.0, atol=1e-15)
+        assert analysis._GK_X.size == 15 and np.all(np.diff(analysis._GK_X) > 0)
+
+
 class TestPathIntegrals:
     def test_matches_closed_form_state_integral(self):
         m = rs.builtin_linear_scalar(**SET1)
@@ -455,6 +473,25 @@ class TestPathIntegrals:
         traj = rs.exact_trajectory(m, [fixed_path([1340.0])], [10.0], 1.0)
         val = integrate_along_path(traj, lambda xs: xs[..., 0], tol=1e-10)
         assert val == pytest.approx(10.0 * (1 - math.exp(-1.5)) / 1.5, abs=1e-10)
+
+    def test_oscillating_integrand_is_refined_until_the_pair_agrees(self):
+        # one jump-free segment x(s) = 10 exp(-1.5 s) on [0, 1]; cos(100 s)
+        # turns 25 radians per first-level chunk, too fast for either rule
+        traj = rs.exact_trajectory(zero_rate_model(alpha=1.5),
+                                   rs.PathBundle(0, 0, 1), [10.0], 1.0)
+        levels = []
+
+        def g(xs):
+            levels.append(xs.shape[0])
+            return np.cos(100.0 * np.log(10.0 / xs[..., 0]) / 1.5)
+
+        kron, gauss = analysis._composite_gk(traj, g, analysis._CHUNK_CAP, 1)
+        assert abs(kron - gauss) >= 1e-10
+        assert abs(kron - math.sin(100.0) / 100.0) > 1e-8
+        val = integrate_along_path(traj, g, tol=1e-10)
+        assert val == pytest.approx(math.sin(100.0) / 100.0, abs=1e-12)
+        # each level after the probe above doubles the chunks
+        assert len(levels) > 2 and levels[2] == 2 * levels[1]
 
 
 class TestMartingale:
@@ -489,14 +526,17 @@ class TestMartingale:
     def test_block_size_does_not_change_results(self, monkeypatch, model, x0):
         results = []
         for block in (1, 7, 64):
-            monkeypatch.setattr(analysis, "_BLOCK_ROWS", block)
+            monkeypatch.setattr(analysis, "_MARTINGALE_BLOCK_ROWS", block)
             results.append(self._check(model, 20, 5, x0=x0))
         assert results[0] == results[1] == results[2]
 
     def test_thread_count_does_not_change_results(self):
-        # at the default block size, 1 and 2 threads partition M = 30 differently
+        # at the default block size, 1, 2 and 3 threads partition M = 30
+        # into blocks of 30, 15 and 10 rows
         m = rs.builtin_linear_scalar(**SET1)
-        assert self._check(m, 30, 2) == self._check(m, 30, 2, threads=2)
+        serial = self._check(m, 30, 2)
+        assert serial == self._check(m, 30, 2, threads=2)
+        assert serial == self._check(m, 30, 2, threads=3)
 
     def test_matches_per_path_integrals(self):
         m = rs.builtin_linear_scalar(**SET1)
@@ -537,7 +577,7 @@ class TestMartingale:
                               flow=m.analytic.flow,
                               hazard_integral=m.analytic.hazard_integral,
                               hazard_inverse=(lambda delta, x: -1.0,)))
-        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(analysis, "_MARTINGALE_BLOCK_ROWS", 2)
         with pytest.raises(ModelEvaluationError) as info:
             self._check(bad, 4, 0, threads=threads)
         e = info.value

@@ -286,10 +286,13 @@ class TestExitCodes:
                     {"index": 5})],
         *[("simulate", ["--sample-grid", v], {}, "--sample-grid: ")
           for v in ("0", "-0.25", "nan", "0.3")],
+        ("simulate", ["--sample-grid", "0.25"], {"reference": {"h_ref": 0.125}},
+         "--sample-grid: "),
     ], ids=[*(f"{e}-error-norm" for e in cli.EXPERIMENTS), "diagnose-M-1",
             "array-observable", "string-index", "bool-index", "unknown-kind",
             "index-out-of-range", "sample-grid-0", "negative-sample-grid",
-            "nan-sample-grid", "non-divisor-sample-grid"])
+            "nan-sample-grid", "non-divisor-sample-grid",
+            "sample-grid-fine-step-reference"])
     def test_bad_field_or_flag_writes_nothing(self, tmp_path, capsys, experiment,
                                               argv, overrides, prefix):
         cfg = tmp_path / "c.json"
@@ -398,6 +401,7 @@ class TestOutputs:
                                               experiment, argv, overrides):
         # small blocks, so that diagnose's replications span several of them
         monkeypatch.setattr(analysis, "_BLOCK_ROWS", 6)
+        monkeypatch.setattr(analysis, "_MARTINGALE_BLOCK_ROWS", 6)
         cfg = tmp_path / "c.json"
         write_config(cfg, **overrides)
         out = tmp_path / "out"

@@ -231,6 +231,12 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             rs.get_model("linear-scalar", {"alpha": 1.5, "nope": 1.0})
 
+    @pytest.mark.parametrize("params", [[1.5], "alpha", 1.5],
+                             ids=["list", "string", "number"])
+    def test_params_that_are_not_a_mapping(self, params):
+        with pytest.raises(ConfigurationError, match="'linear-scalar'"):
+            rs.get_model("linear-scalar", params=params)
+
     def test_scaling_block(self):
         m = rs.get_model("bacteriophage", scaling={
             "N": 10000.0, "alpha": (0.25, 0.5, 1.0),
