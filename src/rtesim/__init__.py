@@ -14,16 +14,14 @@ from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
                      NegativeStateError, QueryError, RteSimError,
                      RunawayJumpError, UnsupportedModelError)
-from .exact import (BlockEnds, ExactTrajectory, exact_block, exact_trajectory,
-                    next_jump)
+from .exact import BlockEnds, ExactTrajectory, exact_block, exact_trajectory
 from .model import (AnalyticHooks, RteModel, ScalingSpec, apply_scaling,
                     bacteriophage_scaling, builtin_bacteriophage,
                     builtin_bacteriophage_scaled, builtin_linear_scalar,
                     builtin_quadratic_scalar, eval_drift, eval_rate,
                     eval_rates, get_model, model_names)
 from .poisson import EpochWindows, PathBundle, PoissonPath
-from .stepper import (QUADRATURES, SolverConfig, Trajectory, phi3,
-                      solve_trajectory)
+from .stepper import QUADRATURES, SolverConfig, Trajectory, solve_trajectory
 
 __version__ = "0.1.0"
 
@@ -42,6 +40,5 @@ __all__ = [
     "exact_block", "exact_trajectory", "fit_order", "generator_apply",
     "get_model",
     "integrate_along_path", "local_errors", "martingale_check", "model_names",
-    "next_jump", "phi3", "solve_trajectory",
-    "strong_error",
+    "solve_trajectory", "strong_error",
 ]

@@ -107,8 +107,10 @@ class OrderFit:
 def fit_order(report):
     """Least-squares slope of log(mean error) against log(h)."""
     rows = report.rows if isinstance(report, ErrorReport) else list(report)
-    if len(rows) < 2:
-        raise FitError(f"order fit needs >= 2 rows, got {len(rows)}")
+    hs = {r.h for r in rows}
+    if len(hs) < 2:
+        raise FitError(f"order fit needs >= 2 distinct step sizes, got "
+                       f"{len(hs)} in {len(rows)} rows")
     for r in rows:
         if not r.mean_abs_error > 0.0:
             raise FitError(f"nonpositive mean error {r.mean_abs_error!r} at h={r.h!r}")
@@ -142,7 +144,8 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
 
     Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  A task
     is one solver on one block: each config and a fine-step reference
-    solve the whole block, and the exact reference takes one task per row.
+    solve the whole block in lock step, and the exact reference runs
+    exact_trajectory on its rows one by one, at the scalar cost per jump.
     Blocks are not split across threads, because a block solve pays a
     fixed cost per step (about 150 us, against 8.5 us per added row and
     step on the linear-scalar study model, 2-vCPU VM); the configs,
@@ -166,36 +169,37 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     labels = [cfg.label() for cfg in configs]
     p = model.jump_count
 
-    def solve(cfg, reps, where, label):
-        try:
+    def endpoints(cfg, reps):
+        if isinstance(cfg, SolverConfig):
             return solve_trajectory(model, cfg, EpochWindows(master_seed, reps, p),
                                     x0, T).endpoint
+        out = []
+        for i, j in enumerate(reps):
+            try:
+                out.append(exact_trajectory(model, PathBundle(master_seed, j, p),
+                                            x0, T).endpoint)
+            except RteSimError as e:
+                e.row = i
+                raise
+        return np.stack(out)
+
+    def solve(cfg, reps, where, label):
+        try:
+            return endpoints(cfg, reps)
         except RteSimError as e:
             # an error raised before the first step has no row: it is every row's
             j = reps[e.row or 0]
             raise in_replication(e, j, where, config=label) from e
 
-    def exact_row(j):
-        try:
-            return exact_trajectory(model, PathBundle(master_seed, j, p),
-                                    x0, T).endpoint
-        except RteSimError as e:
-            raise in_replication(e, j, "reference", config="reference") from e
-
+    solvers = [(reference, "reference", "reference")] + [
+        (cfg, f"config {label}", label) for cfg, label in zip(configs, labels)]
     blocks = _blocks(M, _BLOCK_ROWS)
-    tasks = []
-    for reps in blocks:
-        if use_exact:
-            tasks += [functools.partial(exact_row, j) for j in reps]
-        else:
-            tasks.append(functools.partial(solve, reference, reps, "reference",
-                                           "reference"))
-        tasks += [functools.partial(solve, cfg, reps, f"config {label}", label)
-                  for cfg, label in zip(configs, labels)]
+    tasks = [functools.partial(solve, cfg, reps, where, label)
+             for reps in blocks for cfg, where, label in solvers]
     ends = iter(run_replications(lambda t: tasks[t](), len(tasks), threads))
     signed = []
     for reps in blocks:
-        ref = np.stack([next(ends) for _ in reps]) if use_exact else next(ends)
+        ref = next(ends)
         signed.append(np.stack([next(ends) - ref for _ in configs], axis=1))
     signed = np.concatenate(signed)
     samples = dist(signed)  # (M, nconfig)
@@ -279,6 +283,22 @@ def local_errors(model, exact, config):
     return [LocalErrorSample(n, L_abs[n], K_abs[n]) for n in range(nbar)]
 
 
+def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
+    """local_errors of every config on the exact paths of M replications.
+
+    Replication j's path is exact_trajectory on PathBundle(master_seed, j,
+    p), one task per replication.  Returns one tuple per config, holding
+    each replication's samples in replication order.
+    """
+    p = model.jump_count
+
+    def worker(j):
+        traj = exact_trajectory(model, PathBundle(master_seed, j, p), x0, T)
+        return [local_errors(model, traj, cfg) for cfg in configs]
+
+    return list(zip(*run_replications(worker, M, threads)))
+
+
 # ---------------------------------------------------------------------------
 # generator and martingale diagnostics
 
@@ -312,55 +332,50 @@ _GK_HALF = np.array([
 _GK_X = 0.5 + 0.5 * np.concatenate([-_GK_HALF[:, 0], _GK_HALF[-2::-1, 0]])
 _GK_W, _G7_W = 0.5 * np.concatenate([_GK_HALF, _GK_HALF[-2::-1]])[:, 1:].T.copy()
 _CHUNK_CAP = 0.25
+_MAX_LEVELS = 10
 
 
-def _chunks(durs, cap, subdiv):
-    """Chunks of the composite rule: (segment index, node times, length).
+def _gk_chunks(flow, integrands, x, dur, subdiv):
+    """Per-chunk (K15, G7) values of integrals along flow segments.
 
-    Each segment is split into ceil(duration/cap) * subdiv equal chunks,
-    so doubling ``subdiv`` genuinely refines every segment.  Node times
-    are (chunks, 15), measured from the segment start.
+    Segment i starts in state x[i] and lasts dur[i].  Each segment of
+    positive duration is split into ceil(dur[i]/_CHUNK_CAP) * subdiv equal
+    chunks, so doubling ``subdiv`` genuinely refines every segment.  The
+    nodes are flowed in one call and ``integrands`` is called once on
+    them, returning a sequence of integrands.  Returns (seg, pairs): each
+    chunk's segment index and, per integrand, its Kronrod and Gauss values
+    (chunks,).  ``pairs`` is empty when no segment has positive duration.
     """
-    reps = np.maximum(1, np.ceil(durs / cap).astype(np.int64)) * subdiv
-    seg = np.repeat(np.arange(durs.size), reps)
-    length = (durs / reps)[seg]
+    keep = np.flatnonzero(dur > 0.0)
+    if keep.size == 0:
+        return keep, []
+    reps = np.maximum(1, np.ceil(dur[keep] / _CHUNK_CAP).astype(np.int64)) * subdiv
+    seg, length = np.repeat(keep, reps), np.repeat(dur[keep] / reps, reps)
     rank = np.arange(seg.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    return seg, (rank * length)[:, None] + length[:, None] * _GK_X, length
-
-
-def _gk_per_chunk(vals, length):
-    """Kronrod and Gauss values (chunks,) of each chunk, from (chunks, 15)."""
+    t_nodes = (rank * length)[:, None] + length[:, None] * _GK_X
+    x_nodes = np.asarray(flow(t_nodes.ravel(), np.repeat(x[seg], _GK_X.size, axis=0)),
+                         dtype=float)
+    vals = [np.asarray(v, dtype=float).reshape(t_nodes.shape)
+            for v in integrands(x_nodes)]
     # each chunk reduced on its own, never a BLAS product over chunks, so
     # that a chunk's value does not depend on the other chunks
-    return (np.einsum("ck,k->c", vals, _GK_W) * length,
-            np.einsum("ck,k->c", vals, _G7_W) * length)
+    return seg, [(np.einsum("ck,k->c", v, _GK_W) * length,
+                  np.einsum("ck,k->c", v, _G7_W) * length) for v in vals]
 
 
-def _composite_gk(exact, g, cap, subdiv):
-    """Composite (K15, G7) values of integral g(X(s)) ds."""
-    durs = exact.seg_durations
-    keep = durs > 0.0
-    if not keep.any():
-        return 0.0, 0.0
-    seg, t_nodes, length = _chunks(durs[keep], cap, subdiv)
-    x_nodes = exact.model.analytic.flow(
-        t_nodes.ravel(), np.repeat(exact.seg_states[keep][seg], _GK_X.size, axis=0))
-    vals = np.asarray(g(np.asarray(x_nodes, dtype=float)), dtype=float)
-    kron, gauss = _gk_per_chunk(vals.reshape(t_nodes.shape), length)
-    return float(np.sum(kron)), float(np.sum(gauss))
-
-
-def integrate_along_path(exact, g, tol=1e-8, chunk_cap=_CHUNK_CAP, max_levels=10):
+def integrate_along_path(exact, g, tol=1e-8):
     """Integral of g(X(s)) ds over [0, T] on a piecewise-flow trajectory.
 
     ``g`` maps a batch of states with shape (m, d) to values of shape (m,).
     Each level applies the Gauss-Kronrod 7-15 pair to every chunk and
     returns the Kronrod value K15 once |K15 - G7| < ``tol``; otherwise the
-    chunks are halved.
+    chunks are halved, at most _MAX_LEVELS times in all.
     """
     subdiv = 1
-    for _ in range(max_levels):
-        kron, gauss = _composite_gk(exact, g, chunk_cap, subdiv)
+    for _ in range(_MAX_LEVELS):
+        _, pairs = _gk_chunks(exact.model.analytic.flow, lambda xs: (g(xs),),
+                              exact.seg_states, exact.seg_durations, subdiv)
+        kron, gauss = (float(np.sum(v)) for v in (pairs[0] if pairs else (0.0, 0.0)))
         if abs(kron - gauss) < tol:
             return kron
         subdiv *= 2
@@ -415,10 +430,9 @@ class MartingaleCheck:
 class _PathSums:
     """Per-row (K15, G7) composite sums of both martingale path integrals.
 
-    ``add`` takes each pass of exact_block's segments.  They are chunked
-    as integrate_along_path chunks them at its first level, the nodes are
-    flowed in one call and ``integrands`` is called once, returning the
-    pair of integrands at those nodes.  ``totals[i, 0]`` holds the Kronrod
+    ``add`` takes each pass of exact_block's segments and hands them to
+    _gk_chunks at integrate_along_path's first level, with ``integrands``
+    returning the pair of integrands.  ``totals[i, 0]`` holds the Kronrod
     and ``totals[i, 1]`` the Gauss sum of integrand i, per row.  A row's
     sums are accumulated from its own chunks only, so they do not depend
     on which rows share its block.
@@ -430,20 +444,11 @@ class _PathSums:
         self.totals = np.zeros((2, 2, rows))
 
     def add(self, rows, x, dur):
-        keep = dur > 0.0
-        if not keep.all():
-            rows, x, dur = rows[keep], x[keep], dur[keep]
-        if dur.size == 0:
-            return
-        seg, t_nodes, length = _chunks(dur, _CHUNK_CAP, 1)
-        x_nodes = np.asarray(self.flow(t_nodes.ravel(),
-                                       np.repeat(x[seg], _GK_X.size, axis=0)),
-                             dtype=float)
+        seg, pairs = _gk_chunks(self.flow, self.integrands, x, dur, 1)
         bins, width = rows[seg], self.totals.shape[2]
-        for i, vals in enumerate(self.integrands(x_nodes)):
-            per_chunk = _gk_per_chunk(vals.reshape(t_nodes.shape), length)
+        for i, pair in enumerate(pairs):
             for r in range(2):
-                self.totals[i, r] += np.bincount(bins, per_chunk[r], minlength=width)
+                self.totals[i, r] += np.bincount(bins, pair[r], minlength=width)
 
 
 def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8):

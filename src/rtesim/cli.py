@@ -16,8 +16,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import (_norm_fn, fit_order, local_errors, martingale_check,
-                       strong_error)
+from .analysis import (_norm_fn, fit_order, local_error_study,
+                       martingale_check, strong_error)
 from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
                      NegativeStateError, QueryError, RteSimError,
@@ -254,6 +254,10 @@ def validate(config, sample_grid=None):
                     err(str(e))
             if model is not None and (message := step_size_warning(model, cfg)):
                 warn(message)
+    labels = [cfg.label() for cfgs in config.variants for cfg in cfgs]
+    if repeated := sorted({label for label in labels if labels.count(label) > 1}):
+        err(f"solver configs share the label(s) {', '.join(repeated)}; "
+            f"each config's output is named by its label")
     if sample_grid is not None and isinstance(config.reference, SolverConfig):
         err("--sample-grid: samples the exact path, but the reference is a "
             f"fine-step run (h_ref={config.reference.h!r})")
@@ -400,24 +404,14 @@ def _run_simulate(config, comments, sample_grid):
 
 
 def _run_local_error(config, threads, comments):
-    # looked up per call, not at import: perfbench/child.py wraps
-    # analysis.run_replications after importing this module
-    from .analysis import run_replications
-
-    model = config.model
     all_cfgs = [c for cfgs in config.variants for c in cfgs]
-
-    def worker(j):
-        bundle = PathBundle(config.seed, j, model.jump_count)
-        traj = exact_trajectory(model, bundle, config.x0, config.T)
-        return [local_errors(model, traj, cfg) for cfg in all_cfgs]
-
-    per_rep = run_replications(worker, config.M, threads)
+    per_cfg = local_error_study(config.model, all_cfgs, config.x0, config.T,
+                                config.M, config.seed, threads=threads)
     # each generator binds its config's samples now; run reads them later
     return [(f"local_{cfg.label()}.csv", comments + [f"variant={cfg.label()}"],
              ["n", "L_abs", "K_abs"],
              ((s.n, s.L_abs, s.K_abs) for samples in reps for s in samples))
-            for cfg, reps in zip(all_cfgs, zip(*per_rep))]
+            for cfg, reps in zip(all_cfgs, per_cfg)]
 
 
 def _run_diagnose(config, threads, comments):

@@ -94,18 +94,6 @@ def _scan_clocks(hooks, p, x, clocks, paths):
     return best_k, best_dt, best_epoch
 
 
-def next_jump(model, x, clocks, paths):
-    """Which process fires next from state x, and after how long.
-
-    Returns (k, dt) with k None and dt infinity when every cumulative
-    hazard stays below its next epoch forever.
-    """
-    hooks = _require_hooks(model)
-    x = np.asarray(x, dtype=float)
-    k, dt, _ = _scan_clocks(hooks, model.jump_count, x, clocks, paths)
-    return (k, dt) if dt < math.inf else (None, math.inf)
-
-
 def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
     """Davis construction on the given epoch streams over [0, T]."""
     hooks = _require_hooks(model)

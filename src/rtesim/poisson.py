@@ -105,14 +105,8 @@ class PathBundle:
         self.replication = replication
         self.paths = [PoissonPath(master_seed, replication, k) for k in range(p)]
 
-    def __len__(self):
-        return len(self.paths)
-
     def __getitem__(self, k):
         return self.paths[k]
-
-    def __iter__(self):
-        return iter(self.paths)
 
 
 class EpochWindows:

@@ -151,14 +151,6 @@ def _phi3_vector(model, x, h, rule, clamp):
     return vals, nclamp
 
 
-def phi3(model, k, x, h, rule="euler", clamp=True):
-    """Clock-increment quadrature phi3(k, x, h) for one process (0-based k)."""
-    if not 0 <= k < model.jump_count:
-        raise ConfigurationError(f"process index {k} out of range")
-    vals, _ = _phi3_vector(model, np.asarray(x, dtype=float), h, rule, clamp)
-    return float(vals[k])
-
-
 def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx):
     """Picard iteration for y = x_prev + h*theta*f(y) + h*(1-theta)*f(x_prev) + disp.
 

@@ -44,6 +44,10 @@ class TestFitOrder:
         with pytest.raises(FitError):
             rs.fit_order(rows_from([(0.1, 0.1)]))
 
+    def test_one_distinct_step_size(self):
+        with pytest.raises(FitError, match="distinct step sizes"):
+            rs.fit_order(rows_from([(0.25, 0.1), (0.25, 0.2)]))
+
     def test_nonpositive_error_named(self):
         with pytest.raises(FitError, match="0.05"):
             rs.fit_order(rows_from([(0.1, 0.1), (0.05, 0.0)]))
@@ -485,7 +489,9 @@ class TestPathIntegrals:
             levels.append(xs.shape[0])
             return np.cos(100.0 * np.log(10.0 / xs[..., 0]) / 1.5)
 
-        kron, gauss = analysis._composite_gk(traj, g, analysis._CHUNK_CAP, 1)
+        _, [pair] = analysis._gk_chunks(traj.model.analytic.flow, lambda xs: (g(xs),),
+                                        traj.seg_states, traj.seg_durations, 1)
+        kron, gauss = (float(np.sum(v)) for v in pair)
         assert abs(kron - gauss) >= 1e-10
         assert abs(kron - math.sin(100.0) / 100.0) > 1e-8
         val = integrate_along_path(traj, g, tol=1e-10)

@@ -288,11 +288,16 @@ class TestExitCodes:
           for v in ("0", "-0.25", "nan", "0.3")],
         ("simulate", ["--sample-grid", "0.25"], {"reference": {"h_ref": 0.125}},
          "--sample-grid: "),
+        # both configs would write local_theta0-euler-h0.25.csv
+        ("local-error", [], {"solver": [
+            {"theta": 0, "quadrature": "euler", "h": [0.25]},
+            {"theta": 0, "quadrature": "euler", "h": [0.25], "negativity": "allow"}]},
+         "solver configs share the label(s) theta0-euler-h0.25"),
     ], ids=[*(f"{e}-error-norm" for e in cli.EXPERIMENTS), "diagnose-M-1",
             "array-observable", "string-index", "bool-index", "unknown-kind",
             "index-out-of-range", "sample-grid-0", "negative-sample-grid",
             "nan-sample-grid", "non-divisor-sample-grid",
-            "sample-grid-fine-step-reference"])
+            "sample-grid-fine-step-reference", "repeated-label"])
     def test_bad_field_or_flag_writes_nothing(self, tmp_path, capsys, experiment,
                                               argv, overrides, prefix):
         cfg = tmp_path / "c.json"

@@ -28,13 +28,16 @@ def bisect_inverse(hazard, target, x, hi=50.0, iters=200):
     return 0.5 * (lo + hi)
 
 
-class TestNextJump:
+class TestFirstJump:
+    """The first jump of exact_trajectory on one canned epoch from clock 0."""
+
     def test_closed_form_and_bisection_agree(self):
         m = rs.builtin_linear_scalar(**SET1)
         x = np.array([10.0])
-        # next epoch is 500 clock units away: alpha*delta/(lam*x) = 0.375
-        k, dt = rs.next_jump(m, x, [1500.0], [fixed_path([2000.0])])
-        assert k == 0
+        # the epoch is 500 clock units away: alpha*delta/(lam*x) = 0.375
+        traj = rs.exact_trajectory(m, [fixed_path([500.0])], x, 1.0)
+        assert traj.jump_ids[0] == 0
+        dt = traj.jump_times[0]
         closed = -math.log(1.0 - 0.375) / 1.5
         assert dt == pytest.approx(closed, rel=1e-12)
         assert dt == pytest.approx(0.313336, abs=5e-7)
@@ -44,18 +47,14 @@ class TestNextJump:
     def test_no_jump_beyond_total_hazard(self):
         # cumulative hazard saturates at lam*x/alpha = 1333.33
         m = rs.builtin_linear_scalar(**SET1)
-        k, dt = rs.next_jump(m, np.array([10.0]), [0.0], [fixed_path([1400.0])])
-        assert k is None and dt == math.inf
+        traj = rs.exact_trajectory(m, [fixed_path([1400.0])], [10.0], 1.0)
+        assert traj.jump_count == 0
 
     def test_single_process_always_selected(self):
         m = rs.builtin_linear_scalar(**SET1)
-        k, dt = rs.next_jump(m, np.array([10.0]), [0.0], [fixed_path([1.0])])
-        assert k == 0 and math.isfinite(dt)
-
-    def test_requires_hooks(self):
-        with pytest.raises(UnsupportedModelError):
-            rs.next_jump(rs.builtin_bacteriophage(), np.ones(3), np.zeros(4),
-                         rs.PathBundle(0, 0, 4))
+        traj = rs.exact_trajectory(m, [fixed_path([1.0])], [10.0], 1.0)
+        assert traj.jump_count >= 1
+        assert traj.jump_ids[0] == 0 and math.isfinite(traj.jump_times[0])
 
 
 class TestExactTrajectory:

@@ -122,8 +122,8 @@ class TestStatistics:
 class TestBundle:
     def test_bundle_layout(self):
         b = PathBundle(1, 3, 4)
-        assert len(b) == 4
-        assert [p.stream_id for p in b] == [(3, k) for k in range(4)]
+        assert len(b.paths) == 4
+        assert [p.stream_id for p in b.paths] == [(3, k) for k in range(4)]
 
 
 class TestEpochWindows:

@@ -39,20 +39,20 @@ class TestPhi3:
         self.x = np.array([10.0])
 
     def test_euler_is_plain_rate(self):
-        assert rs.phi3(self.m, 0, self.x, 0.37, "euler") == 2000.0
+        assert _phi3_vector(self.m, self.x, 0.37, "euler", True)[0][0] == 2000.0
 
     def test_midpoint_value(self):
         # 200 * (10*(1 - 0.0075) + 0.005*2000*0.007)
         expected = 200.0 * (10.0 * (1 - 0.0075) + 0.005 * 2000.0 * 0.007)
-        assert rs.phi3(self.m, 0, self.x, 0.01, "midpoint") == pytest.approx(
-            expected, rel=1e-13)
+        val = _phi3_vector(self.m, self.x, 0.01, "midpoint", True)[0][0]
+        assert val == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(1999.0, rel=1e-12)
 
     def test_improved_midpoint_value(self):
         # 200*9.925 + 0.005*2000*(200*10.007 - 2000)
         expected = 200.0 * 9.925 + 0.005 * 2000.0 * (200.0 * 10.007 - 2000.0)
-        assert rs.phi3(self.m, 0, self.x, 0.01, "improved-midpoint") == pytest.approx(
-            expected, rel=1e-12)
+        val = _phi3_vector(self.m, self.x, 0.01, "improved-midpoint", True)[0][0]
+        assert val == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1999.0, rel=1e-12)
 
     def test_affine_rate_rules_coincide(self):
@@ -62,7 +62,7 @@ class TestPhi3:
         for _ in range(200):
             x = np.array([rng.uniform(0.05, 30.0)])
             h = rng.choice([0.25, 0.1, 0.05, 0.01])
-            vals = [rs.phi3(self.m, 0, x, h, rule) for rule in
+            vals = [_phi3_vector(self.m, x, h, rule, True)[0][0] for rule in
                     ("midpoint", "trapezoidal", "improved-midpoint",
                      "improved-trapezoidal")]
             assert max(vals) - min(vals) <= 1e-11 * max(map(abs, vals))
@@ -74,13 +74,9 @@ class TestPhi3:
                         (lambda x: 4.0 - 1.9 * x[..., 0],), [[1.0]],
                         name="collapsing")
         x = np.array([2.0])
-        raw = rs.phi3(m, 0, x, 15.0, "improved-midpoint", clamp=False)
+        raw = _phi3_vector(m, x, 15.0, "improved-midpoint", False)[0][0]
         assert raw < 0.0
-        assert rs.phi3(m, 0, x, 15.0, "improved-midpoint", clamp=True) == 0.0
-
-    def test_bad_index(self):
-        with pytest.raises(ConfigurationError):
-            rs.phi3(self.m, 1, self.x, 0.1, "euler")
+        assert _phi3_vector(m, x, 15.0, "improved-midpoint", True)[0][0] == 0.0
 
 
 def _phi3_batch_and_rows(model, xs, h, rule):
