@@ -21,8 +21,11 @@ from .errors import (ConfigurationError, FitError, ModelEvaluationError,
 from .exact import exact_block, exact_trajectory
 from .model import eval_drift
 from .poisson import EpochWindows, PathBundle
+# strong_error calls solve_lockstep; solve_trajectory is imported so that
+# perfbench/tracer.py, which looks it up here by name, still finds it
 from .stepper import (SolverConfig, _phi3_vector, check_nesting, grid_steps,
-                      solve_trajectory)
+                      lockstep_key, solve_lockstep, solve_trajectory,
+                      step_size_warning)
 
 # ---------------------------------------------------------------------------
 # replication worker pool (fork-based; serial fallback elsewhere)
@@ -37,7 +40,9 @@ def _pool_call(j):
 def run_replications(worker, M, threads=1):
     """Evaluate worker(0..M-1), in index order, optionally in parallel.
 
-    Each index is its own pool task, since tasks may differ in cost.
+    Each index is its own pool task, since tasks may differ in cost.  When
+    several tasks fail, the error of the lowest index is raised, at any
+    thread count.
     """
     threads = max(1, int(threads))
     if threads == 1 or M < 2:
@@ -50,7 +55,8 @@ def run_replications(worker, M, threads=1):
     _ACTIVE_WORKER = worker
     try:
         with ctx.Pool(min(threads, M)) as pool:
-            return pool.map(_pool_call, range(M), chunksize=1)
+            # pool.map would raise the error that arrives first
+            return list(pool.imap(_pool_call, range(M)))
     finally:
         _ACTIVE_WORKER = None
 
@@ -141,16 +147,26 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     SolverConfig of a fine-step run whose step divides every config's.
     Replication j's reference and every config read the epochs of
     PathBundle(master_seed, j, p).  Rows follow the order of ``configs``.
+    Warns once per config (and fine-step reference) with h*theta*L_f >= 1.
 
-    Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  A task
-    is one solver on one block: each config and a fine-step reference
-    solve the whole block in lock step, and the exact reference runs
-    exact_trajectory on its rows one by one, at the scalar cost per jump.
-    Blocks are not split across threads, because a block solve pays a
-    fixed cost per step (about 150 us, against 8.5 us per added row and
-    step on the linear-scalar study model, 2-vCPU VM); the configs,
-    independent given the block's epochs, run in parallel instead.  Tasks
-    run block by block, reference first.
+    The configs that share h, fp_tol, fp_max_iter, negativity and
+    clamp_phi3 form a group, in order of first appearance; the reference
+    is a group of one.  Replications are solved in blocks of
+    max(1, _BLOCK_ROWS // largest group) rows, and a task is one group on
+    one block: solve_lockstep runs the group's configs in lock step on R
+    rows each, config-major, so a task stores at most _BLOCK_ROWS rows of
+    history.  The exact reference runs exact_trajectory on its rows one by
+    one, at the scalar cost per jump.  A block solve pays a fixed cost per
+    step (about 50 to 135 us on the linear-scalar study model, 2-vCPU VM)
+    that barely grows with its rows, so grouping the variants of a step
+    size, rather than splitting blocks across threads, is what fills a
+    worker.  Tasks run block by block: the reference first, then the
+    groups from finest to coarsest h, so the longest tasks start first.
+
+    A failure raises the error of the first failing task in that order,
+    then of its earliest failing step, then of its lowest failing row
+    (configs in group order, then replications), naming the replication
+    and the config.
     """
     configs = list(configs)
     if M < 1:
@@ -168,39 +184,53 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     dist = _norm_fn(norm)
     labels = [cfg.label() for cfg in configs]
     p = model.jump_count
+    # solver 0 is the reference; its group is solver 0 alone
+    solvers, names = [reference] + configs, ["reference"] + labels
+    for cfg in configs if use_exact else solvers:
+        if message := step_size_warning(model, cfg):
+            warnings.warn(message, stacklevel=2)
+    groups = {}
+    for k, cfg in enumerate(configs, start=1):
+        groups.setdefault(lockstep_key(cfg), []).append(k)
+    groups = [[0]] + sorted(groups.values(), key=lambda g: solvers[g[0]].h)
 
-    def endpoints(cfg, reps):
-        if isinstance(cfg, SolverConfig):
-            return solve_trajectory(model, cfg, EpochWindows(master_seed, reps, p),
-                                    x0, T).endpoint
-        out = []
-        for i, j in enumerate(reps):
-            try:
-                out.append(exact_trajectory(model, PathBundle(master_seed, j, p),
-                                            x0, T).endpoint)
-            except RteSimError as e:
-                e.row = i
-                raise
-        return np.stack(out)
+    def endpoints(group, reps):
+        if group == [0] and use_exact:
+            out = []
+            for i, j in enumerate(reps):
+                try:
+                    out.append(exact_trajectory(model, PathBundle(master_seed, j, p),
+                                                x0, T).endpoint)
+                except RteSimError as e:
+                    e.row = i
+                    raise
+            return np.stack(out)
+        windows = EpochWindows(master_seed, list(reps) * len(group), p)
+        return solve_lockstep(model, [solvers[k] for k in group], windows,
+                              x0, T).endpoint
 
-    def solve(cfg, reps, where, label):
+    def solve(group, reps):
         try:
-            return endpoints(cfg, reps)
+            return endpoints(group, reps)
         except RteSimError as e:
             # an error raised before the first step has no row: it is every row's
-            j = reps[e.row or 0]
-            raise in_replication(e, j, where, config=label) from e
+            i, row = divmod(e.row or 0, len(reps))
+            k = group[i]
+            where = "reference" if k == 0 else f"config {names[k]}"
+            raise in_replication(e, reps[row], where, config=names[k]) from e
 
-    solvers = [(reference, "reference", "reference")] + [
-        (cfg, f"config {label}", label) for cfg, label in zip(configs, labels)]
-    blocks = _blocks(M, _BLOCK_ROWS)
-    tasks = [functools.partial(solve, cfg, reps, where, label)
-             for reps in blocks for cfg, where, label in solvers]
-    ends = iter(run_replications(lambda t: tasks[t](), len(tasks), threads))
+    blocks = _blocks(M, max(1, _BLOCK_ROWS // max(map(len, groups))))
+    tasks = [functools.partial(solve, group, reps)
+             for reps in blocks for group in groups]
+    results = iter(run_replications(lambda t: tasks[t](), len(tasks), threads))
     signed = []
     for reps in blocks:
-        ref = next(ends)
-        signed.append(np.stack([next(ends) - ref for _ in configs], axis=1))
+        ends = np.empty((len(reps), len(solvers), model.dim))
+        for group in groups:
+            ends[:, group] = next(results).reshape(len(group), len(reps), -1
+                                                   ).transpose(1, 0, 2)
+        # C order, as the sums over replications depend on the layout
+        signed.append(ends[:, 1:] - ends[:, :1])
     signed = np.concatenate(signed)
     samples = dist(signed)  # (M, nconfig)
     means = samples.mean(axis=0)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -438,14 +439,17 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
              if timestamp else None)
     comments = _meta_comments(config, stamp)
     try:
-        if config.experiment == "converge":
-            tables = _run_converge(config, threads, comments)
-        elif config.experiment == "simulate":
-            tables = _run_simulate(config, comments, sample_grid)
-        elif config.experiment == "local-error":
-            tables = _run_local_error(config, threads, comments)
-        else:
-            tables = _run_diagnose(config, threads, comments)
+        with warnings.catch_warnings():
+            # the findings above already hold every step-size warning
+            warnings.filterwarnings("ignore", message=r"h\*theta\*L_f = ")
+            if config.experiment == "converge":
+                tables = _run_converge(config, threads, comments)
+            elif config.experiment == "simulate":
+                tables = _run_simulate(config, comments, sample_grid)
+            elif config.experiment == "local-error":
+                tables = _run_local_error(config, threads, comments)
+            else:
+                tables = _run_diagnose(config, threads, comments)
         os.makedirs(config.output, exist_ok=True)
         names = [_write_table(config.output, *table) for table in tables]
         _write_table(config.output, *_meta_table(config, names, stamp))

@@ -114,10 +114,11 @@ def _shifted_rates(model, x):
     return eval_rates(model, x[..., None, :] + model.jumps)
 
 
-def _phi3_vector(model, x, h, rule, clamp):
+def _phi3_rows(model, x, h, rule, clamp):
     """phi3 for all p processes at a state (d,) or a batch (m, d).
 
-    Returns (values, clamp_count) with values of shape (p,) or (m, p).
+    Returns (values, clamped): values of shape (p,) or (m, p), and the
+    number of clamped entries of each row, or None when none was clamped.
     The midpoint/trapezoidal predictor points are shared across k, so the
     vector form costs p+1 rate evaluations instead of p*(p+1).  Only the
     improved rules can go negative, so only they are clamped.
@@ -126,13 +127,13 @@ def _phi3_vector(model, x, h, rule, clamp):
         raise ConfigurationError(f"unknown quadrature {rule!r}")
     lam0 = eval_rates(model, x)
     if rule == "euler":
-        return lam0, 0
+        return lam0, None
     if rule == "midpoint":
         xm = x + 0.5 * h * eval_drift(model, x) + 0.5 * h * _jump_sum(lam0, model)
-        return eval_rates(model, xm), 0
+        return eval_rates(model, xm), None
     if rule == "trapezoidal":
         xe = x + h * eval_drift(model, x) + h * _jump_sum(lam0, model)
-        return 0.5 * (lam0 + eval_rates(model, xe)), 0
+        return 0.5 * (lam0 + eval_rates(model, xe)), None
     shifted = _shifted_rates(model, x)
     corr = 0.5 * h * ((lam0[..., None, :] @ shifted)[..., 0, :]
                       - lam0.sum(axis=-1, keepdims=True) * lam0)
@@ -142,21 +143,26 @@ def _phi3_vector(model, x, h, rule, clamp):
         vals = (0.5 * lam0
                 + 0.5 * eval_rates(model, x + h * eval_drift(model, x))
                 + corr)
-    nclamp = 0
     if clamp:
         neg = vals < 0.0
         if neg.any():
-            nclamp = int(neg.sum())
-            vals = np.where(neg, 0.0, vals)
-    return vals, nclamp
+            return np.where(neg, 0.0, vals), neg.sum(axis=-1)
+    return vals, None
+
+
+def _phi3_vector(model, x, h, rule, clamp):
+    """_phi3_rows with the clamps summed: (values, clamp_count)."""
+    vals, clamped = _phi3_rows(model, x, h, rule, clamp)
+    return vals, 0 if clamped is None else int(clamped.sum())
 
 
 def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx):
     """Picard iteration for y = x_prev + h*theta*f(y) + h*(1-theta)*f(x_prev) + disp.
 
-    Each row of (m, d) stops at its own first iterate within fp_tol of the
-    one before.  The map is a contraction for h*theta*L_f < 1; the explicit
-    full step is the initial guess.
+    ``theta`` is a column (m, 1), one value per row of (m, d).  Each row
+    stops at its own first iterate within fp_tol of the one before.  The
+    map is a contraction for h*theta*L_f < 1; the explicit full step is the
+    initial guess.
     """
     f_prev = eval_drift(model, x_prev)
     base = x_prev + h * (1.0 - theta) * f_prev + disp
@@ -173,7 +179,7 @@ def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx
             if done.all():
                 return out
             go = ~done
-            rows, base, y_next = rows[go], base[go], y_next[go]
+            rows, base, ht, y_next = rows[go], base[go], ht[go], y_next[go]
         y = y_next
     resid = float(resid[~done][0])
     raise ImplicitSolveError(
@@ -182,10 +188,56 @@ def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx
         residual=resid, step=step_idx)
 
 
-def _step(model, config, epochs, x, clocks, counts, step_idx):
-    """One Theta-Maruyama update of every row: (x, clocks, counts Y(clocks), clamps)."""
-    h = config.h
-    vals, nclamp = _phi3_vector(model, x, h, config.quadrature, config.clamp_phi3)
+def _select(mask):
+    """The rows where ``mask`` holds: None, a slice when they are contiguous,
+    or else an index array."""
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        return None
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+class _Layout:
+    """Which config each row of a lock-step block runs.
+
+    Row i runs ``configs[i // per_config]``.  The configs share h, fp_tol,
+    fp_max_iter, negativity and clamp_phi3, and differ at most in theta
+    and the quadrature rule; ``rules`` pairs each rule with its rows.
+    """
+
+    def __init__(self, configs, per_config):
+        self.configs, self.per_config = configs, per_config
+        self.shared = configs[0]
+        of_row = np.repeat(np.arange(len(configs)), per_config)
+        theta = np.array([c.theta for c in configs])[of_row]
+        rule = np.array([c.quadrature for c in configs])[of_row]
+        self.theta = theta[:, None]
+        self.rules = [(q, _select(rule == q))
+                      for q in dict.fromkeys(c.quadrature for c in configs)]
+        self.explicit = _select(theta == 0.0)
+        self.implicit = _select(theta > 0.0)
+
+    def row(self, i):
+        """The layout of row i alone."""
+        return _Layout([self.configs[i // self.per_config]], 1)
+
+
+def _step(model, layout, epochs, x, clocks, counts, step_idx):
+    """One Theta-Maruyama update of every row: (x, clocks, counts Y(clocks), clamps).
+
+    phi3 is computed rule by rule on each rule's rows, and the Picard
+    iteration runs on the theta > 0 rows only; ``clamps`` holds each row's
+    phi3 clamps.
+    """
+    cfg = layout.shared
+    h = cfg.h
+    vals, clamps = np.empty_like(clocks), np.zeros(len(x), dtype=np.int64)
+    for rule, rows in layout.rules:
+        vals[rows], clamped = _phi3_rows(model, x[rows], h, rule, cfg.clamp_phi3)
+        if clamped is not None:
+            clamps[rows] = clamped
     r = h * vals
     ahead = clocks + r
     if not (r.min() >= 0.0 and ahead.max() < math.inf):
@@ -196,22 +248,24 @@ def _step(model, config, epochs, x, clocks, counts, step_idx):
             raise QueryError(f"increment needs {need}, got a={a!r} b={b!r}")
     ahead_counts = epochs.count(ahead)
     disp = _jump_sum(ahead_counts - counts, model)
-    if config.theta == 0.0:
-        x_new = x + h * eval_drift(model, x) + disp
-    else:
-        x_new = _implicit_solve(model, x, h, config.theta, disp,
-                                config.fp_tol, config.fp_max_iter, step_idx)
+    x_new = np.empty_like(x)
+    if (rows := layout.explicit) is not None:
+        x_new[rows] = x[rows] + h * eval_drift(model, x[rows]) + disp[rows]
+    if (rows := layout.implicit) is not None:
+        x_new[rows] = _implicit_solve(model, x[rows], h, layout.theta[rows],
+                                      disp[rows], cfg.fp_tol, cfg.fp_max_iter,
+                                      step_idx)
     low = x_new.min(axis=-1) < 0.0
     if low.any():
-        if config.negativity == "reset-to-zero":
+        if cfg.negativity == "reset-to-zero":
             x_new = np.where(low[:, None], np.maximum(x_new, 0.0), x_new)
-        elif config.negativity == "error":
+        elif cfg.negativity == "error":
             raise NegativeStateError(f"negative component at step {step_idx}: "
                                      f"x={x_new[np.argmax(low)]!r}")
-    return x_new, ahead, ahead_counts, nclamp
+    return x_new, ahead, ahead_counts, clamps
 
 
-def _raise_first_failing_row(model, config, epochs, x, clocks, counts, step_idx):
+def _raise_first_failing_row(model, layout, epochs, x, clocks, counts, step_idx):
     """Step each row alone, in row order, and raise the first error, naming its row.
 
     Rows do not interact, so a row fails alone as it fails in the block.
@@ -221,7 +275,7 @@ def _raise_first_failing_row(model, config, epochs, x, clocks, counts, step_idx)
                            clocks.shape[1])
         one.count(clocks[i:i + 1])
         try:
-            _step(model, config, one, x[i:i + 1], clocks[i:i + 1],
+            _step(model, layout.row(i), one, x[i:i + 1], clocks[i:i + 1],
                   counts[i:i + 1], step_idx)
         except RteSimError as e:
             e.row = i
@@ -274,19 +328,47 @@ def step_size_warning(model, config):
     return None
 
 
-def solve_trajectory(model, config, epochs, x0, T):
-    """Run the Theta-Maruyama method over [0, T] on the given epoch streams.
+_LOCKSTEP_FIELDS = ("h", "fp_tol", "fp_max_iter", "negativity", "clamp_phi3")
 
-    ``epochs`` is one replication's PathBundle, or a new EpochWindows whose
-    B rows are solved in lock step; a row has the same bits in any block.
-    Deterministic in (model, config, epochs, x0, T).  Grid times are n*h by
-    integer multiplication, never accumulated.  A block raises the error
-    of its lowest-indexed row among those failing at the earliest failing
-    step, with ``row`` set to it.
+
+def lockstep_key(config):
+    """What configs must share to run in one lock-step block: all but theta
+    and the quadrature rule."""
+    return tuple(getattr(config, f) for f in _LOCKSTEP_FIELDS)
+
+
+def solve_lockstep(model, configs, epochs, x0, T):
+    """Run several Theta-Maruyama configs over [0, T] on one block, in lock step.
+
+    ``epochs`` is a new EpochWindows of B = G * R rows for G configs; row i
+    runs ``configs[i // R]``, so each config holds R consecutive rows.  The
+    configs must share h, fp_tol, fp_max_iter, negativity and clamp_phi3;
+    theta and the quadrature rule may differ.  A row computes exactly what
+    it computes alone, in any block and beside any configs: phi3 is
+    evaluated rule by rule on each rule's rows, and a theta = 0 row never
+    evaluates the drift at an implicit iterate.  Grid times are n*h by
+    integer multiplication, never accumulated.
+
+    Returns a Trajectory whose states are (nbar+1, B, d) and clocks
+    (nbar+1, B, p); ``meta`` holds ``configs``, the final ``jump_counts``
+    (B, p) and ``phi3_clamps``, the clamp count of each config.  A failing
+    block raises the error of its lowest-indexed row among those failing
+    at the earliest failing step, with ``row`` set to it.  Does not warn
+    about step sizes; solve_trajectory and strong_error do.
     """
-    nbar = grid_steps(T, config.h)
-    if message := step_size_warning(model, config):
-        warnings.warn(message, stacklevel=2)
+    configs = list(configs)
+    cfg = configs[0]
+    for other in configs[1:]:
+        if lockstep_key(other) != lockstep_key(cfg):
+            raise ConfigurationError(
+                f"configs {cfg.label()} and {other.label()} differ in one of "
+                f"{', '.join(_LOCKSTEP_FIELDS)}, so they cannot share a block")
+    B = len(epochs.replications)
+    if B % len(configs):
+        raise ConfigurationError(
+            f"a block of {B} rows does not split evenly among "
+            f"{len(configs)} configs")
+    nbar = grid_steps(T, cfg.h)
     d, p = model.dim, model.jump_count
     try:
         x0 = np.asarray(x0, dtype=float).reshape(d)
@@ -295,10 +377,7 @@ def solve_trajectory(model, config, epochs, x0, T):
             f"initial state {x0!r} does not match model dimension {d}") from None
     if not np.isfinite(x0).all():
         raise ConfigurationError(f"initial state must be finite, got {x0!r}")
-    one_bundle = isinstance(epochs, PathBundle)
-    if one_bundle:
-        epochs = EpochWindows(epochs.master_seed, [epochs.replication], p)
-    B = len(epochs.replications)
+    layout = _Layout(configs, B // len(configs))
     x = np.repeat(x0[None, :], B, axis=0)
     clocks = np.zeros((B, p))
     counts = np.zeros((B, p), dtype=np.int64)
@@ -306,26 +385,52 @@ def solve_trajectory(model, config, epochs, x0, T):
     clock_hist = np.empty((nbar + 1, B, p))
     states[0] = x
     clock_hist[0] = clocks
-    clamp_total = 0
+    row_clamps = np.zeros(B, dtype=np.int64)
     for n in range(nbar):
         try:
-            x, clocks, counts, nclamp = _step(model, config, epochs, x, clocks,
+            x, clocks, counts, clamps = _step(model, layout, epochs, x, clocks,
                                               counts, n)
         except RteSimError as e:
             e.row = 0
             if B > 1:
-                _raise_first_failing_row(model, config, epochs, x, clocks, counts, n)
+                _raise_first_failing_row(model, layout, epochs, x, clocks,
+                                         counts, n)
             raise
-        clamp_total += nclamp
+        row_clamps += clamps
         states[n + 1] = x
         clock_hist[n + 1] = clocks
-    if one_bundle:
-        states, clock_hist, counts = states[:, 0], clock_hist[:, 0], counts[0]
-    grid = np.arange(nbar + 1) * config.h
     meta = {
         "model": model.name,
-        "config": config,
+        "configs": configs,
         "jump_counts": counts,
-        "phi3_clamps": clamp_total,
+        "phi3_clamps": row_clamps.reshape(len(configs), -1).sum(axis=1).tolist(),
     }
-    return Trajectory(grid=grid, states=states, clocks=clock_hist, meta=meta)
+    return Trajectory(grid=np.arange(nbar + 1) * cfg.h, states=states,
+                      clocks=clock_hist, meta=meta)
+
+
+def solve_trajectory(model, config, epochs, x0, T):
+    """Run the Theta-Maruyama method over [0, T] on the given epoch streams.
+
+    ``epochs`` is one replication's PathBundle, or a new EpochWindows whose
+    B rows are solved in lock step; a row has the same bits in any block.
+    Deterministic in (model, config, epochs, x0, T).  Warns when h*theta*L_f
+    >= 1.  A thin wrapper of solve_lockstep with one config: ``meta`` holds
+    ``config``, ``jump_counts`` and the total ``phi3_clamps``, and a block
+    raises the error of its lowest-indexed row among those failing at the
+    earliest failing step, with ``row`` set to it.
+    """
+    if message := step_size_warning(model, config):
+        warnings.warn(message, stacklevel=2)
+    one_bundle = isinstance(epochs, PathBundle)
+    if one_bundle:
+        epochs = EpochWindows(epochs.master_seed, [epochs.replication],
+                              model.jump_count)
+    traj = solve_lockstep(model, [config], epochs, x0, T)
+    counts = traj.meta["jump_counts"]
+    if one_bundle:
+        traj.states, traj.clocks, counts = (traj.states[:, 0], traj.clocks[:, 0],
+                                            counts[0])
+    traj.meta = {"model": model.name, "config": config, "jump_counts": counts,
+                 "phi3_clamps": traj.meta["phi3_clamps"][0]}
+    return traj

@@ -1,6 +1,8 @@
 import functools
 import math
 import re
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from rtesim import analysis
 from rtesim.analysis import ErrorRow, integrate_along_path
 from rtesim.errors import (ConfigurationError, FitError, ImplicitSolveError,
                            ModelEvaluationError, UnsupportedModelError)
-from rtesim.stepper import _phi3_vector
+from rtesim.stepper import _phi3_vector, step_size_warning
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -60,6 +62,20 @@ class TestFitOrder:
         f0, f1 = rs.fit_order(base), rs.fit_order(scaled)
         assert f1.slope == pytest.approx(f0.slope, rel=1e-9, abs=1e-12)
         assert f1.intercept == pytest.approx(f0.intercept + math.log(c), rel=1e-9)
+
+
+class TestRunReplications:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_of_the_lowest_failing_index(self, threads):
+        def worker(j):
+            if j in (1, 2):
+                time.sleep(0.3 if j == 1 else 0.0)  # index 2 fails first
+                raise ValueError(f"task {j}")
+            return j
+
+        with pytest.raises(ValueError, match="task 1"):
+            analysis.run_replications(worker, 4, threads)
+        assert analysis.run_replications(lambda j: j * j, 5, threads) == [0, 1, 4, 9, 16]
 
 
 class TestStrongError:
@@ -160,6 +176,44 @@ class TestStrongError:
         e = info.value
         assert (e.replication, e.config) == (2, "reference")
         assert str(e).startswith("replication 2, reference: hazard_inverse[0]")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_group_error_names_the_failing_config_and_replication(self, threads):
+        # theta = 0 and theta = 1 share h, so they are one lock-step task;
+        # only the theta = 1 rows stall, each at its own step
+        model = rs.RteModel(1, lambda x: -0.5 * x * x,
+                            (lambda x: 3.0 * x[..., 0],), [[0.5]], name="stiffening")
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(theta=1.0, h=0.25)]
+        stalls = {}
+        for j in range(12):
+            try:
+                rs.solve_trajectory(model, cfgs[1], rs.PathBundle(2, j, 1), [2.0], 4.0)
+            except ImplicitSolveError as e:
+                stalls[j] = e.step
+            rs.solve_trajectory(model, cfgs[0], rs.PathBundle(2, j, 1), [2.0], 4.0)
+        first = min(stalls.values())
+        want = min(j for j, step in stalls.items() if step == first)
+        assert want > 0 and len(set(stalls.values())) > 1
+        with pytest.raises(ImplicitSolveError) as info:
+            rs.strong_error(model, rs.SolverConfig(theta=0.0, h=0.125), cfgs,
+                            [2.0], 4.0, 12, 2, threads=threads)
+        e = info.value
+        assert (e.replication, e.config, e.step) == (want, "theta1-euler-h0.25", first)
+        assert str(e).startswith(f"replication {want}, config theta1-euler-h0.25: ")
+
+    def test_step_size_warning_once_per_config(self, monkeypatch):
+        # L_f is declared far above the drift's real slope, so Picard contracts
+        m = rs.RteModel(1, lambda x: -0.1 * x, (lambda x: 2.0 + 0.0 * x[..., 0],),
+                        [[0.1]], lipschitz_f=10.0, name="loose-bound")
+        cfgs = [rs.SolverConfig(theta=t, h=h) for t, h in
+                ((1.0, 0.5), (0.0, 0.5), (0.5, 0.25), (0.5, 0.125))]
+        ref = rs.SolverConfig(theta=1.0, h=0.125)
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 2)  # several blocks
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rs.strong_error(m, ref, cfgs, [1.0], 1.0, 4, 0)
+        assert [str(w.message) for w in caught] == [
+            step_size_warning(m, c) for c in (ref, cfgs[0], cfgs[2])]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("case", ["linear-exact", "bacteriophage-fine-step"])

@@ -5,6 +5,8 @@ import json
 import numbers
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -206,6 +208,24 @@ class TestExitCodes:
                      solver=[{"theta": 1.0, "quadrature": "euler", "h": [1.0]}],
                      x0=1.0, M=1, T=2.0)
         assert cli.main(["converge", "--config", str(cfg), "--threads", "1"]) == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_step_size_warning_is_one_line(self, tmp_path, threads):
+        # h*theta*L_f = 1.5: validate warns, then the Picard solve stalls.
+        # A fresh interpreter, so that Python prints its warnings as it
+        # would for a user rather than handing them to pytest
+        cfg = tmp_path / "c.json"
+        write_config(cfg, solver=[{"theta": 1.0, "quadrature": "euler", "h": [1.0]}])
+        src = os.path.dirname(os.path.dirname(rs.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtesim.cli", "converge", "--config", str(cfg),
+             "--threads", threads, "--no-timestamp"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 3
+        assert proc.stdout.startswith("warning: h*theta*L_f = 1.5 >= 1")
+        assert [ln[:7] for ln in (proc.stdout + proc.stderr).splitlines()] == [
+            "warning", "error: "]
 
     @pytest.mark.parametrize("argv,overrides", [
         (["--seed", "-1"], {}),

@@ -8,7 +8,7 @@ from conftest import fixed_windows, zero_rate_model
 from rtesim.errors import (ConfigurationError, GridError, ImplicitSolveError,
                            NegativeStateError, RteSimError)
 from rtesim.model import eval_drift
-from rtesim.stepper import _phi3_vector, check_nesting
+from rtesim.stepper import _phi3_vector, check_nesting, solve_lockstep
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -409,3 +409,95 @@ class TestBlockEngine:
         assert got.row == list(reps).index(j)
         for field in ("x", "residual", "step"):
             assert np.array_equal(getattr(got, field, None), getattr(want, field, None))
+
+
+# one mixed group: theta 0, 1/2 and 1; euler and improved-midpoint each
+# on non-adjacent configs, so rule rows and explicit rows are index arrays
+MIXED_GROUP = [(0.0, "euler"), (0.5, "trapezoidal"), (1.0, "improved-midpoint"),
+               (0.5, "euler"), (0.0, "improved-midpoint")]
+GROUP_MODELS = dict(ORACLE_MODELS, **{
+    # a rate that collapses along its own jump: improved-midpoint clamps
+    # phi3 at 49 entries with theta = 1 and at 28 with theta = 0
+    "collapsing": (rs.RteModel(1, lambda x: 3.0 - 4.0 * x,
+                               (lambda x: 30.0 - 20.0 * x[..., 0],), [[1.0]],
+                               name="collapsing"), [0.2], 1.0)})
+
+
+class TestLockstepGroups:
+    """A row of a mixed group computes what its config computes alone."""
+
+    @pytest.mark.parametrize("name", ["linear-scalar", "bacteriophage-scaled",
+                                      "bacteriophage-scaled-near-zero", "collapsing"])
+    def test_rows_equal_single_config_solves_bitwise(self, name):
+        model, x0, T = GROUP_MODELS[name]
+        p = model.jump_count
+        cfgs = [rs.SolverConfig(theta=t, h=0.125, quadrature=q)
+                for t, q in MIXED_GROUP]
+        reps = range(30, 37)
+        group = solve_lockstep(model, cfgs,
+                               rs.EpochWindows(ORACLE_SEED, list(reps) * len(cfgs), p),
+                               x0, T)
+        assert group.meta["configs"] == cfgs
+        R = len(reps)
+        for c, cfg in enumerate(cfgs):
+            alone = rs.solve_trajectory(model, cfg, rs.EpochWindows(ORACLE_SEED, reps, p),
+                                        x0, T)
+            rows = slice(c * R, (c + 1) * R)
+            assert np.array_equal(group.grid, alone.grid)
+            assert np.array_equal(group.states[:, rows], alone.states)
+            assert np.array_equal(group.clocks[:, rows], alone.clocks)
+            assert np.array_equal(group.meta["jump_counts"][rows],
+                                  alone.meta["jump_counts"])
+            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"]
+        if name == "collapsing":
+            assert group.meta["phi3_clamps"] == [0, 0, 49, 0, 28]
+
+    def test_explicit_rows_never_evaluate_an_implicit_iterate(self):
+        # explicit Euler visits 1, 0.75, 0.5625 and 0.4219 and ends at
+        # 0.3164, where the drift is NaN; implicit rows stay above 0.35
+        model = rs.RteModel(1, lambda x: np.where(x < 0.33, np.nan, -x),
+                            (lambda x: 0.0 * x[..., 0],), [[0.0]], name="cliff")
+        cfgs = [rs.SolverConfig(theta=t, h=0.25, quadrature=q)
+                for t, q in ((1.0, "euler"), (0.0, "euler"), (0.5, "trapezoidal"))]
+        alone = [rs.solve_trajectory(model, cfg, rs.EpochWindows(0, [0], 1), [1.0], 1.0)
+                 for cfg in cfgs]
+        assert alone[1].endpoint[0, 0] == 0.75 ** 4
+        with pytest.raises(rs.ModelEvaluationError):  # where Picard would start
+            eval_drift(model, alone[1].endpoint)
+        group = solve_lockstep(model, cfgs, rs.EpochWindows(0, [0] * 3, 1), [1.0], 1.0)
+        for c, traj in enumerate(alone):
+            assert np.array_equal(group.states[:, c:c + 1], traj.states)
+
+    def test_group_error_names_the_row_of_the_failing_config(self):
+        # the theta = 1 rows stall at different steps; the theta = 0 rows,
+        # first in the block, never fail
+        model = rs.RteModel(1, lambda x: -0.5 * x * x,
+                            (lambda x: 3.0 * x[..., 0],), [[0.5]], name="stiffening")
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(theta=1.0, h=0.25)]
+        reps = range(3, 19)
+        with pytest.raises(ImplicitSolveError) as alone:
+            rs.solve_trajectory(model, cfgs[1], rs.EpochWindows(ORACLE_SEED, reps, 1),
+                                [2.0], 4.0)
+        with pytest.raises(ImplicitSolveError) as grouped:
+            solve_lockstep(model, cfgs, rs.EpochWindows(ORACLE_SEED, list(reps) * 2, 1),
+                           [2.0], 4.0)
+        got, want = grouped.value, alone.value
+        assert str(got) == str(want) and got.step == want.step
+        assert got.row == len(reps) + want.row
+
+    @pytest.mark.parametrize("other,rows", [
+        (dict(theta=1.0, h=0.25), 4), (dict(theta=0.0, h=0.125), 4),
+        (dict(theta=0.0, h=0.25, negativity="allow"), 4),
+        (dict(theta=0.0, h=0.25, fp_tol=1e-10), 4),
+        (dict(theta=0.0, h=0.25, fp_max_iter=5), 4),
+        (dict(theta=0.0, h=0.25, clamp_phi3=False), 4),
+        (dict(theta=1.0, h=0.25), 3)])
+    def test_configs_must_share_the_step_settings_and_split_the_rows(self, other, rows):
+        model = rs.builtin_linear_scalar(**SET1)
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(**other)]
+        windows = rs.EpochWindows(0, range(rows), 1)
+        if rows == 4 and other == dict(theta=1.0, h=0.25):
+            solve_lockstep(model, cfgs, windows, [10.0], 1.0)
+            return
+        with pytest.raises(ConfigurationError, match="block"):
+            solve_lockstep(model, cfgs, windows, [10.0], 1.0)
