@@ -486,7 +486,7 @@ class TestLockstepGroups:
         assert got.row == len(reps) + want.row
 
     @pytest.mark.parametrize("other,rows", [
-        (dict(theta=1.0, h=0.25), 4), (dict(theta=0.0, h=0.125), 4),
+        (dict(theta=0.0, h=0.125), 4),
         (dict(theta=0.0, h=0.25, negativity="allow"), 4),
         (dict(theta=0.0, h=0.25, fp_tol=1e-10), 4),
         (dict(theta=0.0, h=0.25, fp_max_iter=5), 4),
@@ -495,9 +495,5 @@ class TestLockstepGroups:
     def test_configs_must_share_the_step_settings_and_split_the_rows(self, other, rows):
         model = rs.builtin_linear_scalar(**SET1)
         cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(**other)]
-        windows = rs.EpochWindows(0, range(rows), 1)
-        if rows == 4 and other == dict(theta=1.0, h=0.25):
-            solve_lockstep(model, cfgs, windows, [10.0], 1.0)
-            return
         with pytest.raises(ConfigurationError, match="block"):
-            solve_lockstep(model, cfgs, windows, [10.0], 1.0)
+            solve_lockstep(model, cfgs, rs.EpochWindows(0, range(rows), 1), [10.0], 1.0)
