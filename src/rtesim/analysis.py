@@ -149,24 +149,31 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     PathBundle(master_seed, j, p).  Rows follow the order of ``configs``.
     Warns once per config (and fine-step reference) with h*theta*L_f >= 1.
 
-    The configs that share h, fp_tol, fp_max_iter, negativity and
-    clamp_phi3 form a group, in order of first appearance; the reference
-    is a group of one.  Replications are solved in blocks of
-    max(1, _BLOCK_ROWS // largest group) rows, and a task is one group on
-    one block: solve_lockstep runs the group's configs in lock step on R
-    rows each, config-major, so a task stores at most _BLOCK_ROWS rows of
-    history.  The exact reference runs exact_trajectory on its rows one by
-    one, at the scalar cost per jump.  A block solve pays a fixed cost per
-    step (about 50 to 135 us on the linear-scalar study model, 2-vCPU VM)
-    that barely grows with its rows, so grouping the variants of a step
-    size, rather than splitting blocks across threads, is what fills a
-    worker.  Tasks run block by block: the reference first, then the
-    groups from finest to coarsest h, so the longest tasks start first.
+    Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  The
+    configs that share h, fp_tol, fp_max_iter, negativity and clamp_phi3
+    form a group, in order of first appearance, cut into runs of at most
+    _BLOCK_ROWS // (rows of the first block) configs; the reference is a
+    group of one.  A task is one group on one block, which solve_lockstep
+    runs in lock step, config-major, so a task stores at most _BLOCK_ROWS
+    rows of history.  The exact reference runs exact_trajectory on its
+    rows one by one, at the scalar cost per jump.  Tasks run block by
+    block: the reference first, then the groups from finest to coarsest h,
+    so the longest tasks start first.
+
+    A block solve pays a fixed cost per step that barely grows with its
+    rows: on the linear-scalar study model at h = 2^-7 (2-vCPU VM), 4 rows
+    cost 42 to 154 us per step for each of theta0-euler, theta1-euler and
+    theta0.5-trapezoidal, 349 us together, and the three as one 12-row
+    group 170 us.  So the variants of a step size share the task of a
+    small block, and blocks are not split across threads.  A full block
+    solves each config alone: there a group's rule-by-rule calls cost more
+    than one config's calls on as many rows (1.14 against 1.01 s for
+    criterion 3's four variants at h = 1/160 on 128 rows).
 
     A failure raises the error of the first failing task in that order,
-    then of its earliest failing step, then of its lowest failing row
-    (configs in group order, then replications), naming the replication
-    and the config.
+    at any thread count, then of its earliest failing step, then of its
+    lowest failing row (configs in group order, then replications),
+    naming the replication and the config.
     """
     configs = list(configs)
     if M < 1:
@@ -192,7 +199,11 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     groups = {}
     for k, cfg in enumerate(configs, start=1):
         groups.setdefault(lockstep_key(cfg), []).append(k)
-    groups = [[0]] + sorted(groups.values(), key=lambda g: solvers[g[0]].h)
+    blocks = _blocks(M, _BLOCK_ROWS)
+    size = max(1, _BLOCK_ROWS // len(blocks[0]))
+    groups = [[0]] + [g[i:i + size]
+                      for g in sorted(groups.values(), key=lambda g: solvers[g[0]].h)
+                      for i in range(0, len(g), size)]
 
     def endpoints(group, reps):
         if group == [0] and use_exact:
@@ -219,7 +230,6 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
             where = "reference" if k == 0 else f"config {names[k]}"
             raise in_replication(e, reps[row], where, config=names[k]) from e
 
-    blocks = _blocks(M, max(1, _BLOCK_ROWS // max(map(len, groups))))
     tasks = [functools.partial(solve, group, reps)
              for reps in blocks for group in groups]
     results = iter(run_replications(lambda t: tasks[t](), len(tasks), threads))

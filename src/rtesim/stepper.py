@@ -159,10 +159,10 @@ def _phi3_vector(model, x, h, rule, clamp):
 def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx):
     """Picard iteration for y = x_prev + h*theta*f(y) + h*(1-theta)*f(x_prev) + disp.
 
-    ``theta`` is a column (m, 1), one value per row of (m, d).  Each row
-    stops at its own first iterate within fp_tol of the one before.  The
-    map is a contraction for h*theta*L_f < 1; the explicit full step is the
-    initial guess.
+    ``theta`` is a float, or a column (m, 1) with one value per row of
+    (m, d).  Each row stops at its own first iterate within fp_tol of the
+    one before.  The map is a contraction for h*theta*L_f < 1; the
+    explicit full step is the initial guess.
     """
     f_prev = eval_drift(model, x_prev)
     base = x_prev + h * (1.0 - theta) * f_prev + disp
@@ -179,7 +179,9 @@ def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx
             if done.all():
                 return out
             go = ~done
-            rows, base, ht, y_next = rows[go], base[go], ht[go], y_next[go]
+            rows, base, y_next = rows[go], base[go], y_next[go]
+            if np.ndim(ht):
+                ht = ht[go]
         y = y_next
     resid = float(resid[~done][0])
     raise ImplicitSolveError(
@@ -204,7 +206,9 @@ class _Layout:
 
     Row i runs ``configs[i // per_config]``.  The configs share h, fp_tol,
     fp_max_iter, negativity and clamp_phi3, and differ at most in theta
-    and the quadrature rule; ``rules`` pairs each rule with its rows.
+    and the quadrature rule; ``rules`` pairs each rule with its rows, and
+    ``implicit_theta`` is the theta of the implicit rows: a float when they
+    share one, else a column.
     """
 
     def __init__(self, configs, per_config):
@@ -213,31 +217,42 @@ class _Layout:
         of_row = np.repeat(np.arange(len(configs)), per_config)
         theta = np.array([c.theta for c in configs])[of_row]
         rule = np.array([c.quadrature for c in configs])[of_row]
-        self.theta = theta[:, None]
         self.rules = [(q, _select(rule == q))
                       for q in dict.fromkeys(c.quadrature for c in configs)]
         self.explicit = _select(theta == 0.0)
         self.implicit = _select(theta > 0.0)
+        implicit = {c.theta for c in configs} - {0.0}
+        self.implicit_theta = (implicit.pop() if len(implicit) == 1
+                               else theta[self.implicit, None])
 
     def row(self, i):
         """The layout of row i alone."""
         return _Layout([self.configs[i // self.per_config]], 1)
 
 
+def _assemble(like, parts):
+    """One array like ``like`` from (rows, values) parts that partition its rows."""
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.empty_like(like)
+    for rows, values in parts:
+        out[rows] = values
+    return out
+
+
 def _step(model, layout, epochs, x, clocks, counts, step_idx):
     """One Theta-Maruyama update of every row: (x, clocks, counts Y(clocks), clamps).
 
     phi3 is computed rule by rule on each rule's rows, and the Picard
-    iteration runs on the theta > 0 rows only; ``clamps`` holds each row's
-    phi3 clamps.
+    iteration runs on the theta > 0 rows only; ``clamps`` lists (rows,
+    phi3 clamps of each of those rows) for the rules that clamped.
     """
     cfg = layout.shared
     h = cfg.h
-    vals, clamps = np.empty_like(clocks), np.zeros(len(x), dtype=np.int64)
-    for rule, rows in layout.rules:
-        vals[rows], clamped = _phi3_rows(model, x[rows], h, rule, cfg.clamp_phi3)
-        if clamped is not None:
-            clamps[rows] = clamped
+    phi = [(rows, _phi3_rows(model, x[rows], h, rule, cfg.clamp_phi3))
+           for rule, rows in layout.rules]
+    vals = _assemble(clocks, [(rows, v) for rows, (v, _) in phi])
+    clamps = [(rows, c) for rows, (_, c) in phi if c is not None]
     r = h * vals
     ahead = clocks + r
     if not (r.min() >= 0.0 and ahead.max() < math.inf):
@@ -248,13 +263,14 @@ def _step(model, layout, epochs, x, clocks, counts, step_idx):
             raise QueryError(f"increment needs {need}, got a={a!r} b={b!r}")
     ahead_counts = epochs.count(ahead)
     disp = _jump_sum(ahead_counts - counts, model)
-    x_new = np.empty_like(x)
+    parts = []
     if (rows := layout.explicit) is not None:
-        x_new[rows] = x[rows] + h * eval_drift(model, x[rows]) + disp[rows]
+        parts.append((rows, x[rows] + h * eval_drift(model, x[rows]) + disp[rows]))
     if (rows := layout.implicit) is not None:
-        x_new[rows] = _implicit_solve(model, x[rows], h, layout.theta[rows],
-                                      disp[rows], cfg.fp_tol, cfg.fp_max_iter,
-                                      step_idx)
+        parts.append((rows, _implicit_solve(model, x[rows], h, layout.implicit_theta,
+                                            disp[rows], cfg.fp_tol, cfg.fp_max_iter,
+                                            step_idx)))
+    x_new = _assemble(x, parts)
     low = x_new.min(axis=-1) < 0.0
     if low.any():
         if cfg.negativity == "reset-to-zero":
@@ -396,7 +412,8 @@ def solve_lockstep(model, configs, epochs, x0, T):
                 _raise_first_failing_row(model, layout, epochs, x, clocks,
                                          counts, n)
             raise
-        row_clamps += clamps
+        for rows, c in clamps:
+            row_clamps[rows] += c
         states[n + 1] = x
         clock_hist[n + 1] = clocks
     meta = {

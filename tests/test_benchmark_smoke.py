@@ -14,8 +14,12 @@ rename or deletion fails here rather than in a benchmark run.  They read:
   ``solver_entries`` and ``solver_configs``, ``LocalErrorSample(n, L_abs,
   K_abs)`` and ``stepper.grid_steps``.
 These names stay while the benchmark reads them, even where only tests
-call them otherwise.  The smoke run writes only to the ignored
-``.perfbench_work/`` directory.
+call them otherwise; ``analysis`` imports ``solve_trajectory`` only for
+the tracer.  ``strong_error`` solves its configs with
+``stepper.solve_lockstep``, not through ``solve_trajectory``, so the
+tracer's stepper spans cover only ``simulate``, and the ``stepper.*``
+per-layer metrics read 0 on linear-study.  The smoke run writes only to
+the ignored ``.perfbench_work/`` directory.
 """
 
 import os
