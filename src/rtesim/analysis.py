@@ -10,6 +10,7 @@ reported number bit-stable no matter how many workers run.
 import functools
 import math
 import multiprocessing as mp
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -37,14 +38,23 @@ def _pool_call(j):
     return _ACTIVE_WORKER(j)
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def run_replications(worker, M, threads=1):
     """Evaluate worker(0..M-1), in index order, optionally in parallel.
 
-    Each index is its own pool task, since tasks may differ in cost.  When
-    several tasks fail, the error of the lowest index is raised, at any
-    thread count.
+    Each index is its own pool task, since tasks may differ in cost.  The
+    pool has at most min(threads, M) processes and no more than the usable
+    CPUs.  When several tasks fail, the error of the lowest index is
+    raised, at any thread count.
     """
-    threads = max(1, int(threads))
+    threads = min(max(1, int(threads)), _usable_cpus())
     if threads == 1 or M < 2:
         return [worker(j) for j in range(M)]
     try:
@@ -382,25 +392,30 @@ def _gk_chunks(flow, integrands, x, dur, subdiv):
     positive duration is split into ceil(dur[i]/_CHUNK_CAP) * subdiv equal
     chunks, so doubling ``subdiv`` genuinely refines every segment.  The
     nodes are flowed in one call and ``integrands`` is called once on
-    them, returning a sequence of integrands.  Returns (seg, pairs): each
-    chunk's segment index and, per integrand, its Kronrod and Gauss values
-    (chunks,).  ``pairs`` is empty when no segment has positive duration.
+    them, returning a sequence of integrands.  Returns (seg, kron, gauss):
+    each chunk's segment index and the Kronrod and Gauss values
+    (integrands, chunks), which have no rows when no segment has positive
+    duration.
     """
     keep = np.flatnonzero(dur > 0.0)
     if keep.size == 0:
-        return keep, []
-    reps = np.maximum(1, np.ceil(dur[keep] / _CHUNK_CAP).astype(np.int64)) * subdiv
-    seg, length = np.repeat(keep, reps), np.repeat(dur[keep] / reps, reps)
-    rank = np.arange(seg.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    t_nodes = (rank * length)[:, None] + length[:, None] * _GK_X
+        return keep, np.zeros((0, 0)), np.zeros((0, 0))
+    seg, length = keep, dur[keep]
+    if subdiv > 1 or length.max() > _CHUNK_CAP:
+        reps = np.maximum(1, np.ceil(length / _CHUNK_CAP).astype(np.int64)) * subdiv
+        seg, length = np.repeat(keep, reps), np.repeat(length / reps, reps)
+        rank = np.arange(seg.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        t_nodes = (rank * length)[:, None] + length[:, None] * _GK_X
+    else:
+        # one chunk per segment: the general nodes with rank 0, bit for bit
+        t_nodes = length[:, None] * _GK_X
     x_nodes = np.asarray(flow(t_nodes.ravel(), np.repeat(x[seg], _GK_X.size, axis=0)),
                          dtype=float)
-    vals = [np.asarray(v, dtype=float).reshape(t_nodes.shape)
-            for v in integrands(x_nodes)]
+    vals = np.asarray(integrands(x_nodes), dtype=float).reshape(-1, *t_nodes.shape)
     # each chunk reduced on its own, never a BLAS product over chunks, so
     # that a chunk's value does not depend on the other chunks
-    return seg, [(np.einsum("ck,k->c", v, _GK_W) * length,
-                  np.einsum("ck,k->c", v, _G7_W) * length) for v in vals]
+    return (seg, np.einsum("ick,k->ic", vals, _GK_W) * length,
+            np.einsum("ick,k->ic", vals, _G7_W) * length)
 
 
 def integrate_along_path(exact, g, tol=1e-8):
@@ -413,9 +428,9 @@ def integrate_along_path(exact, g, tol=1e-8):
     """
     subdiv = 1
     for _ in range(_MAX_LEVELS):
-        _, pairs = _gk_chunks(exact.model.analytic.flow, lambda xs: (g(xs),),
-                              exact.seg_states, exact.seg_durations, subdiv)
-        kron, gauss = (float(np.sum(v)) for v in (pairs[0] if pairs else (0.0, 0.0)))
+        _, kron, gauss = _gk_chunks(exact.model.analytic.flow, lambda xs: (g(xs),),
+                                    exact.seg_states, exact.seg_durations, subdiv)
+        kron, gauss = (float(np.sum(v[0])) if v.size else 0.0 for v in (kron, gauss))
         if abs(kron - gauss) < tol:
             return kron
         subdiv *= 2
@@ -439,8 +454,10 @@ def _martingale_integrands(model, F, gradF, xs):
     for k, rate in enumerate(model.rates):
         lam = np.maximum(np.asarray(rate(xs), dtype=float), 0.0)
         dF = np.asarray(F(xs + model.jumps[k]), dtype=float) - Fx
-        af = af + lam * dF
-        qv = qv + lam * dF * dF
+        jump = lam * dF
+        af += jump
+        jump *= dF
+        qv += jump
     return af, qv
 
 
@@ -484,11 +501,11 @@ class _PathSums:
         self.totals = np.zeros((2, 2, rows))
 
     def add(self, rows, x, dur):
-        seg, pairs = _gk_chunks(self.flow, self.integrands, x, dur, 1)
+        seg, kron, gauss = _gk_chunks(self.flow, self.integrands, x, dur, 1)
         bins, width = rows[seg], self.totals.shape[2]
-        for i, pair in enumerate(pairs):
-            for r in range(2):
-                self.totals[i, r] += np.bincount(bins, pair[r], minlength=width)
+        for i in range(len(kron)):
+            self.totals[i, 0] += np.bincount(bins, kron[i], minlength=width)
+            self.totals[i, 1] += np.bincount(bins, gauss[i], minlength=width)
 
 
 def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8):

@@ -499,6 +499,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         with open(args.config) as f:
             doc = json.load(f)

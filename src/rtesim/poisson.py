@@ -7,8 +7,13 @@ always contains the same epochs.  This is what makes coupled-path
 comparisons possible -- the exact solver and every fixed-step variant of one
 replication read the very same epochs.
 
-``PoissonPath`` keeps every epoch of one stream; ``EpochWindows``, the
-block solvers' reader, keeps only the batch each stream of a block is in.
+Each stream draws its epochs BATCH at a time, and ``next_epochs`` is the
+only code that draws them: one call extends any number of streams by a
+batch each, and since a stream depends on its key alone, a row's epochs do
+not depend on which streams share the call.  ``PoissonPath`` keeps every
+epoch of one stream; ``EpochWindows``, the block solvers' reader, keeps
+only the batch each stream of a block is in and refills every exhausted
+window in one call.
 """
 
 import bisect
@@ -31,12 +36,20 @@ def epoch_generator(master_seed, replication, process):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def next_epochs(gen, last, size):
-    """The next ``size`` epochs of a stream whose latest epoch is ``last``."""
-    gaps = gen.standard_exponential(size, method="inv")
+def next_epochs(gens, last):
+    """The next BATCH epochs of each stream, shape (len(gens), BATCH).
+
+    Row i continues the stream of ``gens[i]``, whose latest epoch is
+    ``last[i]``.  A row's epochs do not depend on the other rows.
+    """
+    out = np.empty((len(gens), BATCH))
+    for gen, row in zip(gens, out):
+        gen.standard_exponential(out=row, method="inv")
     # a zero gap (probability ~2^-53) would break strict monotonicity
-    np.maximum(gaps, _TINY, out=gaps)
-    return last + np.cumsum(gaps)
+    np.maximum(out, _TINY, out=out)
+    np.cumsum(out, axis=1, out=out)
+    out += last[:, None]
+    return out
 
 
 class PoissonPath:
@@ -64,7 +77,7 @@ class PoissonPath:
         e = self._epochs
         last = e[-1] if e else 0.0
         while last <= u:
-            e.extend(next_epochs(self._gen, last, BATCH).tolist())
+            e.extend(next_epochs((self._gen,), np.array([last]))[0].tolist())
             last = e[-1]
 
     def count_at(self, u):
@@ -122,12 +135,12 @@ class EpochWindows:
     def __init__(self, master_seed, replications, p):
         self.master_seed = master_seed
         self.replications = list(replications)
-        self.gens = [[epoch_generator(master_seed, j, k) for k in range(p)]
-                     for j in self.replications]
-        self.win = np.array([[next_epochs(g, 0.0, BATCH) for g in row]
-                             for row in self.gens]).reshape(-1, p, BATCH)
-        self.cur = np.zeros((len(self.gens), p), dtype=np.intp)
-        self.drawn = np.zeros((len(self.gens), p), dtype=np.int64)
+        m = len(self.replications)
+        self.gens = np.array([[epoch_generator(master_seed, j, k) for k in range(p)]
+                              for j in self.replications], dtype=object).reshape(m, p)
+        self.win = next_epochs(self.gens.ravel(), np.zeros(m * p)).reshape(m, p, BATCH)
+        self.cur = np.zeros((m, p), dtype=np.intp)
+        self.drawn = np.zeros((m, p), dtype=np.int64)
         self._reindex()
 
     def _reindex(self):
@@ -141,11 +154,12 @@ class EpochWindows:
         Returns whether any window was refilled.
         """
         full = np.nonzero(self.cur == BATCH)
-        for i, k in zip(*full):
-            self.win[i, k] = next_epochs(self.gens[i][k], self.win[i, k, -1], BATCH)
-            self.drawn[i, k] += BATCH
-            self.cur[i, k] = 0
-        return full[0].size > 0
+        if full[0].size == 0:
+            return False
+        self.win[full] = next_epochs(self.gens[full], self.win[full + (-1,)])
+        self.drawn[full] += BATCH
+        self.cur[full] = 0
+        return True
 
     def next_after(self, clocks):
         """Smallest epoch strictly above each clock, shape (m, p).
@@ -172,7 +186,7 @@ class EpochWindows:
     def keep(self, mask):
         """Drop the rows where ``mask`` is False."""
         self.replications = [j for j, kept in zip(self.replications, mask) if kept]
-        self.gens = [g for g, kept in zip(self.gens, mask) if kept]
+        self.gens = self.gens[mask]
         self.win = self.win[mask]
         self.cur = self.cur[mask]
         self.drawn = self.drawn[mask]

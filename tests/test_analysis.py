@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import re
 import time
 import warnings
@@ -76,6 +77,38 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="task 1"):
             analysis.run_replications(worker, 4, threads)
         assert analysis.run_replications(lambda j: j * j, 5, threads) == [0, 1, 4, 9, 16]
+
+    @pytest.mark.parametrize("cpus,threads,M,size", [
+        (3, 5000, 10_000, 3), (3, 2, 10_000, 2), (8, 5000, 5, 5), (1, 5000, 10, None)])
+    def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, cpus,
+                                                     threads, M, size):
+        # a fake pool records its size and runs its tasks in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(analysis.mp, "get_context", lambda method: FakeContext)
+        assert analysis.run_replications(lambda j: -j, M, threads) == \
+            [-j for j in range(M)]
+        assert sizes == ([] if size is None else [size])
+
+    def test_usable_cpus_bound_the_machine(self):
+        assert 1 <= analysis._usable_cpus() <= (os.cpu_count() or 1)
 
 
 class TestStrongError:
@@ -543,8 +576,8 @@ class TestPathIntegrals:
             levels.append(xs.shape[0])
             return np.cos(100.0 * np.log(10.0 / xs[..., 0]) / 1.5)
 
-        _, [pair] = analysis._gk_chunks(traj.model.analytic.flow, lambda xs: (g(xs),),
-                                        traj.seg_states, traj.seg_durations, 1)
+        _, *pair = analysis._gk_chunks(traj.model.analytic.flow, lambda xs: (g(xs),),
+                                       traj.seg_states, traj.seg_durations, 1)
         kron, gauss = (float(np.sum(v)) for v in pair)
         assert abs(kron - gauss) >= 1e-10
         assert abs(kron - math.sin(100.0) / 100.0) > 1e-8
@@ -552,6 +585,33 @@ class TestPathIntegrals:
         assert val == pytest.approx(math.sin(100.0) / 100.0, abs=1e-12)
         # each level after the probe above doubles the chunks
         assert len(levels) > 2 and levels[2] == 2 * levels[1]
+
+
+class TestGaussKronrodLayouts:
+    @staticmethod
+    def _chunks(x, dur, subdiv=1):
+        m = rs.builtin_linear_scalar(**SET1)
+        return analysis._gk_chunks(
+            m.analytic.flow, lambda xs: (xs[..., 0], np.sin(xs[..., 0])),
+            np.array(x, dtype=float).reshape(-1, 1), np.array(dur), subdiv)
+
+    def test_short_segment_same_bits_in_either_layout(self):
+        # alone, the short segment takes the one-chunk layout; beside a
+        # segment longer than _CHUNK_CAP the batch takes the general one
+        seg, kron, gauss = self._chunks([10.0], [0.1])
+        assert seg.tolist() == [0] and kron.shape == gauss.shape == (2, 1)
+        mixed = self._chunks([3.0, 10.0, 7.0], [0.7, 0.1, 0.0])
+        assert mixed[0].tolist() == [0, 0, 0, 1]
+        assert np.array_equal(mixed[1][:, 3:], kron)
+        assert np.array_equal(mixed[2][:, 3:], gauss)
+        # subdiv 2 halves the short segment: the halves add up to its chunk
+        halves = self._chunks([10.0], [0.1], subdiv=2)
+        assert halves[0].tolist() == [0, 0]
+        assert np.allclose(halves[1].sum(axis=1), kron[:, 0], rtol=1e-14, atol=0.0)
+
+    def test_no_positive_duration_gives_no_rows(self):
+        seg, kron, gauss = self._chunks([10.0, 5.0], [0.0, 0.0])
+        assert seg.size == 0 and kron.shape == gauss.shape == (0, 0)
 
 
 class TestMartingale:

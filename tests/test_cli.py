@@ -313,11 +313,14 @@ class TestExitCodes:
             {"theta": 0, "quadrature": "euler", "h": [0.25]},
             {"theta": 0, "quadrature": "euler", "h": [0.25], "negativity": "allow"}]},
          "solver configs share the label(s) theta0-euler-h0.25"),
+        ("diagnose", ["--threads", "0"], {}, "--threads must be >= 1, got 0"),
+        ("converge", ["--threads", "-3"], {}, "--threads must be >= 1, got -3"),
     ], ids=[*(f"{e}-error-norm" for e in cli.EXPERIMENTS), "diagnose-M-1",
             "array-observable", "string-index", "bool-index", "unknown-kind",
             "index-out-of-range", "sample-grid-0", "negative-sample-grid",
             "nan-sample-grid", "non-divisor-sample-grid",
-            "sample-grid-fine-step-reference", "repeated-label"])
+            "sample-grid-fine-step-reference", "repeated-label", "zero-threads",
+            "negative-threads"])
     def test_bad_field_or_flag_writes_nothing(self, tmp_path, capsys, experiment,
                                               argv, overrides, prefix):
         cfg = tmp_path / "c.json"

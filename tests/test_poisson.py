@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import fixed_path
+from rtesim import poisson
 from rtesim.errors import QueryError
-from rtesim.poisson import EpochWindows, PathBundle, PoissonPath
+from rtesim.poisson import (BATCH, EpochWindows, PathBundle, PoissonPath,
+                            epoch_generator, next_epochs)
 
 
 class TestCounting:
@@ -119,6 +121,23 @@ class TestStatistics:
         assert abs(second.var(ddof=1) - 2.0) < 6.0 * np.sqrt(2.0 / n)
 
 
+class TestBatchedDraws:
+    def test_rows_equal_single_stream_draws(self):
+        # the per-stream recipe: BATCH inverse-CDF gaps, floored, summed
+        keys = [(4, j, k) for j in range(5) for k in range(2)]
+        batched = [epoch_generator(*key) for key in keys]
+        single = [epoch_generator(*key) for key in keys]
+        last = np.linspace(0.0, 30.0, len(keys))
+        for _ in range(3):
+            rows = next_epochs(batched, last)
+            assert rows.shape == (len(keys), BATCH)
+            for row, gen, start in zip(rows, single, last):
+                gaps = np.maximum(gen.standard_exponential(BATCH, method="inv"),
+                                  np.finfo(float).tiny)
+                assert np.array_equal(row, start + np.cumsum(gaps))
+            last = rows[:, -1]
+
+
 class TestBundle:
     def test_bundle_layout(self):
         b = PathBundle(1, 3, 4)
@@ -147,6 +166,26 @@ class TestEpochWindows:
                     assert counts[i, k] == paths[i][k].count_at(clocks[i, k])
                     assert nxt[i, k] == paths[i][k].next_epoch_after(clocks[i, k])
         assert counts.min() > 128  # every stream left its first batch
+
+    def test_lockstep_refill_matches_poisson_path(self, monkeypatch):
+        # every stream sits on the last epoch of its window, so all of them
+        # leave it in one next_after call and refill in one batched draw
+        calls = []
+        draw = poisson.next_epochs
+        monkeypatch.setattr(poisson, "next_epochs",
+                            lambda gens, last: calls.append(len(gens)) or draw(gens, last))
+        reps = [1, 5, 8, 2]
+        w = EpochWindows(13, reps, 3)
+        clocks = w.win[..., -1].copy()
+        nxt = w.next_after(clocks)
+        assert calls == [12, 12]
+        assert (w.drawn == BATCH).all() and (w.cur == 0).all()
+        counts = w.count(clocks)
+        for i, j in enumerate(reps):
+            for k in range(3):
+                path = PoissonPath(13, j, k)
+                assert nxt[i, k] == path.next_epoch_after(clocks[i, k])
+                assert counts[i, k] == path.count_at(clocks[i, k]) == BATCH
 
     def test_row_does_not_depend_on_its_block(self):
         w = EpochWindows(2, [4, 7], 3)
