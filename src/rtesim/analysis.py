@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (ConfigurationError, FitError, ModelEvaluationError,
                      RteSimError, UnsupportedModelError, in_replication)
 from .exact import exact_block, exact_trajectory
-from .model import eval_drift
+from .model import eval_drift, initial_state
 from .poisson import EpochWindows, PathBundle
 # strong_error calls solve_lockstep; solve_trajectory is imported so that
 # perfbench/tracer.py, which looks it up here by name, still finds it
@@ -338,13 +338,17 @@ def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
 
     Replication j's path is exact_trajectory on PathBundle(master_seed, j,
     p), one task per replication.  Returns one tuple per config, holding
-    each replication's samples in replication order.
+    each replication's samples in replication order.  A failure raises the
+    error of the lowest failing replication, naming it.
     """
     p = model.jump_count
 
     def worker(j):
-        traj = exact_trajectory(model, PathBundle(master_seed, j, p), x0, T)
-        return [local_errors(model, traj, cfg) for cfg in configs]
+        try:
+            traj = exact_trajectory(model, PathBundle(master_seed, j, p), x0, T)
+            return [local_errors(model, traj, cfg) for cfg in configs]
+        except RteSimError as e:
+            raise in_replication(e, j) from e
 
     return list(zip(*run_replications(worker, M, threads)))
 
@@ -526,7 +530,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
         raise ConfigurationError(f"martingale check needs M >= 2, got {M}")
     integrands = functools.partial(_martingale_integrands, model, F, gradF)
     p = model.jump_count
-    x0 = np.asarray(x0, dtype=float).reshape(model.dim)
+    x0 = initial_state(model, x0)
     f_start = float(np.asarray(F(x0.reshape(1, -1)), dtype=float).reshape(-1)[0])
 
     def worker(reps):

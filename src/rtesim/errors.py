@@ -8,7 +8,9 @@ class RteSimError(Exception):
 
     A Monte Carlo routine that knows where a failure happened sets
     ``replication`` (its index) and ``config`` (the solver config label, or
-    "reference") through ``in_replication``; both are None otherwise.
+    "reference") through ``in_replication``: ``strong_error`` sets both,
+    ``local_error_study`` and ``exact_block`` set ``replication``.  Both
+    are None otherwise.
     ``solve_trajectory``, and ``strong_error``'s exact reference task, set
     ``row``, the index of the failing row in its block of replications.
     """

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ModelEvaluationError, QueryError,
                      RunawayJumpError, UnsupportedModelError, in_replication)
+from .model import initial_state
 from .poisson import EpochWindows
 from .stepper import grid_steps
 
@@ -97,54 +98,45 @@ def _scan_clocks(hooks, p, x, clocks, paths):
 def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
     """Davis construction on the given epoch streams over [0, T]."""
     hooks = _require_hooks(model)
-    p, d = model.jump_count, model.dim
+    p = model.jump_count
     flow = hooks.flow
     hazard = hooks.hazard_integral
-    try:
-        x = np.asarray(x0, dtype=float).reshape(d).copy()
-    except ValueError:
-        raise ConfigurationError(
-            f"initial state {x0!r} does not match model dimension {d}") from None
+    x = x0 = initial_state(model, x0)
     clocks = np.zeros(p)
     t = 0.0
-    seg_starts, seg_states, seg_durs = [], [], []
-    jump_times, jump_ids, post_states = [], [], []
+    seg_starts, seg_states, seg_durs, jump_ids = [], [], [], []
     while True:
         k, dt, epoch = _scan_clocks(hooks, p, x, clocks, paths)
-        if k is None or t + dt > T:
-            rem = max(T - t, 0.0)
-            for j in range(p):
-                clocks[j] += hazard[j](rem, x)
-            seg_starts.append(t)
-            seg_states.append(x)
-            seg_durs.append(rem)
-            break
+        final = k is None or t + dt > T
+        if final:  # the last segment runs to T and no clock fires
+            k, dt = None, max(T - t, 0.0)
         for j in range(p):
             if j != k:
                 clocks[j] += hazard[j](dt, x)
-        clocks[k] = epoch  # lands exactly on the epoch by the inverse identity
         seg_starts.append(t)
         seg_states.append(x)
         seg_durs.append(dt)
+        if final:
+            break
+        clocks[k] = epoch  # lands exactly on the epoch by the inverse identity
         x = np.asarray(flow(dt, x), dtype=float) + model.jumps[k]
         t += dt
-        jump_times.append(t)
         jump_ids.append(k)
-        post_states.append(x)
-        if len(jump_times) > max_jumps:
+        if len(jump_ids) > max_jumps:
             raise RunawayJumpError(
                 f"more than {max_jumps} jumps before t={t:g} (T={T}); "
                 f"runaway rates or too small a jump height")
+    # every segment after the first starts at a jump, in the post-jump state
+    seg_starts, seg_states = np.array(seg_starts), np.array(seg_states)
     return ExactTrajectory(
         model=model,
-        x0=np.asarray(x0, dtype=float).reshape(d),
+        x0=x0,
         T=T,
-        jump_times=np.array(jump_times),
+        jump_times=seg_starts[1:],
         jump_ids=np.array(jump_ids, dtype=np.int64),
-        states_post_jump=(np.array(post_states) if post_states
-                          else np.empty((0, d))),
-        seg_starts=np.array(seg_starts),
-        seg_states=np.array(seg_states),
+        states_post_jump=seg_states[1:],
+        seg_starts=seg_starts,
+        seg_states=seg_states,
         seg_durations=np.array(seg_durs),
         clocks=clocks,
         meta={"model": model.name},
@@ -182,11 +174,7 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
     hooks = _require_hooks(model)
     p, d = model.jump_count, model.dim
     flow = hooks.flow
-    try:
-        x0 = np.asarray(x0, dtype=float).reshape(d)
-    except ValueError:
-        raise ConfigurationError(
-            f"initial state {x0!r} does not match model dimension {d}") from None
+    x0 = initial_state(model, x0)
     reps = list(replications)
     B = len(reps)
     ends = BlockEnds(np.empty((B, d)), np.empty((B, p)),

@@ -134,6 +134,21 @@ def _first_nonfinite(x, vals):
     return x[np.argmax(~np.isfinite(vals.reshape(len(x), -1)).all(axis=1))]
 
 
+def initial_state(model, x0):
+    """x0 as a new float array of shape (d,).
+
+    ConfigurationError unless it has the model's dimension and finite entries.
+    """
+    try:
+        x = np.array(x0, dtype=float).reshape(model.dim)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"initial state {x0!r} does not match model "
+                                 f"dimension {model.dim}") from None
+    if not np.isfinite(x).all():
+        raise ConfigurationError(f"initial state must be finite, got {x!r}")
+    return x
+
+
 def eval_drift(model, x):
     """Evaluate f(x), raising ModelEvaluationError on non-finite output."""
     fx = np.asarray(model.drift(x), dtype=float)
@@ -303,23 +318,22 @@ def _saturating_inverse(a, rate):
     return hazard_inverse
 
 
-def builtin_linear_scalar(alpha, lam, eps):
-    """Scalar decay model dX = -alpha X dt + eps dY(lam * integral X).
+def _scalar_decay(name, alpha, rate, power, eps):
+    """Scalar decay model dX = -alpha X dt + eps dY(integral of rate(X)).
 
-    Linearity gives closed forms for the flow, the cumulative hazard and
-    its inverse, so the model supports exact jump-adapted solving.
+    ``rate`` maps the state's entry x to c * x**power.  Along the flow
+    x e^{-alpha t} it decays as e^{-a t}, a = power * alpha, so the
+    cumulative hazard from x, max(rate(x), 0) * -expm1(-a t) / a, and its
+    inverse are closed forms, and the model supports exact jump-adapted
+    solving.
     """
-    if alpha <= 0 or lam <= 0 or eps <= 0:
-        raise ConfigurationError(
-            f"linear-scalar needs positive alpha, lambda, eps; "
-            f"got ({alpha}, {lam}, {eps})")
+    a = power * alpha
 
     def flow(t, x):
         return x * np.exp(-alpha * t)[..., None]
 
     def hazard_integral(t, x):
-        lx = np.maximum(lam * x[..., 0], 0.0)
-        return lx * -np.expm1(-alpha * t) / alpha
+        return np.maximum(rate(x[..., 0]), 0.0) * -np.expm1(-a * t) / a
 
     def drift_integral(t, x):
         return x * np.expm1(-alpha * t)[..., None]
@@ -327,57 +341,40 @@ def builtin_linear_scalar(alpha, lam, eps):
     hooks = AnalyticHooks(
         flow=flow,
         hazard_integral=(hazard_integral,),
-        hazard_inverse=(_saturating_inverse(alpha, lambda x0: lam * x0),),
+        hazard_inverse=(_saturating_inverse(a, rate),),
         drift_integral=drift_integral)
     return RteModel(
         dim=1,
         drift=lambda x: -alpha * x,
-        rates=(lambda x: lam * x[..., 0],),
+        rates=(lambda x: rate(x[..., 0]),),
         jumps=[[eps]],
         lipschitz_f=alpha,
         analytic=hooks,
-        name="linear-scalar",
+        name=name,
     )
+
+
+def builtin_linear_scalar(alpha, lam, eps):
+    """Scalar decay model dX = -alpha X dt + eps dY(lam * integral X)."""
+    if alpha <= 0 or lam <= 0 or eps <= 0:
+        raise ConfigurationError(
+            f"linear-scalar needs positive alpha, lambda, eps; "
+            f"got ({alpha}, {lam}, {eps})")
+    return _scalar_decay("linear-scalar", alpha, lambda x0: lam * x0, 1, eps)
 
 
 def builtin_quadratic_scalar(alpha=1.0, beta=2.0, eps=0.01):
     """Scalar decay model with a genuinely nonlinear rate beta * x^2.
 
-    Same exponential flow as the linear model; the quadratic hazard still
-    integrates and inverts in closed form.  Used to exercise the improved
-    quadrature rules, which only differ from the classical ones when the
-    rates are nonlinear.
+    Used to exercise the improved quadrature rules, which only differ from
+    the classical ones when the rates are nonlinear.
     """
     if alpha <= 0 or beta <= 0 or eps <= 0:
         raise ConfigurationError(
             f"quadratic-scalar needs positive alpha, beta, eps; "
             f"got ({alpha}, {beta}, {eps})")
-
-    def flow(t, x):
-        return x * np.exp(-alpha * t)[..., None]
-
-    def hazard_integral(t, x):
-        bx2 = np.maximum(beta * x[..., 0] ** 2, 0.0)
-        return bx2 * -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)
-
-    def drift_integral(t, x):
-        return x * np.expm1(-alpha * t)[..., None]
-
-    hooks = AnalyticHooks(
-        flow=flow,
-        hazard_integral=(hazard_integral,),
-        hazard_inverse=(_saturating_inverse(2.0 * alpha,
-                                            lambda x0: beta * (x0 * x0)),),
-        drift_integral=drift_integral)
-    return RteModel(
-        dim=1,
-        drift=lambda x: -alpha * x,
-        rates=(lambda x: beta * x[..., 0] ** 2,),
-        jumps=[[eps]],
-        lipschitz_f=alpha,
-        analytic=hooks,
-        name="quadratic-scalar",
-    )
+    return _scalar_decay("quadratic-scalar", alpha, lambda x0: beta * (x0 * x0),
+                         2, eps)
 
 
 # viral replication rates (per day): template/genome/structural kinetics

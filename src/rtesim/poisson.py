@@ -125,19 +125,22 @@ class PathBundle:
 class EpochWindows:
     """The current epoch batch of every (row, process) stream of a block.
 
-    Row i reads the streams of replication ``replications[i]``.  Each
-    stream draws its batches exactly as PoissonPath does, so a window holds
-    the epochs PoissonPath would list at the same positions; only the batch
-    that the cursor sits in is kept.  A cursor sits on the first epoch above
-    the latest clock queried; clocks never decrease.
+    Row i reads the streams of replication ``replications[i]`` (an int
+    array).  Each stream draws its batches exactly as PoissonPath does, so
+    a window holds the epochs PoissonPath would list at the same positions;
+    only the batch that the cursor sits in is kept.  A cursor sits on the
+    first epoch above the latest clock queried; clocks never decrease.
     """
 
     def __init__(self, master_seed, replications, p):
         self.master_seed = master_seed
-        self.replications = list(replications)
-        m = len(self.replications)
+        reps = list(replications)
+        self.replications = np.array(reps, dtype=np.int64)
+        m = len(reps)
+        # keyed by the caller's values: a non-integer replication raises
+        # here instead of being truncated by the int array
         self.gens = np.array([[epoch_generator(master_seed, j, k) for k in range(p)]
-                              for j in self.replications], dtype=object).reshape(m, p)
+                              for j in reps], dtype=object).reshape(m, p)
         self.win = next_epochs(self.gens.ravel(), np.zeros(m * p)).reshape(m, p, BATCH)
         self.cur = np.zeros((m, p), dtype=np.intp)
         self.drawn = np.zeros((m, p), dtype=np.int64)
@@ -185,7 +188,7 @@ class EpochWindows:
 
     def keep(self, mask):
         """Drop the rows where ``mask`` is False."""
-        self.replications = [j for j, kept in zip(self.replications, mask) if kept]
+        self.replications = self.replications[mask]
         self.gens = self.gens[mask]
         self.win = self.win[mask]
         self.cur = self.cur[mask]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, GridError, ImplicitSolveError,
                      NegativeStateError, QueryError, RteSimError)
-from .model import eval_drift, eval_rates, is_finite_number
+from .model import eval_drift, eval_rates, initial_state, is_finite_number
 from .poisson import EpochWindows, PathBundle
 
 QUADRATURES = ("euler", "midpoint", "trapezoidal",
@@ -159,10 +159,10 @@ def _phi3_vector(model, x, h, rule, clamp):
 def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx):
     """Picard iteration for y = x_prev + h*theta*f(y) + h*(1-theta)*f(x_prev) + disp.
 
-    ``theta`` is a float, or a column (m, 1) with one value per row of
-    (m, d).  Each row stops at its own first iterate within fp_tol of the
-    one before.  The map is a contraction for h*theta*L_f < 1; the
-    explicit full step is the initial guess.
+    ``theta`` is a column (m, 1), one value per row of (m, d).  Each row
+    stops at its own first iterate within fp_tol of the one before.  The
+    map is a contraction for h*theta*L_f < 1; the explicit full step is
+    the initial guess.
     """
     f_prev = eval_drift(model, x_prev)
     base = x_prev + h * (1.0 - theta) * f_prev + disp
@@ -179,9 +179,7 @@ def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx
             if done.all():
                 return out
             go = ~done
-            rows, base, y_next = rows[go], base[go], y_next[go]
-            if np.ndim(ht):
-                ht = ht[go]
+            rows, base, y_next, ht = rows[go], base[go], y_next[go], ht[go]
         y = y_next
     resid = float(resid[~done][0])
     raise ImplicitSolveError(
@@ -207,8 +205,7 @@ class _Layout:
     Row i runs ``configs[i // per_config]``.  The configs share h, fp_tol,
     fp_max_iter, negativity and clamp_phi3, and differ at most in theta
     and the quadrature rule; ``rules`` pairs each rule with its rows, and
-    ``implicit_theta`` is the theta of the implicit rows: a float when they
-    share one, else a column.
+    ``implicit_theta`` is the column of the implicit rows' thetas.
     """
 
     def __init__(self, configs, per_config):
@@ -221,9 +218,7 @@ class _Layout:
                       for q in dict.fromkeys(c.quadrature for c in configs)]
         self.explicit = _select(theta == 0.0)
         self.implicit = _select(theta > 0.0)
-        implicit = {c.theta for c in configs} - {0.0}
-        self.implicit_theta = (implicit.pop() if len(implicit) == 1
-                               else theta[self.implicit, None])
+        self.implicit_theta = theta[self.implicit, None]
 
     def row(self, i):
         """The layout of row i alone."""
@@ -386,13 +381,7 @@ def solve_lockstep(model, configs, epochs, x0, T):
             f"{len(configs)} configs")
     nbar = grid_steps(T, cfg.h)
     d, p = model.dim, model.jump_count
-    try:
-        x0 = np.asarray(x0, dtype=float).reshape(d)
-    except ValueError:
-        raise ConfigurationError(
-            f"initial state {x0!r} does not match model dimension {d}") from None
-    if not np.isfinite(x0).all():
-        raise ConfigurationError(f"initial state must be finite, got {x0!r}")
+    x0 = initial_state(model, x0)
     layout = _Layout(configs, B // len(configs))
     x = np.repeat(x0[None, :], B, axis=0)
     clocks = np.zeros((B, p))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -485,6 +486,31 @@ def _oracle_cases():
     }
 
 
+class TestLocalErrorStudy:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_local_error_study_names_the_failing_replication(self, threads):
+        # the exact paths of replications 2 and 3 meet an epoch gap below 1e-3
+        m = rs.builtin_linear_scalar(**SET1)
+        inverse = m.analytic.hazard_inverse[0]
+        hooks = dataclasses.replace(m.analytic, hazard_inverse=(
+            lambda delta, x: math.nan if delta < 1e-3 else inverse(delta, x),))
+        fragile = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks,
+                              name="fragile")
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.25)]
+        with pytest.raises(ModelEvaluationError) as info:
+            rs.strong_error(fragile, "exact", cfgs, [10.0], 0.5, 4, 0, threads=threads)
+        assert (info.value.replication, info.value.config) == (2, "reference")
+        with pytest.raises(ModelEvaluationError) as info:
+            analysis.local_error_study(fragile, cfgs, [10.0], 0.5, 4, 0, threads=threads)
+        e = info.value
+        assert (e.replication, e.config) == (2, None)
+        assert str(e).startswith("replication 2: hazard_inverse[0] returned nan")
+        assert e.x is not None
+        if threads == 1:  # a worker process sends back a remote traceback
+            assert isinstance(e.__cause__, ModelEvaluationError)
+            assert e.__cause__.replication is None
+
+
 class TestLocalErrorsAgainstStepLoop:
     """The batched sampler against the per-step loop it replaced."""
 
@@ -710,3 +736,34 @@ class TestMartingale:
         with pytest.raises(ConfigurationError):
             rs.martingale_check(m, lambda xs: xs[..., 0],
                                 lambda xs: np.ones_like(xs), [10.0], 1.0, 1, 0)
+
+
+class TestInitialState:
+    """Every solver and Monte Carlo routine checks x0 by one rule, before any work."""
+
+    BAD = [("inf", [math.inf]), ("nan", [math.nan]), ("shape", [1.0, 2.0])]
+
+    @pytest.mark.parametrize("case,x0", BAD, ids=[c for c, _ in BAD])
+    def test_bad_initial_state_is_a_configuration_error(self, case, x0):
+        m = rs.builtin_linear_scalar(**SET1)
+        cfg = rs.SolverConfig(theta=0.5, h=0.25)
+        F, gradF = (lambda xs: xs[..., 0]), np.ones_like
+        calls = {
+            "solve_trajectory": lambda: rs.solve_trajectory(
+                m, cfg, rs.PathBundle(0, 0, 1), x0, 1.0),
+            "exact_trajectory": lambda: rs.exact_trajectory(
+                m, rs.PathBundle(0, 0, 1), x0, 1.0, max_jumps=10),
+            "exact_block": lambda: rs.exact_block(
+                m, 0, range(2), x0, 1.0, lambda *a: None, max_jumps=10),
+            "martingale_check": lambda: rs.martingale_check(
+                m, F, gradF, x0, 1.0, 2, 0),
+            "strong_error": lambda: rs.strong_error(m, "exact", [cfg], x0, 1.0, 2, 0),
+            "local_error_study": lambda: analysis.local_error_study(
+                m, [cfg], x0, 1.0, 2, 0),
+        }
+        want = "must be finite" if case != "shape" else "does not match model dimension"
+        for name, call in calls.items():
+            start = time.perf_counter()
+            with pytest.raises(ConfigurationError, match=want):
+                call()
+            assert time.perf_counter() - start < 1.0, name

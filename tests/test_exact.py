@@ -63,6 +63,9 @@ class TestExactTrajectory:
         traj = rs.exact_trajectory(m, [fixed_path([1340.0])], [10.0], 1.0)
         assert traj.jump_count == 0
         assert traj.endpoint[0] == pytest.approx(10.0 * math.exp(-1.5), abs=1e-10)
+        assert traj.jump_times.shape == (0,) and traj.jump_ids.shape == (0,)
+        assert traj.states_post_jump.shape == (0, 1)
+        assert traj.seg_starts.tolist() == [0.0] and traj.seg_durations.tolist() == [1.0]
 
     def test_zero_jump_height_equals_flow(self):
         m = rs.builtin_linear_scalar(**SET1)
@@ -126,6 +129,14 @@ class TestExactTrajectory:
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.array_equal(a.seg_states, b.seg_states)
         assert np.array_equal(a.clocks, b.clocks)
+
+    def test_jump_log_is_the_segment_boundaries(self):
+        traj = rs.exact_trajectory(rs.builtin_linear_scalar(**SET1),
+                                   rs.PathBundle(4, 5, 1), [10.0], 1.0)
+        assert traj.jump_count > 10 and len(traj.seg_starts) == traj.jump_count + 1
+        assert np.array_equal(traj.jump_times, traj.seg_starts[1:])
+        assert np.array_equal(traj.states_post_jump, traj.seg_states[1:])
+        assert np.array_equal(traj.x0, traj.seg_states[0])
 
     def test_runaway_guard(self):
         m = rs.builtin_linear_scalar(**SET1)

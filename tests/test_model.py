@@ -6,6 +6,7 @@ from scipy import integrate
 
 import rtesim as rs
 from rtesim.errors import ConfigurationError, ModelEvaluationError
+from rtesim.model import _saturating_inverse
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 EQUILIBRIUM = np.array([20.0, 200.0, 10000.0])
@@ -243,3 +244,77 @@ class TestRegistry:
             "c": (0.5, 0.25, 0.25, 1.5, -0.75, 0.0)})
         f = rs.eval_drift(m, np.array([2.0, 2.0, 1.0]))
         assert f[2] == pytest.approx(0.0015, rel=1e-9)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def literal_linear(alpha, lam):
+    """The linear-scalar rate and hooks as their formulas read before the
+    scalar models shared _scalar_decay."""
+    return dict(
+        drift=lambda x: -alpha * x,
+        rate=lambda x: lam * x[..., 0],
+        flow=lambda t, x: x * np.exp(-alpha * t)[..., None],
+        hazard=lambda t, x: (np.maximum(lam * x[..., 0], 0.0)
+                             * -np.expm1(-alpha * t) / alpha),
+        inverse=_saturating_inverse(alpha, lambda x0: lam * x0),
+        drift_integral=lambda t, x: x * np.expm1(-alpha * t)[..., None])
+
+
+def literal_quadratic(alpha, beta):
+    """As literal_linear, for quadratic-scalar."""
+    return dict(
+        drift=lambda x: -alpha * x,
+        rate=lambda x: beta * x[..., 0] ** 2,
+        flow=lambda t, x: x * np.exp(-alpha * t)[..., None],
+        hazard=lambda t, x: (np.maximum(beta * x[..., 0] ** 2, 0.0)
+                             * -np.expm1(-2.0 * alpha * t) / (2.0 * alpha)),
+        inverse=_saturating_inverse(2.0 * alpha, lambda x0: beta * (x0 * x0)),
+        drift_integral=lambda t, x: x * np.expm1(-alpha * t)[..., None])
+
+
+class TestScalarDecay:
+    """Both scalar models equal their own formulas of before, bit for bit."""
+
+    SCALING = rs.ScalingSpec(N=100.0, alpha=(0.5,), c=(1.0,))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("alpha", [1.5, 2])
+    @pytest.mark.parametrize("name", ["linear-scalar", "quadratic-scalar"])
+    def test_hooks_and_rates_match_literal_formulas(self, name, alpha, scaled):
+        if name == "linear-scalar":
+            model = rs.builtin_linear_scalar(alpha=alpha, lam=200.0, eps=0.007)
+            want = literal_linear(alpha, 200.0)
+        else:
+            model = rs.builtin_quadratic_scalar(alpha=alpha, beta=20.0, eps=0.01)
+            want = literal_quadratic(alpha, 20.0)
+        up = down = 1.0  # multiplying by 1.0 leaves every bit
+        if scaled:
+            model = rs.apply_scaling(model, self.SCALING)
+            up = self.SCALING.state_factors()
+            down = 1.0 / up
+        hooks = model.analytic
+        # edge values, then enough random ones that a reordered product or
+        # quotient changes some bits
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([[0.0, 0.3, 1.3, 7.0, -0.4],
+                             rng.uniform(0.0, 12.0, 59)])[:, None] * down
+        ts = np.concatenate([[0.0, 1e-3, 0.4, 2.5, 0.7], rng.uniform(0.0, 3.0, 59)])
+        deltas = np.concatenate([[0.0, 1e-6, 0.3, 1e4, 5.0],
+                                 rng.uniform(0.0, 50.0, 59)])
+        # one state (d,) with one time, then the batch (m, d) with (m,)
+        for t, x in [*zip(ts.tolist(), xs), (ts, xs)]:
+            assert same_bits(model.drift(x),
+                             down * np.asarray(want["drift"](up * x), dtype=float))
+            assert same_bits(model.rates[0](x), want["rate"](up * x))
+            for key, hook in (("flow", hooks.flow),
+                              ("drift_integral", hooks.drift_integral)):
+                lit = down * np.asarray(want[key](t, up * x), dtype=float)
+                assert same_bits(hook(t, x), lit), key
+            assert same_bits(hooks.hazard_integral[0](t, x), want["hazard"](t, up * x))
+        for delta, x in [*zip(deltas.tolist(), xs), (deltas, xs)]:
+            assert same_bits(hooks.hazard_inverse[0](delta, x),
+                             want["inverse"](delta, up * x))

@@ -192,3 +192,12 @@ class TestEpochWindows:
         one = EpochWindows(2, [7], 3)
         clocks = np.array([[50.0, 0.5, 200.0]])
         assert np.array_equal(one.count(clocks), w.count(np.repeat(clocks, 2, 0))[1:])
+
+    def test_keep_drops_rows_of_the_replication_array(self):
+        w = EpochWindows(2, range(5), 1)
+        w.keep(np.array([True, False, True, False, True]))
+        assert w.replications.dtype == np.int64 and w.replications.tolist() == [0, 2, 4]
+        one = EpochWindows(2, w.replications[1:2], 1)
+        assert np.array_equal(one.win, EpochWindows(2, [2], 1).win)
+        with pytest.raises(TypeError):  # a key is never truncated to an int
+            EpochWindows(2, [1.5], 1)
