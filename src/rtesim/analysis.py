@@ -24,8 +24,8 @@ from .model import eval_drift, initial_state
 from .poisson import EpochWindows, PathBundle
 # strong_error calls solve_lockstep; solve_trajectory is imported so that
 # perfbench/tracer.py, which looks it up here by name, still finds it
-from .stepper import (SolverConfig, _phi3_vector, check_nesting, grid_steps,
-                      lockstep_key, solve_lockstep, solve_trajectory,
+from .stepper import (SolverConfig, _phi3_rows, _whole_ratio, check_nesting,
+                      grid_steps, lockstep_key, solve_lockstep, solve_trajectory,
                       step_size_warning)
 
 # ---------------------------------------------------------------------------
@@ -160,30 +160,33 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     Warns once per config (and fine-step reference) with h*theta*L_f >= 1.
 
     Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  The
-    configs that share h, fp_tol, fp_max_iter, negativity and clamp_phi3
-    form a group, in order of first appearance, cut into runs of at most
-    _BLOCK_ROWS // (rows of the first block) configs; the reference is a
-    group of one.  A task is one group on one block, which solve_lockstep
-    runs in lock step, config-major, so a task stores at most _BLOCK_ROWS
+    configs that share fp_tol, fp_max_iter, negativity and clamp_phi3 form
+    a group, in order of first appearance.  A group is sorted by h
+    (stably), split wherever an h is not a whole multiple of the one
+    before, and cut into runs of at most _BLOCK_ROWS // (rows of the first
+    block) configs; the reference is a group of one.  A task is one group
+    on one block, which solve_lockstep runs config-major in one pass per
+    step of the group's finest grid, so a task stores at most _BLOCK_ROWS
     rows of history.  The exact reference runs exact_trajectory on its
     rows one by one, at the scalar cost per jump.  Tasks run block by
-    block: the reference first, then the groups from finest to coarsest h,
-    so the longest tasks start first.
+    block: the reference first, then the groups from finest to coarsest
+    first h, so the longest tasks start first.
 
-    A block solve pays a fixed cost per step that barely grows with its
-    rows: on the linear-scalar study model at h = 2^-7 (2-vCPU VM), 4 rows
-    cost 42 to 154 us per step for each of theta0-euler, theta1-euler and
-    theta0.5-trapezoidal, 349 us together, and the three as one 12-row
-    group 170 us.  So the variants of a step size share the task of a
-    small block, and blocks are not split across threads.  A full block
-    solves each config alone: there a group's rule-by-rule calls cost more
-    than one config's calls on as many rows (1.14 against 1.01 s for
-    criterion 3's four variants at h = 1/160 on 128 rows).
+    A block solve pays a fixed cost per pass that grows slowly with its
+    rows: on the linear-scalar study model (M = 4, T = 5, 2-vCPU VM) the
+    three variants as six 12-row groups, h = 2^-2 to 2^-7, took 146 ms for
+    1260 steps, and as one 72-row group 92 ms for 640 passes.  So the
+    configs of a small block share its task, and blocks are not split
+    across threads.  A full block solves each config alone: there a
+    group's rule-by-rule calls cost more than one config's calls on as
+    many rows (1.14 against 1.01 s for criterion 3's four variants at h =
+    1/160 on 128 rows).
 
     A failure raises the error of the first failing task in that order,
-    at any thread count, then of its earliest failing step, then of its
-    lowest failing row (configs in group order, then replications),
-    naming the replication and the config.
+    at any thread count, then of its earliest failing pass, then of its
+    lowest failing row (configs in ascending h, then in order of
+    appearance, then replications), naming the replication and the config.
+    An error's ``step`` is the config's own step index.
     """
     configs = list(configs)
     if M < 1:
@@ -206,14 +209,20 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     for cfg in configs if use_exact else solvers:
         if message := step_size_warning(model, cfg):
             warnings.warn(message, stacklevel=2)
-    groups = {}
+    keyed = {}
     for k, cfg in enumerate(configs, start=1):
-        groups.setdefault(lockstep_key(cfg), []).append(k)
+        keyed.setdefault(lockstep_key(cfg), []).append(k)
+    chains = []  # ascending h, each a whole multiple of the one before
+    for g in keyed.values():
+        g = sorted(g, key=lambda k: solvers[k].h)
+        cuts = [i for i in range(1, len(g))
+                if _whole_ratio(solvers[g[i]].h, solvers[g[i - 1]].h) is None]
+        chains += [g[i:j] for i, j in zip([0] + cuts, cuts + [len(g)])]
     blocks = _blocks(M, _BLOCK_ROWS)
     size = max(1, _BLOCK_ROWS // len(blocks[0]))
-    groups = [[0]] + [g[i:i + size]
-                      for g in sorted(groups.values(), key=lambda g: solvers[g[0]].h)
-                      for i in range(0, len(g), size)]
+    groups = [[0]] + sorted((c[i:i + size] for c in chains
+                             for i in range(0, len(c), size)),
+                            key=lambda g: solvers[g[0]].h)
 
     def endpoints(group, reps):
         if group == [0] and use_exact:
@@ -325,8 +334,8 @@ def local_errors(model, exact, config):
     f_grid = eval_drift(model, x_grid)
     phi1 = (1.0 - config.theta) * f_grid[:-1] + config.theta * f_grid[1:]
     L = drift_int - h * phi1
-    phis, _ = _phi3_vector(model, x_grid[:-1], h, config.quadrature,
-                           config.clamp_phi3)
+    phis, _ = _phi3_rows(model, x_grid[:-1], h, config.quadrature,
+                         config.clamp_phi3)
     K = (hazard_int - h * phis) @ model.jumps
     L_abs = np.sqrt(np.sum(L * L, axis=1)).tolist()
     K_abs = np.sqrt(np.sum(K * K, axis=1)).tolist()

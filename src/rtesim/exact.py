@@ -81,45 +81,41 @@ def _require_hooks(model):
     return model.analytic
 
 
-def _scan_clocks(hooks, p, x, clocks, paths):
-    """Earliest clock to hit its next epoch: (k, dt, epoch)."""
-    best_k, best_dt, best_epoch = None, math.inf, math.inf
-    for k in range(p):
-        epoch = paths[k].next_epoch_after(clocks[k])
-        t_k = hooks.hazard_inverse[k](epoch - clocks[k], x)
-        if math.isnan(t_k) or t_k < 0.0:
-            raise ModelEvaluationError(
-                f"hazard_inverse[{k}] returned {t_k!r} at x={x!r}", x=x)
-        if t_k < best_dt:  # strict: ties break to the lowest index
-            best_k, best_dt, best_epoch = k, t_k, epoch
-    return best_k, best_dt, best_epoch
-
-
 def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
     """Davis construction on the given epoch streams over [0, T]."""
     hooks = _require_hooks(model)
     p = model.jump_count
-    flow = hooks.flow
-    hazard = hooks.hazard_integral
+    flow, inverses, hazards = hooks.flow, hooks.hazard_inverse, hooks.hazard_integral
+    next_epochs = [paths[j].next_epoch_after for j in range(p)]
+    jumps = list(model.jumps)
     x = x0 = initial_state(model, x0)
-    clocks = np.zeros(p)
+    clocks = [0.0] * p
     t = 0.0
     seg_starts, seg_states, seg_durs, jump_ids = [], [], [], []
     while True:
-        k, dt, epoch = _scan_clocks(hooks, p, x, clocks, paths)
+        # the clock that hits its next epoch first fires
+        k, dt, epoch = None, math.inf, math.inf
+        for j in range(p):
+            e_j = next_epochs[j](clocks[j])
+            t_j = inverses[j](e_j - clocks[j], x)
+            if math.isnan(t_j) or t_j < 0.0:
+                raise ModelEvaluationError(
+                    f"hazard_inverse[{j}] returned {t_j!r} at x={x!r}", x=x)
+            if t_j < dt:  # strict: ties break to the lowest index
+                k, dt, epoch = j, t_j, e_j
         final = k is None or t + dt > T
         if final:  # the last segment runs to T and no clock fires
             k, dt = None, max(T - t, 0.0)
         for j in range(p):
             if j != k:
-                clocks[j] += hazard[j](dt, x)
+                clocks[j] += hazards[j](dt, x)
         seg_starts.append(t)
         seg_states.append(x)
         seg_durs.append(dt)
         if final:
             break
         clocks[k] = epoch  # lands exactly on the epoch by the inverse identity
-        x = np.asarray(flow(dt, x), dtype=float) + model.jumps[k]
+        x = np.asarray(flow(dt, x), dtype=float) + jumps[k]
         t += dt
         jump_ids.append(k)
         if len(jump_ids) > max_jumps:
@@ -138,7 +134,7 @@ def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
         seg_starts=seg_starts,
         seg_states=seg_states,
         seg_durations=np.array(seg_durs),
-        clocks=clocks,
+        clocks=np.array(clocks),
         meta={"model": model.name},
     )
 

@@ -105,8 +105,9 @@ class PoissonPath:
         """Smallest epoch strictly greater than u."""
         if not (u >= 0.0) or not math.isfinite(u):
             raise QueryError(f"next_epoch_after needs finite u >= 0, got {u!r}")
-        self._extend_past(u)
         e = self._epochs
+        if not e or e[-1] <= u:
+            self._extend_past(u)
         return e[bisect.bisect_right(e, u)]
 
 
@@ -179,12 +180,17 @@ class EpochWindows:
             self._refill()
 
     def count(self, clocks):
-        """Number of epochs in (0, clock] of each stream, Y(clock), shape (m, p)."""
+        """Number of epochs in (0, clock] of each stream, Y(clock).
+
+        ``clocks`` (b, p) are those of the first b rows; the later rows'
+        clocks have not moved since they were last read.  Returns (b, p).
+        """
+        b = len(clocks)
         while True:
             # a window is sorted: the epochs at or below a clock come first
-            self.cur = (self.win <= clocks[..., None]).sum(axis=-1)
+            self.cur[:b] = (self.win[:b] <= clocks[..., None]).sum(axis=-1)
             if not self._refill():
-                return self.drawn + self.cur
+                return self.drawn[:b] + self.cur[:b]
 
     def keep(self, mask):
         """Drop the rows where ``mask`` is False."""

@@ -117,8 +117,9 @@ def _shifted_rates(model, x):
 def _phi3_rows(model, x, h, rule, clamp):
     """phi3 for all p processes at a state (d,) or a batch (m, d).
 
-    Returns (values, clamped): values of shape (p,) or (m, p), and the
-    number of clamped entries of each row, or None when none was clamped.
+    ``h`` is a number or a column (m, 1), one step size per row.  Returns
+    (values, clamped): values of shape (p,) or (m, p), and the number of
+    clamped entries of each row, or None when none was clamped.
     The midpoint/trapezoidal predictor points are shared across k, so the
     vector form costs p+1 rate evaluations instead of p*(p+1).  Only the
     improved rules can go negative, so only they are clamped.
@@ -150,19 +151,13 @@ def _phi3_rows(model, x, h, rule, clamp):
     return vals, None
 
 
-def _phi3_vector(model, x, h, rule, clamp):
-    """_phi3_rows with the clamps summed: (values, clamp_count)."""
-    vals, clamped = _phi3_rows(model, x, h, rule, clamp)
-    return vals, 0 if clamped is None else int(clamped.sum())
-
-
 def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx):
     """Picard iteration for y = x_prev + h*theta*f(y) + h*(1-theta)*f(x_prev) + disp.
 
-    ``theta`` is a column (m, 1), one value per row of (m, d).  Each row
-    stops at its own first iterate within fp_tol of the one before.  The
-    map is a contraction for h*theta*L_f < 1; the explicit full step is
-    the initial guess.
+    ``h`` and ``theta`` are columns (m, 1), one value per row of (m, d).
+    Each row stops at its own first iterate within fp_tol of the one
+    before.  The map is a contraction for h*theta*L_f < 1; the explicit
+    full step is the initial guess.
     """
     f_prev = eval_drift(model, x_prev)
     base = x_prev + h * (1.0 - theta) * f_prev + disp
@@ -202,22 +197,29 @@ def _select(mask):
 class _Layout:
     """Which config each row of a lock-step block runs.
 
-    Row i runs ``configs[i // per_config]``.  The configs share h, fp_tol,
-    fp_max_iter, negativity and clamp_phi3, and differ at most in theta
-    and the quadrature rule; ``rules`` pairs each rule with its rows, and
-    ``implicit_theta`` is the column of the implicit rows' thetas.
+    Row i runs ``configs[i // per_config]``.  The configs share fp_tol,
+    fp_max_iter, negativity and clamp_phi3, and differ at most in h, theta
+    and the quadrature rule.  ``h`` is the column of the rows' step sizes;
+    ``rules`` holds each rule with its rows and their ``h``, and the
+    explicit and implicit rows have their ``h`` and ``implicit_theta``
+    columns too.
     """
 
     def __init__(self, configs, per_config):
         self.configs, self.per_config = configs, per_config
         self.shared = configs[0]
         of_row = np.repeat(np.arange(len(configs)), per_config)
+        self.h = np.array([c.h for c in configs])[of_row, None]
         theta = np.array([c.theta for c in configs])[of_row]
         rule = np.array([c.quadrature for c in configs])[of_row]
-        self.rules = [(q, _select(rule == q))
-                      for q in dict.fromkeys(c.quadrature for c in configs)]
+        self.rules = []
+        for q in dict.fromkeys(c.quadrature for c in configs):
+            rows = _select(rule == q)
+            self.rules.append((q, rows, self.h[rows]))
         self.explicit = _select(theta == 0.0)
         self.implicit = _select(theta > 0.0)
+        self.explicit_h = self.h[self.explicit]
+        self.implicit_h = self.h[self.implicit]
         self.implicit_theta = theta[self.implicit, None]
 
     def row(self, i):
@@ -238,17 +240,17 @@ def _assemble(like, parts):
 def _step(model, layout, epochs, x, clocks, counts, step_idx):
     """One Theta-Maruyama update of every row: (x, clocks, counts Y(clocks), clamps).
 
-    phi3 is computed rule by rule on each rule's rows, and the Picard
-    iteration runs on the theta > 0 rows only; ``clamps`` lists (rows,
-    phi3 clamps of each of those rows) for the rules that clamped.
+    Each row steps by its own h.  phi3 is computed rule by rule on each
+    rule's rows, and the Picard iteration runs on the theta > 0 rows only;
+    ``clamps`` lists (rows, phi3 clamps of each of those rows) for the
+    rules that clamped.
     """
     cfg = layout.shared
-    h = cfg.h
     phi = [(rows, _phi3_rows(model, x[rows], h, rule, cfg.clamp_phi3))
-           for rule, rows in layout.rules]
+           for rule, rows, h in layout.rules]
     vals = _assemble(clocks, [(rows, v) for rows, (v, _) in phi])
     clamps = [(rows, c) for rows, (_, c) in phi if c is not None]
-    r = h * vals
+    r = layout.h * vals
     ahead = clocks + r
     if not (r.min() >= 0.0 and ahead.max() < math.inf):
         bad = np.argwhere(~((clocks <= ahead) & (ahead < math.inf)))
@@ -260,11 +262,12 @@ def _step(model, layout, epochs, x, clocks, counts, step_idx):
     disp = _jump_sum(ahead_counts - counts, model)
     parts = []
     if (rows := layout.explicit) is not None:
-        parts.append((rows, x[rows] + h * eval_drift(model, x[rows]) + disp[rows]))
+        parts.append((rows, x[rows] + layout.explicit_h * eval_drift(model, x[rows])
+                       + disp[rows]))
     if (rows := layout.implicit) is not None:
-        parts.append((rows, _implicit_solve(model, x[rows], h, layout.implicit_theta,
-                                            disp[rows], cfg.fp_tol, cfg.fp_max_iter,
-                                            step_idx)))
+        parts.append((rows, _implicit_solve(model, x[rows], layout.implicit_h,
+                                            layout.implicit_theta, disp[rows],
+                                            cfg.fp_tol, cfg.fp_max_iter, step_idx)))
     x_new = _assemble(x, parts)
     low = x_new.min(axis=-1) < 0.0
     if low.any():
@@ -276,10 +279,12 @@ def _step(model, layout, epochs, x, clocks, counts, step_idx):
     return x_new, ahead, ahead_counts, clamps
 
 
-def _raise_first_failing_row(model, layout, epochs, x, clocks, counts, step_idx):
-    """Step each row alone, in row order, and raise the first error, naming its row.
+def _raise_first_failing_row(model, layout, epochs, x, clocks, counts, steps):
+    """Step each row of ``layout`` alone, in row order, and raise the first
+    error, naming its row.
 
-    Rows do not interact, so a row fails alone as it fails in the block.
+    ``steps`` holds each config's own step index.  Rows do not interact, so
+    a row fails alone as it fails in the block.
     """
     for i in range(len(x)):
         one = EpochWindows(epochs.master_seed, epochs.replications[i:i + 1],
@@ -287,7 +292,7 @@ def _raise_first_failing_row(model, layout, epochs, x, clocks, counts, step_idx)
         one.count(clocks[i:i + 1])
         try:
             _step(model, layout.row(i), one, x[i:i + 1], clocks[i:i + 1],
-                  counts[i:i + 1], step_idx)
+                  counts[i:i + 1], steps[i // layout.per_config])
         except RteSimError as e:
             e.row = i
             raise
@@ -339,12 +344,12 @@ def step_size_warning(model, config):
     return None
 
 
-_LOCKSTEP_FIELDS = ("h", "fp_tol", "fp_max_iter", "negativity", "clamp_phi3")
+_LOCKSTEP_FIELDS = ("fp_tol", "fp_max_iter", "negativity", "clamp_phi3")
 
 
 def lockstep_key(config):
-    """What configs must share to run in one lock-step block: all but theta
-    and the quadrature rule."""
+    """What configs must share to run in one lock-step block: all but h,
+    theta and the quadrature rule."""
     return tuple(getattr(config, f) for f in _LOCKSTEP_FIELDS)
 
 
@@ -353,36 +358,50 @@ def solve_lockstep(model, configs, epochs, x0, T):
 
     ``epochs`` is a new EpochWindows of B = G * R rows for G configs; row i
     runs ``configs[i // R]``, so each config holds R consecutive rows.  The
-    configs must share h, fp_tol, fp_max_iter, negativity and clamp_phi3;
-    theta and the quadrature rule may differ.  A row computes exactly what
-    it computes alone, in any block and beside any configs: phi3 is
-    evaluated rule by rule on each rule's rows, and a theta = 0 row never
-    evaluates the drift at an implicit iterate.  Grid times are n*h by
-    integer multiplication, never accumulated.
+    configs must share fp_tol, fp_max_iter, negativity and clamp_phi3, and
+    come in ascending h, each h a whole multiple of the one before; theta
+    and the quadrature rule may differ.  One pass per step of the finest
+    grid, h_min = ``configs[0].h``: with m_c = h_c / h_min, pass n steps
+    the configs with (n + 1) % m_c == 0, a prefix of the rows, and a row
+    holds its state between its own steps.  A row computes exactly what it
+    computes alone, in any block and beside any configs: it steps by its
+    own h, phi3 is evaluated rule by rule on each rule's rows, and a theta
+    = 0 row never evaluates the drift at an implicit iterate.  Grid times
+    are n*h_min by integer multiplication, never accumulated.
 
-    Returns a Trajectory whose states are (nbar+1, B, d) and clocks
-    (nbar+1, B, p); ``meta`` holds ``configs``, the final ``jump_counts``
-    (B, p) and ``phi3_clamps``, the clamp count of each config.  A failing
-    block raises the error of its lowest-indexed row among those failing
-    at the earliest failing step, with ``row`` set to it.  Does not warn
-    about step sizes; solve_trajectory and strong_error do.
+    Returns a Trajectory on the finest grid, whose states are (nbar+1, B,
+    d) and clocks (nbar+1, B, p); config c's own trajectory is every m_c-th
+    step of its rows.  ``meta`` holds ``configs``, the final
+    ``jump_counts`` (B, p) and ``phi3_clamps``, the clamp count of each
+    config.  A failing block raises the error of its lowest-indexed row
+    among those failing at the earliest failing pass, with ``row`` set to
+    it and the row's own step index.  Does not warn about step sizes;
+    solve_trajectory and strong_error do.
     """
     configs = list(configs)
-    cfg = configs[0]
-    for other in configs[1:]:
-        if lockstep_key(other) != lockstep_key(cfg):
+    for prev, other in zip(configs, configs[1:]):
+        if (lockstep_key(other) != lockstep_key(prev)
+                or _whole_ratio(other.h, prev.h) is None):
             raise ConfigurationError(
-                f"configs {cfg.label()} and {other.label()} differ in one of "
-                f"{', '.join(_LOCKSTEP_FIELDS)}, so they cannot share a block")
-    B = len(epochs.replications)
-    if B % len(configs):
+                f"configs {prev.label()} and {other.label()} differ in one of "
+                f"{', '.join(_LOCKSTEP_FIELDS)}, or the second's h is not a whole "
+                f"multiple of the first's, so they cannot share a block")
+    B, G = len(epochs.replications), len(configs)
+    if B % G:
         raise ConfigurationError(
-            f"a block of {B} rows does not split evenly among "
-            f"{len(configs)} configs")
-    nbar = grid_steps(T, cfg.h)
+            f"a block of {B} rows does not split evenly among {G} configs")
+    R = B // G
+    nbar = grid_steps(T, configs[0].h)
+    ratios = [nbar // grid_steps(T, c.h) for c in configs]
+    # the rows that step when m divides the pass number; ascending, so a
+    # coarser level overwrites the passes it shares with a finer one
+    levels = {m: (c + 1) * R for c, m in enumerate(ratios)}
+    stepping = np.empty(nbar, dtype=np.int64)
+    for m, rows in levels.items():
+        stepping[m - 1::m] = rows
+    layouts = {rows: _Layout(configs[:rows // R], R) for rows in levels.values()}
     d, p = model.dim, model.jump_count
     x0 = initial_state(model, x0)
-    layout = _Layout(configs, B // len(configs))
     x = np.repeat(x0[None, :], B, axis=0)
     clocks = np.zeros((B, p))
     counts = np.zeros((B, p), dtype=np.int64)
@@ -391,16 +410,18 @@ def solve_lockstep(model, configs, epochs, x0, T):
     states[0] = x
     clock_hist[0] = clocks
     row_clamps = np.zeros(B, dtype=np.int64)
-    for n in range(nbar):
+    for n, b in enumerate(stepping.tolist()):
+        layout = layouts[b]
         try:
-            x, clocks, counts, clamps = _step(model, layout, epochs, x, clocks,
-                                              counts, n)
+            x_b, clocks_b, counts_b, clamps = _step(model, layout, epochs, x[:b],
+                                                    clocks[:b], counts[:b], n)
         except RteSimError as e:
             e.row = 0
-            if B > 1:
-                _raise_first_failing_row(model, layout, epochs, x, clocks,
-                                         counts, n)
+            if b > 1:
+                _raise_first_failing_row(model, layout, epochs, x[:b], clocks[:b],
+                                         counts[:b], [(n + 1) // m - 1 for m in ratios])
             raise
+        x[:b], clocks[:b], counts[:b] = x_b, clocks_b, counts_b
         for rows, c in clamps:
             row_clamps[rows] += c
         states[n + 1] = x
@@ -409,9 +430,9 @@ def solve_lockstep(model, configs, epochs, x0, T):
         "model": model.name,
         "configs": configs,
         "jump_counts": counts,
-        "phi3_clamps": row_clamps.reshape(len(configs), -1).sum(axis=1).tolist(),
+        "phi3_clamps": row_clamps.reshape(G, -1).sum(axis=1).tolist(),
     }
-    return Trajectory(grid=np.arange(nbar + 1) * cfg.h, states=states,
+    return Trajectory(grid=np.arange(nbar + 1) * configs[0].h, states=states,
                       clocks=clock_hist, meta=meta)
 
 

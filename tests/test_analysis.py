@@ -18,7 +18,7 @@ from rtesim import analysis
 from rtesim.analysis import ErrorRow, integrate_along_path
 from rtesim.errors import (ConfigurationError, FitError, ImplicitSolveError,
                            ModelEvaluationError, UnsupportedModelError)
-from rtesim.stepper import _phi3_vector, step_size_warning
+from rtesim.stepper import _phi3_rows, step_size_warning
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -270,6 +270,69 @@ class TestStrongError:
             assert rep.rows == reports[0].rows
             assert np.array_equal(rep.signed_errors, reports[0].signed_errors)
 
+    @staticmethod
+    def _task_counts(monkeypatch):
+        """The task count of every run_replications call, in call order."""
+        counts = []
+        run = analysis.run_replications
+
+        def counted(worker, M, threads=1):
+            counts.append(M)
+            return run(worker, M, threads)
+
+        monkeypatch.setattr(analysis, "run_replications", counted)
+        return counts
+
+    def test_nested_step_sizes_of_a_small_block_are_one_task(self, monkeypatch):
+        m = rs.builtin_linear_scalar(**SET1)
+        cfgs = [rs.SolverConfig(theta=t, h=h, quadrature=q)
+                for t, q in ((0.0, "euler"), (1.0, "euler"), (0.5, "trapezoidal"))
+                for h in (0.25, 0.5, 0.125)]
+        tasks = self._task_counts(monkeypatch)
+        grouped = rs.strong_error(m, "exact", cfgs, [10.0], 1.0, 4, 7)
+        assert tasks == [2]  # the exact reference and one group
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 4)  # every config alone
+        alone = rs.strong_error(m, "exact", cfgs, [10.0], 1.0, 4, 7)
+        assert tasks == [2, 1 + len(cfgs)]
+        assert np.array_equal(grouped.signed_errors, alone.signed_errors)
+        assert grouped.rows == alone.rows
+
+    def test_step_sizes_that_do_not_nest_form_separate_groups(self, monkeypatch):
+        m = rs.builtin_linear_scalar(**SET1)
+        cfgs = [rs.SolverConfig(theta=t, h=h) for h in (0.25, 0.1) for t in (0.0, 1.0)]
+        tasks = self._task_counts(monkeypatch)
+        grouped = rs.strong_error(m, "exact", cfgs, [10.0], 1.0, 4, 7)
+        assert tasks == [3]
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 4)
+        alone = rs.strong_error(m, "exact", cfgs, [10.0], 1.0, 4, 7)
+        assert np.array_equal(grouped.signed_errors, alone.signed_errors)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_of_the_earliest_pass_names_a_coarse_config(self, threads):
+        # the h = 1/4 rows stall at their first step, before any h = 1/8 row
+        model = rs.RteModel(1, lambda x: -0.5 * x * x,
+                            (lambda x: 3.0 * x[..., 0],), [[1.0]], name="stiffening")
+        cfgs = [rs.SolverConfig(theta=1.0, h=h) for h in (0.25, 0.125)]
+        stalls = {}
+        for c, cfg in enumerate(cfgs):
+            for j in range(8):
+                try:
+                    rs.solve_trajectory(model, cfg, rs.PathBundle(29, j, 1), [2.0], 4.0)
+                except ImplicitSolveError as e:
+                    stalls[c, j] = e.step
+        # the group steps h = 1/4 on every second pass of the h = 1/8 grid
+        # and holds its rows after those of h = 1/8
+        ratio, rank = (2, 1), (1, 0)
+        c, want = min(stalls, key=lambda cj: ((stalls[cj] + 1) * ratio[cj[0]],
+                                              rank[cj[0]], cj[1]))
+        assert c == 0 and any(k == 1 for k, _ in stalls)  # both configs stall
+        with pytest.raises(ImplicitSolveError) as info:
+            rs.strong_error(model, rs.SolverConfig(theta=0.0, h=0.0625), cfgs,
+                            [2.0], 4.0, 8, 29, threads=threads)
+        e = info.value
+        assert (e.replication, e.config, e.step) == (want, cfgs[0].label(),
+                                                     stalls[0, want])
+
     def test_signed_errors_are_endpoint_differences(self):
         m = rs.builtin_bacteriophage_scaled()
         ref_cfg = rs.SolverConfig(theta=0.0, h=0.05)
@@ -371,7 +434,7 @@ def reference_local_error(model, exact, config, n):
     x_n1 = exact.state_at(min(t1, exact.T))
     phi1 = ((1.0 - config.theta) * rs.eval_drift(model, x_n)
             + config.theta * rs.eval_drift(model, x_n1))
-    phis, _ = _phi3_vector(model, x_n, h, config.quadrature, config.clamp_phi3)
+    phis, _ = _phi3_rows(model, x_n, h, config.quadrature, config.clamp_phi3)
     L = drift_int - h * phi1
     K = (hazard_int - h * phis) @ model.jumps
     L_scale = np.abs(drift_int) + h * np.abs(phi1)

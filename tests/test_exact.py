@@ -7,7 +7,7 @@ from scipy import integrate
 
 import rtesim as rs
 from conftest import fixed_path, zero_rate_model
-from rtesim.errors import (ConfigurationError, ModelEvaluationError,
+from rtesim.errors import (ConfigurationError, ModelEvaluationError, QueryError,
                            RunawayJumpError, UnsupportedModelError)
 from rtesim.exact import exact_block
 
@@ -143,6 +143,25 @@ class TestExactTrajectory:
         with pytest.raises(RunawayJumpError):
             rs.exact_trajectory(m, rs.PathBundle(4, 0, 1), [10.0], 5.0,
                                 max_jumps=10)
+
+    def test_non_finite_clock_is_a_query_error(self):
+        # the second clock turns NaN at the first jump of the first process
+        m = birth_death()
+        hooks = dataclasses.replace(m.analytic, hazard_integral=(
+            m.analytic.hazard_integral[0], lambda t, x: math.nan))
+        bad = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
+        with pytest.raises(QueryError, match=r"^next_epoch_after needs finite u >= 0"):
+            rs.exact_trajectory(bad, rs.PathBundle(3, 0, 2), [10.0], 1.0)
+
+    def test_nan_inverse_names_the_process_and_state(self):
+        m = birth_death()
+        hooks = dataclasses.replace(m.analytic, hazard_inverse=(
+            m.analytic.hazard_inverse[0], lambda delta, x: math.nan))
+        bad = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
+        with pytest.raises(ModelEvaluationError,
+                           match=r"^hazard_inverse\[1\] returned nan at x=") as info:
+            rs.exact_trajectory(bad, rs.PathBundle(3, 0, 2), [10.0], 1.0)
+        assert np.array_equal(info.value.x, [10.0])
 
     def test_requires_hooks(self):
         with pytest.raises(UnsupportedModelError):

@@ -1,7 +1,9 @@
 """Byte-identity guard: the sha256 of every output file of the four experiments.
 
 Two tiny documents, linear-scalar and quadratic-scalar with the improved
-rules, run through ``cli.main`` in-process at --threads 1 and 2.  The pinned
+rules, run through ``cli.main`` in-process at --threads 1 and 2; a third,
+linear-scalar on a fine-step reference over three nested step sizes, runs
+through ``converge`` only.  The pinned
 digests were recorded with numpy 2.4.6; a refactor that means to keep every
 output bit must leave them as they are, and a change that means to move
 outputs re-records them on purpose: ``python tests/test_output_digests.py``
@@ -36,9 +38,21 @@ DOCS = {
                     "h": [0.5, 0.25]}],
         "T": 1.0, "x0": 1.0, "M": 6, "seed": 0, "reference": "exact",
     },
+    "linear-fine-step": {
+        "schema": 1,
+        "model": {"name": "linear-scalar",
+                  "params": {"alpha": 1.5, "lambda": 200.0, "epsilon": 0.007}},
+        "solver": [{"theta": 0.0, "quadrature": "euler", "h": [0.5, 0.25, 0.125]},
+                   {"theta": 1.0, "quadrature": "euler", "h": [0.5, 0.25, 0.125]},
+                   {"theta": 0.5, "quadrature": "trapezoidal",
+                    "h": [0.5, 0.25, 0.125]}],
+        "T": 1.0, "x0": 10.0, "M": 4, "seed": 5, "reference": {"h_ref": 0.0625},
+    },
 }
 ARGV = {"simulate": ["--sample-grid", "0.25"], "converge": [],
         "local-error": [], "diagnose": []}
+EXPERIMENTS = {"linear": list(ARGV), "quadratic": list(ARGV),
+               "linear-fine-step": ["converge"]}
 
 # per (document, experiment): {file: sha256}
 PINNED = {
@@ -85,6 +99,14 @@ PINNED = {
             '2af4dac972a2eafbc384a241e41b5e88f1777294496a1b2d044a0b646c75c19d',
         'meta.json':
             'c29e440cde2e637ee2e1dda498fa435b59fb0a46b22f7aa6e44c38683a2df8ca',
+    },
+    ('linear-fine-step', 'converge'): {
+        'fit.txt':
+            '2096bdcaa4cc8bf31d6ca514d36313bdccc39d20a85b88fc5b7a4fd85c8f1e74',
+        'meta.json':
+            '4903dbc9ed410d4feef74db6385395c23f04cb79edc6404930c4bc0855c70466',
+        'report.csv':
+            '590f6c0933a9465ac6329175b2e9bf1d0ef2e487285c7922a99fa8cc15459935',
     },
     ('quadratic', 'simulate'): {
         'exact_grid.csv':
@@ -147,7 +169,7 @@ def digests(tmp_path, doc, experiment, threads):
 
 @pytest.mark.parametrize("name", sorted(DOCS))
 def test_outputs_match_pinned_digests(tmp_path, name, capsys):
-    for experiment in ARGV:
+    for experiment in EXPERIMENTS[name]:
         want = PINNED[name, experiment]
         for threads in (1, 2):
             got = digests(tmp_path, DOCS[name], experiment, threads)
@@ -164,7 +186,7 @@ if __name__ == "__main__":
     for name in sorted(DOCS):
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()):
-            for exp in ARGV:
+            for exp in EXPERIMENTS[name]:
                 table[name, exp] = digests(pathlib.Path(tmp), DOCS[name], exp, 1)
     for key, files in table.items():
         print(f"    {key!r}: {{")

@@ -193,6 +193,16 @@ class TestEpochWindows:
         clocks = np.array([[50.0, 0.5, 200.0]])
         assert np.array_equal(one.count(clocks), w.count(np.repeat(clocks, 2, 0))[1:])
 
+    def test_count_of_a_prefix_leaves_the_later_rows(self):
+        # a multi-rate block reads only the rows that step; the rest keep
+        # their cursors until their clocks move again
+        w = EpochWindows(2, [4, 7, 9], 1)
+        clocks = np.array([[300.0], [20.0], [150.0]])
+        assert np.array_equal(w.count(clocks[:2]),
+                              EpochWindows(2, [4, 7], 1).count(clocks[:2]))
+        assert w.cur[2, 0] == 0 and w.drawn[2, 0] == 0
+        assert np.array_equal(w.count(clocks), EpochWindows(2, [4, 7, 9], 1).count(clocks))
+
     def test_keep_drops_rows_of_the_replication_array(self):
         w = EpochWindows(2, range(5), 1)
         w.keep(np.array([True, False, True, False, True]))

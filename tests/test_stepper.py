@@ -8,7 +8,7 @@ from conftest import fixed_windows, zero_rate_model
 from rtesim.errors import (ConfigurationError, GridError, ImplicitSolveError,
                            NegativeStateError, RteSimError)
 from rtesim.model import eval_drift
-from rtesim.stepper import _phi3_vector, check_nesting, solve_lockstep
+from rtesim.stepper import _phi3_rows, check_nesting, solve_lockstep
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -39,19 +39,19 @@ class TestPhi3:
         self.x = np.array([10.0])
 
     def test_euler_is_plain_rate(self):
-        assert _phi3_vector(self.m, self.x, 0.37, "euler", True)[0][0] == 2000.0
+        assert _phi3_rows(self.m, self.x, 0.37, "euler", True)[0][0] == 2000.0
 
     def test_midpoint_value(self):
         # 200 * (10*(1 - 0.0075) + 0.005*2000*0.007)
         expected = 200.0 * (10.0 * (1 - 0.0075) + 0.005 * 2000.0 * 0.007)
-        val = _phi3_vector(self.m, self.x, 0.01, "midpoint", True)[0][0]
+        val = _phi3_rows(self.m, self.x, 0.01, "midpoint", True)[0][0]
         assert val == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(1999.0, rel=1e-12)
 
     def test_improved_midpoint_value(self):
         # 200*9.925 + 0.005*2000*(200*10.007 - 2000)
         expected = 200.0 * 9.925 + 0.005 * 2000.0 * (200.0 * 10.007 - 2000.0)
-        val = _phi3_vector(self.m, self.x, 0.01, "improved-midpoint", True)[0][0]
+        val = _phi3_rows(self.m, self.x, 0.01, "improved-midpoint", True)[0][0]
         assert val == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1999.0, rel=1e-12)
 
@@ -62,7 +62,7 @@ class TestPhi3:
         for _ in range(200):
             x = np.array([rng.uniform(0.05, 30.0)])
             h = rng.choice([0.25, 0.1, 0.05, 0.01])
-            vals = [_phi3_vector(self.m, x, h, rule, True)[0][0] for rule in
+            vals = [_phi3_rows(self.m, x, h, rule, True)[0][0] for rule in
                     ("midpoint", "trapezoidal", "improved-midpoint",
                      "improved-trapezoidal")]
             assert max(vals) - min(vals) <= 1e-11 * max(map(abs, vals))
@@ -74,21 +74,26 @@ class TestPhi3:
                         (lambda x: 4.0 - 1.9 * x[..., 0],), [[1.0]],
                         name="collapsing")
         x = np.array([2.0])
-        raw = _phi3_vector(m, x, 15.0, "improved-midpoint", False)[0][0]
+        raw = _phi3_rows(m, x, 15.0, "improved-midpoint", False)[0][0]
         assert raw < 0.0
-        assert _phi3_vector(m, x, 15.0, "improved-midpoint", True)[0][0] == 0.0
+        assert _phi3_rows(m, x, 15.0, "improved-midpoint", True)[0][0] == 0.0
+
+
+def _clamp_total(clamped):
+    """The phi3 clamps that _phi3_rows counted, summed over its rows."""
+    return 0 if clamped is None else int(clamped.sum())
 
 
 def _phi3_batch_and_rows(model, xs, h, rule):
-    batch, nclamp = _phi3_vector(model, xs, h, rule, True)
-    rows = [_phi3_vector(model, x, h, rule, True) for x in xs]
+    batch, clamped = _phi3_rows(model, xs, h, rule, True)
+    rows = [_phi3_rows(model, x, h, rule, True) for x in xs]
     assert batch.shape == (len(xs), model.jump_count)
-    assert nclamp == sum(n for _, n in rows)
+    assert _clamp_total(clamped) == sum(_clamp_total(c) for _, c in rows)
     return batch, np.array([v for v, _ in rows])
 
 
 class TestPhi3Batch:
-    """_phi3_vector on a batch (m, d) equals its rows taken one at a time."""
+    """_phi3_rows on a batch (m, d) equals its rows taken one at a time."""
 
     @pytest.mark.parametrize("rule", rs.QUADRATURES)
     @pytest.mark.parametrize("model,xs", [
@@ -117,10 +122,10 @@ class TestPhi3Batch:
                         name="collapsing")
         # rows 1 and 2 overshoot below zero; row 3's rate is clamped already
         xs = np.array([[2.0], [0.1], [3.0]])
-        raw, _ = _phi3_vector(m, xs, 15.0, "improved-midpoint", False)
+        raw, _ = _phi3_rows(m, xs, 15.0, "improved-midpoint", False)
         assert raw[0, 0] < 0.0 and raw[1, 0] < 0.0 and raw[2, 0] == 0.0
-        vals, nclamp = _phi3_vector(m, xs, 15.0, "improved-midpoint", True)
-        assert nclamp == 2
+        vals, clamped = _phi3_rows(m, xs, 15.0, "improved-midpoint", True)
+        assert _clamp_total(clamped) == 2
         assert np.array_equal(vals, np.zeros((3, 1)))
 
 
@@ -283,7 +288,7 @@ def _serial_implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter,
 
 def _serial_advance(model, config, paths, x, clocks, step_idx):
     h = config.h
-    vals, nclamp = _phi3_vector(model, x, h, config.quadrature, config.clamp_phi3)
+    vals, clamped = _phi3_rows(model, x, h, config.quadrature, config.clamp_phi3)
     r = h * vals
     dys = np.array([paths[k].increment(clocks[k], clocks[k] + r[k])
                     for k in range(model.jump_count)])
@@ -299,7 +304,7 @@ def _serial_advance(model, config, paths, x, clocks, step_idx):
         elif config.negativity == "error":
             raise NegativeStateError(
                 f"negative component at step {step_idx}: x={x_new!r}")
-    return x_new, r, dys, nclamp
+    return x_new, r, dys, _clamp_total(clamped)
 
 
 def serial_solve(model, config, paths, x0, T):
@@ -497,3 +502,75 @@ class TestLockstepGroups:
         cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(**other)]
         with pytest.raises(ConfigurationError, match="block"):
             solve_lockstep(model, cfgs, rs.EpochWindows(0, range(rows), 1), [10.0], 1.0)
+
+
+class TestMultiRate:
+    """A block over nested step sizes: a config's rows step on every m-th
+    pass of the finest grid, and compute what the config computes alone."""
+
+    HS = (1 / 32, 1 / 16, 1 / 8)
+
+    @pytest.mark.parametrize("name", sorted(GROUP_MODELS))
+    def test_rows_equal_single_config_solves_bitwise(self, name):
+        model, x0, T = GROUP_MODELS[name]
+        p = model.jump_count
+        cfgs = [rs.SolverConfig(theta=t, h=h, quadrature=q)
+                for h in self.HS for t, q in MIXED_GROUP]
+        reps = range(30, 37)
+        R = len(reps)
+        group = solve_lockstep(model, cfgs,
+                               rs.EpochWindows(ORACLE_SEED, list(reps) * len(cfgs), p),
+                               x0, T)
+        passes = np.arange(len(group.grid))
+        assert len(passes) == round(T / self.HS[0]) + 1
+        for c, cfg in enumerate(cfgs):
+            m = round(cfg.h / self.HS[0])
+            alone = rs.solve_trajectory(model, cfg, rs.EpochWindows(ORACLE_SEED, reps, p),
+                                        x0, T)
+            rows = slice(c * R, (c + 1) * R)
+            # between its own steps a row holds its state and clocks
+            assert np.array_equal(group.states[:, rows], alone.states[passes // m])
+            assert np.array_equal(group.clocks[:, rows], alone.clocks[passes // m])
+            assert np.array_equal(group.meta["jump_counts"][rows],
+                                  alone.meta["jump_counts"])
+            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"]
+        if name == "collapsing":  # only the coarsest configs clamp
+            assert group.meta["phi3_clamps"] == [0] * 12 + [49, 0, 28]
+
+    @pytest.mark.parametrize("hs", [(0.125, 0.25), (0.25, 0.125), (0.1, 0.25)])
+    def test_step_sizes_ascend_by_whole_multiples(self, hs):
+        model = rs.builtin_linear_scalar(**SET1)
+        cfgs = [rs.SolverConfig(theta=0.0, h=h) for h in hs]
+        windows = rs.EpochWindows(0, range(4), 1)
+        if hs == (0.125, 0.25):
+            assert solve_lockstep(model, cfgs, windows, [10.0], 1.0).states.shape == \
+                (9, 4, 1)
+        else:
+            with pytest.raises(ConfigurationError, match="block"):
+                solve_lockstep(model, cfgs, windows, [10.0], 1.0)
+
+    def test_error_of_a_coarse_config_that_fails_first_in_time(self):
+        # theta = 1 stalls once h*|y| nears 1: the h = 1/4 rows stall at
+        # their first step, the h = 1/8 rows later in time, the finest never
+        model = rs.RteModel(1, lambda x: -0.5 * x * x,
+                            (lambda x: 3.0 * x[..., 0],), [[1.0]], name="stiffening")
+        cfgs = [rs.SolverConfig(theta=1.0, h=h) for h in (1 / 16, 1 / 8, 1 / 4)]
+        reps = range(3, 19)
+        first = {}  # pass of the finest grid -> (config, solo error)
+        for c, cfg in enumerate(cfgs):
+            try:
+                rs.solve_trajectory(model, cfg, rs.EpochWindows(ORACLE_SEED, reps, 1),
+                                    [2.0], 4.0)
+            except ImplicitSolveError as e:
+                first.setdefault((e.step + 1) * 2 ** c - 1, (c, e))
+        assert sorted(c for c, _ in first.values()) == [1, 2]
+        c, want = first[min(first)]
+        assert c == 2 and want.step < min(first)  # its own step, not the pass
+        with pytest.raises(ImplicitSolveError) as info:
+            solve_lockstep(model, cfgs,
+                           rs.EpochWindows(ORACLE_SEED, list(reps) * len(cfgs), 1),
+                           [2.0], 4.0)
+        got = info.value
+        assert str(got) == str(want)
+        assert (got.step, got.residual) == (want.step, want.residual)
+        assert got.row == c * len(reps) + want.row
