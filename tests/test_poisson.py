@@ -201,7 +201,8 @@ class TestEpochWindows:
         assert np.array_equal(w.count(clocks[:2]),
                               EpochWindows(2, [4, 7], 1).count(clocks[:2]))
         assert w.cur[2, 0] == 0 and w.drawn[2, 0] == 0
-        assert np.array_equal(w.count(clocks), EpochWindows(2, [4, 7, 9], 1).count(clocks))
+        fresh = EpochWindows(2, [4, 7, 9], 1)
+        assert np.array_equal(w.count(clocks), fresh.count(clocks))
 
     def test_keep_drops_rows_of_the_replication_array(self):
         w = EpochWindows(2, range(5), 1)

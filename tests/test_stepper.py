@@ -525,8 +525,8 @@ class TestMultiRate:
         assert len(passes) == round(T / self.HS[0]) + 1
         for c, cfg in enumerate(cfgs):
             m = round(cfg.h / self.HS[0])
-            alone = rs.solve_trajectory(model, cfg, rs.EpochWindows(ORACLE_SEED, reps, p),
-                                        x0, T)
+            alone = rs.solve_trajectory(model, cfg,
+                                        rs.EpochWindows(ORACLE_SEED, reps, p), x0, T)
             rows = slice(c * R, (c + 1) * R)
             # between its own steps a row holds its state and clocks
             assert np.array_equal(group.states[:, rows], alone.states[passes // m])
