@@ -24,8 +24,8 @@ from .model import eval_drift, initial_state
 from .poisson import EpochWindows, PathBundle
 # strong_error calls solve_lockstep; solve_trajectory is imported so that
 # perfbench/tracer.py, which looks it up here by name, still finds it
-from .stepper import (SolverConfig, _phi3_rows, _whole_ratio, check_nesting,
-                      grid_steps, lockstep_key, solve_lockstep, solve_trajectory,
+from .stepper import (SolverConfig, _phi3_rows, check_nesting, grid_steps,
+                      lockstep_chains, solve_lockstep, solve_trajectory,
                       step_size_warning)
 
 # ---------------------------------------------------------------------------
@@ -159,12 +159,10 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     PathBundle(master_seed, j, p).  Rows follow the order of ``configs``.
     Warns once per config (and fine-step reference) with h*theta*L_f >= 1.
 
-    Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  The
-    configs that share fp_tol, fp_max_iter, negativity and clamp_phi3 form
-    a group, in order of first appearance.  A group is sorted by h
-    (stably), split wherever an h is not a whole multiple of the one
-    before, and cut into runs of at most _BLOCK_ROWS // (rows of the first
-    block) configs; the reference is a group of one.  A task is one group
+    Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  Each
+    chain of stepper.lockstep_chains(configs) is cut into runs of at most
+    _BLOCK_ROWS // (rows of the first block) configs, which form the
+    groups; the reference is a group of one.  A task is one group
     on one block, which solve_lockstep runs config-major in one pass per
     step of the group's finest grid, so a task stores at most _BLOCK_ROWS
     rows of history.  The exact reference runs exact_trajectory on its
@@ -177,7 +175,9 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     three variants as six 12-row groups, h = 2^-2 to 2^-7, took 146 ms for
     1260 steps, and as one 72-row group 92 ms for 640 passes.  So the
     configs of a small block share its task, and blocks are not split
-    across threads.  A full block solves each config alone: there a
+    across threads.  Between M = 16 and 64, where a group fills most of a
+    block, grouping across step sizes measured as fast as grouping each h
+    alone.  A full block solves each config alone: there a
     group's rule-by-rule calls cost more than one config's calls on as
     many rows (1.14 against 1.01 s for criterion 3's four variants at h =
     1/160 on 128 rows).
@@ -209,18 +209,10 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     for cfg in configs if use_exact else solvers:
         if message := step_size_warning(model, cfg):
             warnings.warn(message, stacklevel=2)
-    keyed = {}
-    for k, cfg in enumerate(configs, start=1):
-        keyed.setdefault(lockstep_key(cfg), []).append(k)
-    chains = []  # ascending h, each a whole multiple of the one before
-    for g in keyed.values():
-        g = sorted(g, key=lambda k: solvers[k].h)
-        cuts = [i for i in range(1, len(g))
-                if _whole_ratio(solvers[g[i]].h, solvers[g[i - 1]].h) is None]
-        chains += [g[i:j] for i, j in zip([0] + cuts, cuts + [len(g)])]
     blocks = _blocks(M, _BLOCK_ROWS)
     size = max(1, _BLOCK_ROWS // len(blocks[0]))
-    groups = [[0]] + sorted((c[i:i + size] for c in chains
+    groups = [[0]] + sorted(([k + 1 for k in c[i:i + size]]
+                             for c in lockstep_chains(configs)
                              for i in range(0, len(c), size)),
                             key=lambda g: solvers[g[0]].h)
 

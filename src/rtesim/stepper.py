@@ -353,14 +353,37 @@ def lockstep_key(config):
     return tuple(getattr(config, f) for f in _LOCKSTEP_FIELDS)
 
 
+def lockstep_chains(configs):
+    """Split ``configs`` into the runs that may share a lock-step block.
+
+    Configs with one lockstep_key form a group, in order of first
+    appearance; a group is sorted by h (stably) and split wherever an h is
+    not a whole multiple of the one before.  Returns lists of indices into
+    ``configs``, each in ascending h, the order solve_lockstep takes.
+    """
+    keyed = {}
+    for k, cfg in enumerate(configs):
+        keyed.setdefault(lockstep_key(cfg), []).append(k)
+    chains = []
+    for group in keyed.values():
+        group.sort(key=lambda k: configs[k].h)
+        chains.append(group[:1])
+        for prev, k in zip(group, group[1:]):
+            if _whole_ratio(configs[k].h, configs[prev].h) is None:
+                chains.append([])
+            chains[-1].append(k)
+    return chains
+
+
 def solve_lockstep(model, configs, epochs, x0, T):
     """Run several Theta-Maruyama configs over [0, T] on one block, in lock step.
 
     ``epochs`` is a new EpochWindows of B = G * R rows for G configs; row i
     runs ``configs[i // R]``, so each config holds R consecutive rows.  The
-    configs must share fp_tol, fp_max_iter, negativity and clamp_phi3, and
-    come in ascending h, each h a whole multiple of the one before; theta
-    and the quadrature rule may differ.  One pass per step of the finest
+    configs must form one chain of lockstep_chains, in its order: they
+    share fp_tol, fp_max_iter, negativity and clamp_phi3 and come in
+    ascending h, each h a whole multiple of the one before; theta and the
+    quadrature rule may differ.  One pass per step of the finest
     grid, h_min = ``configs[0].h``: with m_c = h_c / h_min, pass n steps
     the configs with (n + 1) % m_c == 0, a prefix of the rows, and a row
     holds its state between its own steps.  A row computes exactly what it
@@ -379,13 +402,11 @@ def solve_lockstep(model, configs, epochs, x0, T):
     solve_trajectory and strong_error do.
     """
     configs = list(configs)
-    for prev, other in zip(configs, configs[1:]):
-        if (lockstep_key(other) != lockstep_key(prev)
-                or _whole_ratio(other.h, prev.h) is None):
-            raise ConfigurationError(
-                f"configs {prev.label()} and {other.label()} differ in one of "
-                f"{', '.join(_LOCKSTEP_FIELDS)}, or the second's h is not a whole "
-                f"multiple of the first's, so they cannot share a block")
+    if lockstep_chains(configs) != [list(range(len(configs)))]:
+        raise ConfigurationError(
+            f"configs {', '.join(c.label() for c in configs)} cannot share a block: "
+            f"they must share {', '.join(_LOCKSTEP_FIELDS)} and come in ascending "
+            f"h, each a whole multiple of the one before")
     B, G = len(epochs.replications), len(configs)
     if B % G:
         raise ConfigurationError(

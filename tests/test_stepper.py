@@ -8,7 +8,7 @@ from conftest import fixed_windows, zero_rate_model
 from rtesim.errors import (ConfigurationError, GridError, ImplicitSolveError,
                            NegativeStateError, RteSimError)
 from rtesim.model import eval_drift
-from rtesim.stepper import _phi3_rows, check_nesting, solve_lockstep
+from rtesim.stepper import _phi3_rows, check_nesting, lockstep_chains, solve_lockstep
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -548,6 +548,22 @@ class TestMultiRate:
         else:
             with pytest.raises(ConfigurationError, match="block"):
                 solve_lockstep(model, cfgs, windows, [10.0], 1.0)
+
+    def test_chains_sort_by_step_size_and_split_where_it_does_not_nest(self):
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.25),
+                rs.SolverConfig(theta=1.0, h=0.125),
+                rs.SolverConfig(theta=0.0, h=0.2),
+                rs.SolverConfig(theta=0.5, h=0.5, quadrature="trapezoidal"),
+                rs.SolverConfig(theta=0.0, h=0.125, fp_tol=1e-10),
+                rs.SolverConfig(theta=0.5, h=0.125)]
+        # a key's configs in ascending h (stably), split before 0.2 and
+        # 0.25, which are no multiples of the h before; 0.5 is one of 0.25;
+        # fp_tol starts a key of its own
+        assert lockstep_chains(cfgs) == [[1, 5], [2], [0, 3], [4]]
+        model = rs.builtin_linear_scalar(**SET1)
+        for chain in lockstep_chains(cfgs):  # each is a block solve_lockstep takes
+            solve_lockstep(model, [cfgs[k] for k in chain],
+                           rs.EpochWindows(0, range(2 * len(chain)), 1), [10.0], 1.0)
 
     def test_error_of_a_coarse_config_that_fails_first_in_time(self):
         # theta = 1 stalls once h*|y| nears 1: the h = 1/4 rows stall at
