@@ -175,12 +175,12 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     three variants as six 12-row groups, h = 2^-2 to 2^-7, took 146 ms for
     1260 steps, and as one 72-row group 92 ms for 640 passes.  So the
     configs of a small block share its task, and blocks are not split
-    across threads.  Between M = 16 and 64, where a group fills most of a
-    block, grouping across step sizes measured as fast as grouping each h
-    alone.  A full block solves each config alone: there a
-    group's rule-by-rule calls cost more than one config's calls on as
-    many rows (1.14 against 1.01 s for criterion 3's four variants at h =
-    1/160 on 128 rows).
+    across threads.  Grouping across step sizes measured faster than
+    grouping each h alone up to M = 16, and as fast at M = 32 and 64,
+    where a group fills most of a block.  A full block solves each config
+    alone: there a group's rule-by-rule calls cost more than one config's
+    calls on as many rows (1.14 against 1.01 s for criterion 3's four
+    variants at h = 1/160 on 128 rows).
 
     A failure raises the error of the first failing task in that order,
     at any thread count, then of its earliest failing pass, then of its
