@@ -12,7 +12,7 @@ import math
 import multiprocessing as mp
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -108,8 +108,6 @@ class ErrorReport:
     """
 
     rows: list
-    seed: int = 0
-    meta: dict = field(default_factory=dict)
     signed_errors: np.ndarray = None
 
 
@@ -261,15 +259,7 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
         ses = np.zeros(len(configs))
     rows = [ErrorRow(cfg.h, float(means[i]), float(ses[i]), M)
             for i, cfg in enumerate(configs)]
-    meta = {
-        "model": model.name,
-        "configs": labels,
-        "reference": "exact" if use_exact else f"h_ref={reference.h!r}",
-        "T": T,
-        "norm": norm,
-    }
-    return ErrorReport(rows=rows, seed=master_seed, meta=meta,
-                       signed_errors=signed)
+    return ErrorReport(rows=rows, signed_errors=signed)
 
 
 # ---------------------------------------------------------------------------

@@ -470,8 +470,16 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ConfigurationError; subparsers
+    inherit the class, so main reports every flag error as exit 1."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rte-sim",
         description="Simulation and strong-error experiments for "
                     "Poisson-driven hybrid jump systems.")
@@ -498,7 +506,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigurationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.threads < 1:
         print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ block of replications in lock step and streams their segments instead.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,6 @@ class ExactTrajectory:
     seg_states: np.ndarray
     seg_durations: np.ndarray
     clocks: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def jump_count(self):
@@ -135,7 +134,6 @@ def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
         seg_states=seg_states,
         seg_durations=np.array(seg_durs),
         clocks=np.array(clocks),
-        meta={"model": model.name},
     )
 
 

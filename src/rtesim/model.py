@@ -11,7 +11,7 @@ import math
 import numbers
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,34 +199,15 @@ def eval_rates(model, x):
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    """System-size normalisation X_i -> N^{-alpha_i} X_i.
-
-    ``c`` carries the rate exponents (entries beyond the jump count are
-    allowed for bookkeeping of deterministic reactions).  ``rho`` are the
-    jump-height decay exponents and default to ``c``; when given they must
-    dominate, c_k <= rho_k.  Only N and alpha affect the dynamics -- the
-    remaining exponents are metadata for the error-scaling bookkeeping.
-    """
+    """System-size normalisation X_i -> N^{-alpha_i} X_i."""
 
     N: float
     alpha: tuple
-    eta: float = 0.0
-    gamma: float = 0.0
-    c: tuple = ()
-    rho: tuple = None
 
     def __post_init__(self):
         if not (is_finite_number(self.N) and self.N > 0):
             raise ConfigurationError(f"scaling N must be positive, got {self.N}")
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        if self.rho is not None:
-            rho = tuple(float(v) for v in self.rho)
-            object.__setattr__(self, "rho", rho)
-            for ck, rk in zip(self.c, rho):
-                if ck > rk + 1e-12:
-                    raise ConfigurationError(
-                        f"scaling requires c_k <= rho_k, got c={ck} > rho={rk}")
 
     def state_factors(self):
         return np.array([self.N ** a for a in self.alpha])
@@ -252,9 +233,6 @@ def apply_scaling(model, spec):
     if len(spec.alpha) != model.dim:
         raise ConfigurationError(
             f"scaling alpha has length {len(spec.alpha)}, model dim is {model.dim}")
-    if len(spec.c) < model.jump_count:
-        raise ConfigurationError(
-            f"scaling c has length {len(spec.c)}, need >= {model.jump_count}")
     up = spec.state_factors()
     if not (np.isfinite(up) & (up > 0.0)).all():
         raise ConfigurationError(f"scaling factors N**alpha = {up} must be "
@@ -356,9 +334,9 @@ def _scalar_decay(name, alpha, rate, power, eps):
 
 def builtin_linear_scalar(alpha, lam, eps):
     """Scalar decay model dX = -alpha X dt + eps dY(lam * integral X)."""
-    if alpha <= 0 or lam <= 0 or eps <= 0:
+    if not all(is_finite_number(v) and v > 0 for v in (alpha, lam, eps)):
         raise ConfigurationError(
-            f"linear-scalar needs positive alpha, lambda, eps; "
+            f"linear-scalar needs finite positive alpha, lambda, eps; "
             f"got ({alpha}, {lam}, {eps})")
     return _scalar_decay("linear-scalar", alpha, lambda x0: lam * x0, 1, eps)
 
@@ -369,9 +347,9 @@ def builtin_quadratic_scalar(alpha=1.0, beta=2.0, eps=0.01):
     Used to exercise the improved quadrature rules, which only differ from
     the classical ones when the rates are nonlinear.
     """
-    if alpha <= 0 or beta <= 0 or eps <= 0:
+    if not all(is_finite_number(v) and v > 0 for v in (alpha, beta, eps)):
         raise ConfigurationError(
-            f"quadratic-scalar needs positive alpha, beta, eps; "
+            f"quadratic-scalar needs finite positive alpha, beta, eps; "
             f"got ({alpha}, {beta}, {eps})")
     return _scalar_decay("quadratic-scalar", alpha, lambda x0: beta * (x0 * x0),
                          2, eps)
@@ -409,9 +387,12 @@ def builtin_bacteriophage():
 
 
 def bacteriophage_scaling(N=10000.0):
-    """The published normalisation of the viral model (states become O(1))."""
-    return ScalingSpec(N=N, alpha=(0.25, 0.5, 1.0), eta=0.0, gamma=0.0,
-                       c=(0.5, 0.25, 0.25, 1.5, -0.75, 0.0))
+    """The published normalisation of the viral model (states become O(1)).
+
+    The rate constants are the published ones at this N, so only N and the
+    species exponents alpha transform the process.
+    """
+    return ScalingSpec(N=N, alpha=(0.25, 0.5, 1.0))
 
 
 def builtin_bacteriophage_scaled():

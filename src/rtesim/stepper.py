@@ -448,7 +448,6 @@ def solve_lockstep(model, configs, epochs, x0, T):
         states[n + 1] = x
         clock_hist[n + 1] = clocks
     meta = {
-        "model": model.name,
         "configs": configs,
         "jump_counts": counts,
         "phi3_clamps": row_clamps.reshape(G, -1).sum(axis=1).tolist(),
@@ -479,6 +478,6 @@ def solve_trajectory(model, config, epochs, x0, T):
     if one_bundle:
         traj.states, traj.clocks, counts = (traj.states[:, 0], traj.clocks[:, 0],
                                             counts[0])
-    traj.meta = {"model": model.name, "config": config, "jump_counts": counts,
+    traj.meta = {"config": config, "jump_counts": counts,
                  "phi3_clamps": traj.meta["phi3_clamps"][0]}
     return traj

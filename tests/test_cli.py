@@ -257,11 +257,20 @@ class TestExitCodes:
         ([], {"solver": [{"theta": 0.0, "h": [1e-300]}]}),
         ([], {"reference": {"h_ref": 1e-300},
               "solver": [{"theta": 0.0, "h": 0.5}]}),
-        ([], {"model": dict(LINEAR, scaling={"N": 1e300, "alpha": [2.0],
+        ([], {"model": dict(LINEAR, scaling={"N": 1e300, "alpha": [2.0]})}),
+        ([], {"model": dict(LINEAR, scaling={"N": 100.0, "alpha": [1.0],
                                              "c": [0.0]})}),
+        ([], {"model": dict(LINEAR, params=dict(LINEAR["params"],
+                                                alpha=float("nan")))}),
+        ([], {"model": dict(LINEAR, params=dict(LINEAR["params"],
+                                                alpha=float("inf")))}),
+        ([], {"model": dict(LINEAR, params=dict(LINEAR["params"],
+                                                **{"lambda": True}))}),
         ([], {"seed": True}),
         ([], {"seed": 1.5}),
         ([], {"seed": "3"}),
+        (["--seed", "abc"], {}),
+        (["--threads", "x"], {}),
     ], ids=["negative-seed", "string-horizon", "array-document",
             "array-model", "array-params", "array-name", "string-scaling",
             "string-x0", "nan-x0", "inf-x0",
@@ -270,7 +279,9 @@ class TestExitCodes:
             "string-reference-theta", "string-theta", "empty-h-list",
             "h-beyond-grid", "h-ref-beyond-grid", "huge-int-horizon",
             "bool-schema", "float-schema", "tiny-h", "tiny-h-ref",
-            "overflowing-scaling", "bool-seed", "float-seed", "string-seed"])
+            "overflowing-scaling", "scaling-rate-exponents", "nan-param",
+            "inf-param", "bool-param", "bool-seed", "float-seed", "string-seed",
+            "string-seed-flag", "string-threads-flag"])
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys,
                                                   argv, overrides):
         cfg = tmp_path / "c.json"
@@ -284,6 +295,19 @@ class TestExitCodes:
         lines = (out.out + out.err).splitlines()
         assert [ln for ln in lines if ln.startswith("error:")] == lines[:1]
         assert len(lines) == 1 and "Traceback" not in out.err
+
+    def test_missing_config_flag_is_one_error_line(self, capsys):
+        assert cli.main(["converge", "--threads", "1"]) == 1
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["converge", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["a\0b", "file"],
                              ids=["nul-byte", "existing-file"])
@@ -534,7 +558,7 @@ FUZZ_DOC = {
     "schema": 1,
     "model": {"name": "linear-scalar",
               "params": {"alpha": 1.5, "lambda": 200.0, "epsilon": 0.007},
-              "scaling": {"N": 100.0, "alpha": [1.0], "c": [0.0]}},
+              "scaling": {"N": 100.0, "alpha": [1.0]}},
     "solver": [{"theta": 0.5, "quadrature": "trapezoidal", "h": [0.5, 0.25],
                 "fp_tol": 1e-12, "fp_max_iter": 50, "negativity": "allow",
                 "clamp_phi3": True}],
@@ -644,7 +668,7 @@ RUN_DOCS = {
     "fine-step": dict(
         _RUN_BASE, x0=[0.1],
         model=dict(_RUN_BASE["model"],
-                   scaling={"N": 100.0, "alpha": [1.0], "c": [0.0]}),
+                   scaling={"N": 100.0, "alpha": [1.0]}),
         reference={"h_ref": 0.03125, "theta": 0.0, "quadrature": "euler",
                    "fp_tol": 1e-12, "fp_max_iter": 100,
                    "negativity": "reset-to-zero", "clamp_phi3": True}),

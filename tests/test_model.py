@@ -95,7 +95,7 @@ class TestScaling:
 
     def test_identity_scaling_changes_nothing(self):
         m = rs.builtin_linear_scalar(**SET1)
-        spec = rs.ScalingSpec(N=1.0, alpha=(2.0,), c=(1.0,))
+        spec = rs.ScalingSpec(N=1.0, alpha=(2.0,))
         sc = rs.apply_scaling(m, spec)
         t1 = rs.solve_trajectory(m, rs.SolverConfig(theta=0.0, h=0.25),
                                  rs.PathBundle(3, 0, 1), [10.0], 5.0)
@@ -119,7 +119,7 @@ class TestScaling:
 
     def test_scaled_model_keeps_hooks(self):
         m = rs.builtin_linear_scalar(**SET1)
-        spec = rs.ScalingSpec(N=100.0, alpha=(0.5,), c=(0.5,))
+        spec = rs.ScalingSpec(N=100.0, alpha=(0.5,))
         sc = rs.apply_scaling(m, spec)
         y = spec.scale_state([10.0])
         t = 0.4
@@ -131,11 +131,7 @@ class TestScaling:
     def test_dimension_mismatch_rejected(self):
         m = rs.builtin_linear_scalar(**SET1)
         with pytest.raises(ConfigurationError):
-            rs.apply_scaling(m, rs.ScalingSpec(N=10.0, alpha=(1.0, 1.0), c=(1.0,)))
-
-    def test_rate_exponents_must_be_dominated(self):
-        with pytest.raises(ConfigurationError):
-            rs.ScalingSpec(N=10.0, alpha=(1.0,), c=(1.0,), rho=(0.5,))
+            rs.apply_scaling(m, rs.ScalingSpec(N=10.0, alpha=(1.0, 1.0)))
 
 
 class TestLinearScalarHooks:
@@ -187,7 +183,7 @@ HOOK_MODELS = {
     "quadratic-scalar": (lambda: rs.builtin_quadratic_scalar(beta=20.0), 1.0),
     "linear-scalar-scaled": (lambda: rs.apply_scaling(
         rs.builtin_linear_scalar(**SET1),
-        rs.ScalingSpec(N=100.0, alpha=(1.0,), c=(0.0,))), 0.01),
+        rs.ScalingSpec(N=100.0, alpha=(1.0,))), 0.01),
 }
 
 
@@ -240,8 +236,7 @@ class TestRegistry:
 
     def test_scaling_block(self):
         m = rs.get_model("bacteriophage", scaling={
-            "N": 10000.0, "alpha": (0.25, 0.5, 1.0),
-            "c": (0.5, 0.25, 0.25, 1.5, -0.75, 0.0)})
+            "N": 10000.0, "alpha": (0.25, 0.5, 1.0)})
         f = rs.eval_drift(m, np.array([2.0, 2.0, 1.0]))
         assert f[2] == pytest.approx(0.0015, rel=1e-9)
 
@@ -279,7 +274,7 @@ def literal_quadratic(alpha, beta):
 class TestScalarDecay:
     """Both scalar models equal their own formulas of before, bit for bit."""
 
-    SCALING = rs.ScalingSpec(N=100.0, alpha=(0.5,), c=(1.0,))
+    SCALING = rs.ScalingSpec(N=100.0, alpha=(0.5,))
 
     @pytest.mark.parametrize("scaled", [False, True])
     @pytest.mark.parametrize("alpha", [1.5, 2])
