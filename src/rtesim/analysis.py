@@ -278,11 +278,19 @@ class LocalErrorSample:
 def local_errors(model, exact, config):
     """L and K of every grid step of ``config``, measured on ``exact``.
 
-    Returns one LocalErrorSample per step, in step order.  The path's flow
-    segments are split at the grid times and both integrals are summed in
-    closed form piece by piece, so the only approximation in a sample is
-    the quadrature rule under test.  Every hook is called once, on the
-    whole batch of pieces or grid states.
+    Returns one LocalErrorSample per step, in step order.
+    """
+    errs = _local_error_array(model, exact, config).tolist()
+    return [LocalErrorSample(n, L, K) for n, (L, K) in enumerate(errs)]
+
+
+def _local_error_array(model, exact, config):
+    """(L_abs, K_abs) of every grid step, shape (nbar, 2), in step order.
+
+    The path's flow segments are split at the grid times and both
+    integrals are summed in closed form piece by piece, so the only
+    approximation in a sample is the quadrature rule under test.  Every
+    hook is called once, on the whole batch of pieces or grid states.
     """
     hooks = model.analytic
     if hooks is None or hooks.drift_integral is None:
@@ -319,9 +327,8 @@ def local_errors(model, exact, config):
     phis, _ = _phi3_rows(model, x_grid[:-1], h, config.quadrature,
                          config.clamp_phi3)
     K = (hazard_int - h * phis) @ model.jumps
-    L_abs = np.sqrt(np.sum(L * L, axis=1)).tolist()
-    K_abs = np.sqrt(np.sum(K * K, axis=1)).tolist()
-    return [LocalErrorSample(n, L_abs[n], K_abs[n]) for n in range(nbar)]
+    return np.sqrt(np.stack([np.sum(L * L, axis=1), np.sum(K * K, axis=1)],
+                            axis=1))
 
 
 def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
@@ -329,15 +336,16 @@ def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
 
     Replication j's path is exact_trajectory on PathBundle(master_seed, j,
     p), one task per replication.  Returns one tuple per config, holding
-    each replication's samples in replication order.  A failure raises the
-    error of the lowest failing replication, naming it.
+    each replication's (nbar, 2) float array of (L_abs, K_abs) per step, in
+    replication order: an array pickles far smaller than its samples.  A
+    failure raises the error of the lowest failing replication, naming it.
     """
     p = model.jump_count
 
     def worker(j):
         try:
             traj = exact_trajectory(model, PathBundle(master_seed, j, p), x0, T)
-            return [local_errors(model, traj, cfg) for cfg in configs]
+            return [_local_error_array(model, traj, cfg) for cfg in configs]
         except RteSimError as e:
             raise in_replication(e, j) from e
 

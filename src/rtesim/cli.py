@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import (_norm_fn, fit_order, local_error_study,
+from .analysis import (_CHUNK_CAP, _norm_fn, fit_order, local_error_study,
                        martingale_check, strong_error)
 from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
@@ -31,6 +31,15 @@ from .stepper import (MAX_STEPS, SolverConfig, check_nesting, grid_steps,
 
 DEFAULT_SEED = 0x5EED
 EXPERIMENTS = ("simulate", "converge", "local-error", "diagnose")
+
+# Most replications a document may ask for.  strong_error keeps every
+# replication's signed errors, (M, nconfig, d) floats: at 10^6 that is 8 MB
+# per config and state component, and 100 times protocol scale (M = 10^4).
+MAX_REPLICATIONS = 10**6
+# Longest diagnose horizon.  Its path integrals split a flow segment into
+# chunks of at most _CHUNK_CAP time units, and a segment as long as T may
+# have no more chunks than a fixed-step grid has steps (MAX_STEPS).
+MAX_DIAGNOSE_T = MAX_STEPS * _CHUNK_CAP
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -194,6 +203,9 @@ def validate(config, sample_grid=None):
     T_ok = is_finite_number(config.T) and config.T > 0
     if not T_ok:
         err(f"horizon T must be a positive number, got {config.T!r}")
+    elif config.experiment == "diagnose" and config.T > MAX_DIAGNOSE_T:
+        err(f"horizon T={config.T!r} is above diagnose's limit of "
+            f"{MAX_DIAGNOSE_T:g}")
     x0 = doc.get("x0")
     values = x0 if isinstance(x0, list) else [x0]
     if x0 is None:
@@ -212,6 +224,9 @@ def validate(config, sample_grid=None):
     if (not isinstance(config.M, int) or isinstance(config.M, bool)
             or config.M < 1):
         err(f"replication count M must be a positive integer, got {config.M!r}")
+    elif config.M > MAX_REPLICATIONS:
+        err(f"replication count M={config.M} is above the limit of "
+            f"{MAX_REPLICATIONS}")
     elif config.experiment == "diagnose" and config.M < 2:
         err(f"diagnose needs M >= 2 replications, got {config.M}")
     entries = config.solver_entries
@@ -408,10 +423,10 @@ def _run_local_error(config, threads, comments):
     all_cfgs = [c for cfgs in config.variants for c in cfgs]
     per_cfg = local_error_study(config.model, all_cfgs, config.x0, config.T,
                                 config.M, config.seed, threads=threads)
-    # each generator binds its config's samples now; run reads them later
+    # each generator binds its config's arrays now; run reads them later
     return [(f"local_{cfg.label()}.csv", comments + [f"variant={cfg.label()}"],
              ["n", "L_abs", "K_abs"],
-             ((s.n, s.L_abs, s.K_abs) for samples in reps for s in samples))
+             ((n, L, K) for errs in reps for n, (L, K) in enumerate(errs.tolist())))
             for cfg, reps in zip(all_cfgs, per_cfg)]
 
 

@@ -13,11 +13,13 @@ batch each, and since a stream depends on its key alone, a row's epochs do
 not depend on which streams share the call.  ``PoissonPath`` keeps every
 epoch of one stream; ``EpochWindows``, the block solvers' reader, keeps
 only the batch each stream of a block is in and refills every exhausted
-window in one call.
+window in one call; a stream that several rows of a block read is drawn
+once and shared through a bank of its batches.
 """
 
 import bisect
 import math
+import operator
 
 import numpy as np
 
@@ -131,26 +133,60 @@ class EpochWindows:
     a window holds the epochs PoissonPath would list at the same positions;
     only the batch that the cursor sits in is kept.  A cursor sits on the
     first epoch above the latest clock queried; clocks never decrease.
+
+    A stream has one generator however many rows read it.  A stream that
+    one row reads draws into that row's window.  A stream that several rows
+    read, as the configs of a lock-step group do, is drawn once per block:
+    its batches go to a bank, each of its rows copies its next batch from
+    there, and the bank drops the batches that all those rows have left.
     """
 
     def __init__(self, master_seed, replications, p):
         self.master_seed = master_seed
-        reps = list(replications)
+        # a key is never truncated to an int: a non-integer replication raises
+        reps = [operator.index(j) for j in replications]
         self.replications = np.array(reps, dtype=np.int64)
-        m = len(reps)
-        # keyed by the caller's values: a non-integer replication raises
-        # here instead of being truncated by the int array
-        self.gens = np.array([[epoch_generator(master_seed, j, k) for k in range(p)]
-                              for j in reps], dtype=object).reshape(m, p)
-        self.win = next_epochs(self.gens.ravel(), np.zeros(m * p)).reshape(m, p, BATCH)
-        self.cur = np.zeros((m, p), dtype=np.intp)
-        self.drawn = np.zeros((m, p), dtype=np.int64)
+        slots = {}
+        stream = np.array([slots.setdefault(j, len(slots)) for j in reps],
+                          dtype=np.intp)
+        gens = np.array([[epoch_generator(master_seed, j, k) for k in range(p)]
+                         for j in slots], dtype=object).reshape(len(slots), p)
+        first = next_epochs(gens.ravel(), np.zeros(gens.size)).reshape(
+            len(slots), p, BATCH)
+        self.gens = gens[stream]
+        self.win = first if len(slots) == len(reps) else first[stream]
+        self.cur = np.zeros(self.gens.shape, dtype=np.intp)
+        self.drawn = np.zeros(self.gens.shape, dtype=np.int64)
+        # sid[i, k] is the bank row that holds the batches of row i's stream
+        # k, and negative when no other row reads that stream
+        shared = np.bincount(stream, minlength=len(slots)) > 1
+        slot = np.where(shared, np.cumsum(shared) - 1, -1)[stream]
+        self.sid = slot[:, None] * p + np.arange(p)
+        self.bank_gens = gens[shared].ravel()
+        self.bank = first[shared].reshape(-1, 1, BATCH)
+        # bank[s, i] holds stream s's batch base[s] + i; banked[s] were drawn
+        self.base = np.zeros(len(self.bank), dtype=np.int64)
+        self.banked = np.ones(len(self.bank), dtype=np.int64)
         self._reindex()
 
     def _reindex(self):
         m, p = self.cur.shape
         self._flat = self.win.reshape(-1)
         self._base = np.arange(m * p).reshape(m, p) * BATCH
+
+    def _make_room(self):
+        """Drop the batches that every row of their stream has left, and
+        leave room for as many batches again as the fullest stream keeps."""
+        shared = self.sid >= 0
+        low = self.banked - 1  # the newest batch stays: it seeds the next
+        np.minimum.at(low, self.sid[shared], self.drawn[shared] // BATCH)
+        live = (self.banked - low).max()
+        # past a stream's newest batch the slots hold no epochs: any will do
+        at = np.minimum((low - self.base)[:, None] + np.arange(live),
+                        self.bank.shape[1] - 1)
+        bank = np.empty((len(self.bank), 2 * live, BATCH))
+        bank[:, :live] = self.bank[np.arange(len(bank))[:, None], at]
+        self.bank, self.base = bank, low
 
     def _refill(self):
         """Load the next batch of every window whose cursor ran off its end.
@@ -160,10 +196,39 @@ class EpochWindows:
         full = np.nonzero(self.cur == BATCH)
         if full[0].size == 0:
             return False
-        self.win[full] = next_epochs(self.gens[full], self.win[full + (-1,)])
+        own = full
+        if len(self.bank):
+            sid = self.sid[full]
+            if (sid >= 0).all():
+                self._copy_banked(full, sid)
+                own = None
+            else:  # a block that mixes lone and shared rows
+                alone, (rows, ks) = sid < 0, full
+                self._copy_banked((rows[~alone], ks[~alone]), sid[~alone])
+                own = rows[alone], ks[alone]
+        if own is not None:
+            self.win[own] = next_epochs(self.gens[own], self.win[own + (-1,)])
         self.drawn[full] += BATCH
         self.cur[full] = 0
         return True
+
+    def _copy_banked(self, windows, sid):
+        """Copy the next batch of each of ``windows``, which read bank rows
+        ``sid``, from the bank, drawing each batch it lacks once."""
+        # a cursor leaves batch b - 1 before it asks for batch b, so a
+        # stream's next batch is at most one past its newest
+        want = self.drawn[windows] // BATCH + 1
+        if (fresh := want == self.banked[sid]).any():
+            new = np.zeros(len(self.bank), dtype=bool)
+            new[sid[fresh]] = True
+            streams = np.flatnonzero(new)
+            if (self.banked - self.base).max() == self.bank.shape[1]:
+                self._make_room()
+            n = self.banked[streams] - self.base[streams]
+            self.bank[streams, n] = next_epochs(self.bank_gens[streams],
+                                                self.bank[streams, n - 1, -1])
+            self.banked[streams] += 1
+        self.win[windows] = self.bank[sid, want - self.base[sid]]
 
     def next_after(self, clocks):
         """Smallest epoch strictly above each clock, shape (m, p).
@@ -199,4 +264,5 @@ class EpochWindows:
         self.win = self.win[mask]
         self.cur = self.cur[mask]
         self.drawn = self.drawn[mask]
+        self.sid = self.sid[mask]
         self._reindex()

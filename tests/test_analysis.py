@@ -550,6 +550,21 @@ def _oracle_cases():
 
 
 class TestLocalErrorStudy:
+    def test_arrays_hold_the_samples_of_local_errors(self):
+        m = rs.builtin_linear_scalar(**SET1)
+        cfgs = [rs.SolverConfig(theta=0.5, quadrature="trapezoidal", h=0.25),
+                rs.SolverConfig(theta=0.0, h=0.125)]
+        per_cfg = analysis.local_error_study(m, cfgs, [10.0], 1.0, 3, 5)
+        assert len(per_cfg) == len(cfgs)
+        for cfg, arrays in zip(cfgs, per_cfg):
+            assert len(arrays) == 3
+            for j, errs in enumerate(arrays):
+                traj = rs.exact_trajectory(m, rs.PathBundle(5, j, 1), [10.0], 1.0)
+                samples = rs.local_errors(m, traj, cfg)
+                assert [s.n for s in samples] == list(range(len(samples)))
+                assert errs.dtype == float and errs.shape == (len(samples), 2)
+                assert errs.tolist() == [[s.L_abs, s.K_abs] for s in samples]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_local_error_study_names_the_failing_replication(self, threads):
         # the exact paths of replications 2 and 3 meet an epoch gap below 1e-3

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import numbers
 import os
 import shutil
@@ -11,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import rtesim as rs
@@ -139,6 +140,16 @@ class TestValidate:
         assert cli.validate(config) == []
         assert config.reference == rs.SolverConfig(
             theta=0.0, h=1.0 / 320.0, quadrature="euler")
+
+    def test_replication_count_is_bounded(self, tmp_path):
+        # validate only: a run of this document would exhaust memory
+        doc = write_config(tmp_path / "c.json", M=10**11)
+        for experiment in cli.EXPERIMENTS:
+            assert cli.validate(make_config(doc, experiment)) == [
+                ("error", "replication count M=100000000000 is above the limit "
+                          "of 1000000")]
+        doc = write_config(tmp_path / "c.json", M=10**6)
+        assert cli.validate(make_config(doc)) == []
 
     def test_schema_required(self, tmp_path):
         doc = write_config(tmp_path / "c.json", schema=2)
@@ -325,6 +336,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("experiment,argv,overrides,prefix", [
         *[(e, [], {"error_norm": "l1"}, "error_norm: ") for e in cli.EXPERIMENTS],
         ("diagnose", [], {"M": 1}, "diagnose needs M >= 2"),
+        ("diagnose", [], {"T": 1e308}, "horizon T=1e+308 is above diagnose's limit"),
         *[("diagnose", [], {"observable": v}, "observable: ")
           for v in ([0], {"index": "0"}, {"index": True}, {"kind": "bogus"},
                     {"index": 5})],
@@ -340,6 +352,7 @@ class TestExitCodes:
         ("diagnose", ["--threads", "0"], {}, "--threads must be >= 1, got 0"),
         ("converge", ["--threads", "-3"], {}, "--threads must be >= 1, got -3"),
     ], ids=[*(f"{e}-error-norm" for e in cli.EXPERIMENTS), "diagnose-M-1",
+            "diagnose-T-above-limit",
             "array-observable", "string-index", "bool-index", "unknown-kind",
             "index-out-of-range", "sample-grid-0", "negative-sample-grid",
             "nan-sample-grid", "non-divisor-sample-grid",
@@ -591,8 +604,9 @@ JSON_VALUES = st.recursive(
 
 
 def _is_real(v):
+    # math.isfinite takes any real, np.isfinite no int of 2**64 or more
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and np.isfinite(v))
+            and math.isfinite(v))
 
 
 def _assert_typed(cfg):
@@ -619,6 +633,8 @@ class TestConfigFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(path=st.sampled_from(list(_field_paths(FUZZ_DOC))),
            value=JSON_VALUES, experiment=st.sampled_from(cli.EXPERIMENTS))
+    # an int past np.isfinite's range, which validate accepts as a tolerance
+    @example(path=("reference", "fp_tol"), value=2**64, experiment="converge")
     def test_validate_never_raises(self, path, value, experiment):
         doc = copy.deepcopy(FUZZ_DOC)
         parent = doc
@@ -632,6 +648,9 @@ class TestConfigFuzz:
         assert isinstance(config.model, rs.RteModel)
         assert _is_real(config.T) and config.T > 0
         assert isinstance(config.M, int) and not isinstance(config.M, bool)
+        assert config.M <= cli.MAX_REPLICATIONS
+        if experiment == "diagnose":
+            assert config.T <= cli.MAX_DIAGNOSE_T
         assert config.x0.dtype == float and config.x0.shape == (config.model.dim,)
         assert np.isfinite(config.x0).all()
         assert len(config.variants) == len(config.solver_entries)

@@ -204,6 +204,59 @@ class TestEpochWindows:
         fresh = EpochWindows(2, [4, 7, 9], 1)
         assert np.array_equal(w.count(clocks), fresh.count(clocks))
 
+    def test_rows_sharing_a_stream_match_rows_alone(self, monkeypatch):
+        # rows 0, 2 and 4 read replication 4, rows 1 and 3 replication 7 and
+        # row 5 replication 9; rows 4 and 5 wait while the others run 8 or more
+        # batches ahead, then catch up in one count
+        sizes = []
+        draw = poisson.next_epochs
+        monkeypatch.setattr(poisson, "next_epochs",
+                            lambda gens, last: sizes.append(len(gens)) or draw(gens, last))
+        reps = [4, 7, 4, 7, 4, 9]
+        w = EpochWindows(3, reps, 2)
+        rng = np.random.default_rng(8)
+        clocks = np.zeros((6, 2))
+        seen = []
+        for n in range(40):
+            b = 4 if n < 30 else 6
+            if n == 30:
+                assert (w.drawn[:4] >= 8 * BATCH).all() and (w.drawn[4:] == 0).all()
+                clocks[4:] = clocks[:2]
+            clocks[:b] += rng.exponential(60.0, (b, 2))
+            seen.append((b, clocks.copy(), w.count(clocks[:b]), w.next_after(clocks),
+                         w.win.copy(), w.drawn.copy()))
+        monkeypatch.undo()
+        # each stream drew each of its batches once, however many rows read it
+        batches = {}
+        for j, d in zip(reps, w.drawn):
+            batches[j] = np.maximum(batches.get(j, 0), d // BATCH + 1)
+        assert sum(sizes) == sum(v.sum() for v in batches.values())
+        alone = [EpochWindows(3, [j], 2) for j in reps]
+        for b, at, counts, nxt, win, drawn in seen:
+            for i, one in enumerate(alone):
+                if i < b:
+                    assert np.array_equal(one.count(at[i:i + 1])[0], counts[i])
+                assert np.array_equal(one.next_after(at[i:i + 1])[0], nxt[i])
+                assert np.array_equal(one.win[0], win[i])
+                assert np.array_equal(one.drawn[0], drawn[i])
+
+    def test_keep_leaves_shared_rows_as_rows_alone(self):
+        reps = [4, 7, 4, 7, 9]
+        w = EpochWindows(3, reps, 1)
+        alone = [EpochWindows(3, [j], 1) for j in reps]
+        clocks = np.zeros((5, 1))
+        mask = np.array([False, True, True, True, False])
+        for n in range(30):
+            if n == 10:
+                w.keep(mask)
+                alone = [one for one, k in zip(alone, mask) if k]
+                clocks = clocks[mask]
+            clocks += np.arange(1.0, len(clocks) + 1)[:, None] * 40.0
+            counts = w.count(clocks)
+            for i, one in enumerate(alone):
+                assert np.array_equal(one.count(clocks[i:i + 1])[0], counts[i])
+                assert np.array_equal(one.win[0], w.win[i])
+
     def test_keep_drops_rows_of_the_replication_array(self):
         w = EpochWindows(2, range(5), 1)
         w.keep(np.array([True, False, True, False, True]))
@@ -212,3 +265,5 @@ class TestEpochWindows:
         assert np.array_equal(one.win, EpochWindows(2, [2], 1).win)
         with pytest.raises(TypeError):  # a key is never truncated to an int
             EpochWindows(2, [1.5], 1)
+        with pytest.raises(TypeError):  # nor merged with an int it equals
+            EpochWindows(2, [1, 1.0], 1)
