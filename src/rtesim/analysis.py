@@ -337,7 +337,8 @@ def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
     Replication j's path is exact_trajectory on PathBundle(master_seed, j,
     p), one task per replication.  Returns one tuple per config, holding
     each replication's (nbar, 2) float array of (L_abs, K_abs) per step, in
-    replication order: an array pickles far smaller than its samples.  A
+    replication order: a worker sends less than half the bytes of the
+    LocalErrorSample lists and the parent unpickles no object per step.  A
     failure raises the error of the lowest failing replication, naming it.
     """
     p = model.jump_count

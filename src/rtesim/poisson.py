@@ -164,9 +164,9 @@ class EpochWindows:
         self.sid = slot[:, None] * p + np.arange(p)
         self.bank_gens = gens[shared].ravel()
         self.bank = first[shared].reshape(-1, 1, BATCH)
-        # bank[s, i] holds stream s's batch base[s] + i; banked[s] were drawn
+        # bank[s, i] holds stream s's batch base[s] + i, for i < held[s]
         self.base = np.zeros(len(self.bank), dtype=np.int64)
-        self.banked = np.ones(len(self.bank), dtype=np.int64)
+        self.held = np.ones(len(self.bank), dtype=np.int64)
         self._reindex()
 
     def _reindex(self):
@@ -176,17 +176,23 @@ class EpochWindows:
 
     def _make_room(self):
         """Drop the batches that every row of their stream has left, and
-        leave room for as many batches again as the fullest stream keeps."""
+        leave room for as many batches again as the fullest stream keeps.
+
+        Returns the number of batches dropped from each stream.
+        """
         shared = self.sid >= 0
-        low = self.banked - 1  # the newest batch stays: it seeds the next
-        np.minimum.at(low, self.sid[shared], self.drawn[shared] // BATCH)
-        live = (self.banked - low).max()
+        sid = self.sid[shared]
+        drop = self.held - 1  # the newest batch stays: it seeds the next
+        np.minimum.at(drop, sid, self.drawn[shared] // BATCH - self.base[sid])
+        live = (self.held - drop).max()
         # past a stream's newest batch the slots hold no epochs: any will do
-        at = np.minimum((low - self.base)[:, None] + np.arange(live),
-                        self.bank.shape[1] - 1)
+        at = np.minimum(drop[:, None] + np.arange(live), self.bank.shape[1] - 1)
         bank = np.empty((len(self.bank), 2 * live, BATCH))
         bank[:, :live] = self.bank[np.arange(len(bank))[:, None], at]
-        self.bank, self.base = bank, low
+        self.bank = bank
+        self.base += drop
+        self.held -= drop
+        return drop
 
     def _refill(self):
         """Load the next batch of every window whose cursor ran off its end.
@@ -217,18 +223,20 @@ class EpochWindows:
         ``sid``, from the bank, drawing each batch it lacks once."""
         # a cursor leaves batch b - 1 before it asks for batch b, so a
         # stream's next batch is at most one past its newest
-        want = self.drawn[windows] // BATCH + 1
-        if (fresh := want == self.banked[sid]).any():
+        want = self.drawn[windows] // BATCH + 1 - self.base[sid]
+        if (fresh := want == self.held[sid]).any():
             new = np.zeros(len(self.bank), dtype=bool)
             new[sid[fresh]] = True
             streams = np.flatnonzero(new)
-            if (self.banked - self.base).max() == self.bank.shape[1]:
-                self._make_room()
-            n = self.banked[streams] - self.base[streams]
+            n = self.held[streams]
+            if n.max() == self.bank.shape[1]:
+                drop = self._make_room()
+                want -= drop[sid]
+                n -= drop[streams]
             self.bank[streams, n] = next_epochs(self.bank_gens[streams],
                                                 self.bank[streams, n - 1, -1])
-            self.banked[streams] += 1
-        self.win[windows] = self.bank[sid, want - self.base[sid]]
+            self.held[streams] += 1
+        self.win[windows] = self.bank[sid, want]
 
     def next_after(self, clocks):
         """Smallest epoch strictly above each clock, shape (m, p).

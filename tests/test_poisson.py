@@ -240,6 +240,15 @@ class TestEpochWindows:
                 assert np.array_equal(one.win[0], win[i])
                 assert np.array_equal(one.drawn[0], drawn[i])
 
+    def test_bank_holds_only_batches_a_row_has_not_left(self):
+        w = EpochWindows(5, [2, 2, 2], 1)
+        clocks = np.zeros((3, 1))
+        for n in range(100):
+            clocks += [[30.0], [31.0], [29.0]]
+            w.count(clocks)
+        assert w.drawn.min() >= 20 * BATCH
+        assert len(w.bank) == 1 and w.bank.shape[1] <= 4  # of 24 drawn
+
     def test_keep_leaves_shared_rows_as_rows_alone(self):
         reps = [4, 7, 4, 7, 9]
         w = EpochWindows(3, reps, 1)
