@@ -604,7 +604,7 @@ JSON_VALUES = st.recursive(
 
 
 def _is_real(v):
-    # math.isfinite takes any real, np.isfinite no int of 2**64 or more
+    # np.isfinite raises TypeError on an int of 2**64 or more
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
             and math.isfinite(v))
 
