@@ -280,24 +280,27 @@ def local_errors(model, exact, config):
 
     Returns one LocalErrorSample per step, in step order.
     """
-    errs = _local_error_array(model, exact, config).tolist()
+    pieces = _step_pieces(model, exact, config.h)
+    errs = _local_error_array(model, pieces, config).tolist()
     return [LocalErrorSample(n, L, K) for n, (L, K) in enumerate(errs)]
 
 
-def _local_error_array(model, exact, config):
-    """(L_abs, K_abs) of every grid step, shape (nbar, 2), in step order.
+def _step_pieces(model, exact, h):
+    """What every config of step ``h`` reads of the path ``exact``.
 
-    The path's flow segments are split at the grid times and both
-    integrals are summed in closed form piece by piece, so the only
-    approximation in a sample is the quadrature rule under test.  Every
-    hook is called once, on the whole batch of pieces or grid states.
+    Returns (drift_int, hazard_int, x_grid, f_grid): per grid step the
+    drift integral (nbar, d) and the hazard integrals (nbar, p), per grid
+    time the state and its drift (nbar + 1, d).  The path's flow segments
+    are split at the grid times and both integrals are summed in closed
+    form piece by piece, so the only approximation in a local error is the
+    quadrature rule under test.  Every hook is called once, on the whole
+    batch of pieces or grid states.
     """
     hooks = model.analytic
     if hooks is None or hooks.drift_integral is None:
         raise UnsupportedModelError(
             f"local error sampling needs analytic hooks with a drift integral; "
             f"model {model.name!r} does not provide them")
-    h = config.h
     nbar = grid_steps(exact.T, h)
     grid = np.arange(nbar + 1) * h
     starts = exact.seg_starts
@@ -321,7 +324,17 @@ def _local_error_array(model, exact, config):
     drift_int = per_step(hooks.drift_integral)
     hazard_int = np.stack([per_step(f) for f in hooks.hazard_integral], axis=-1)
     x_grid = exact.state_at(np.minimum(grid, exact.T))
-    f_grid = eval_drift(model, x_grid)
+    return drift_int, hazard_int, x_grid, eval_drift(model, x_grid)
+
+
+def _local_error_array(model, pieces, config):
+    """(L_abs, K_abs) of every grid step, shape (nbar, 2), in step order.
+
+    ``pieces`` is _step_pieces of the path at config.h, which this only
+    reads; the theta rule and the quadrature of ``config`` are applied here.
+    """
+    drift_int, hazard_int, x_grid, f_grid = pieces
+    h = config.h
     phi1 = (1.0 - config.theta) * f_grid[:-1] + config.theta * f_grid[1:]
     L = drift_int - h * phi1
     phis, _ = _phi3_rows(model, x_grid[:-1], h, config.quadrature,
@@ -335,18 +348,25 @@ def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
     """local_errors of every config on the exact paths of M replications.
 
     Replication j's path is exact_trajectory on PathBundle(master_seed, j,
-    p), one task per replication.  Returns one tuple per config, holding
-    each replication's (nbar, 2) float array of (L_abs, K_abs) per step, in
-    replication order: a worker sends less than half the bytes of the
-    LocalErrorSample lists and the parent unpickles no object per step.  A
-    failure raises the error of the lowest failing replication, naming it.
+    p), one task per replication.  A task builds _step_pieces of its path
+    once per distinct step size, for every config of that h.
+    Returns one tuple per config, holding each replication's (nbar, 2)
+    float array of (L_abs, K_abs) per step, in replication order: a worker
+    sends less than half the bytes of the LocalErrorSample lists and the
+    parent unpickles no object per step.  A failure raises the error of the
+    lowest failing replication, naming it.
     """
     p = model.jump_count
 
     def worker(j):
         try:
             traj = exact_trajectory(model, PathBundle(master_seed, j, p), x0, T)
-            return [_local_error_array(model, traj, cfg) for cfg in configs]
+            tables, out = {}, []
+            for cfg in configs:
+                if cfg.h not in tables:
+                    tables[cfg.h] = _step_pieces(model, traj, cfg.h)
+                out.append(_local_error_array(model, tables[cfg.h], cfg))
+            return out
         except RteSimError as e:
             raise in_replication(e, j) from e
 

@@ -7,6 +7,7 @@ are byte-identical across repeated runs at any --threads value.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -59,6 +60,7 @@ _SOLVER_KEYS = {"theta", "quadrature", "h", "fp_tol", "fp_max_iter",
                 "negativity", "clamp_phi3"}
 _REFERENCE_KEYS = {"h_ref", "theta", "quadrature", "fp_tol", "fp_max_iter",
                    "negativity", "clamp_phi3"}
+_OBSERVABLE_KEYS = {"component": {"kind", "index"}, "sum": {"kind"}}
 
 
 def _reject_unknown(block, allowed, where):
@@ -147,6 +149,9 @@ def _observable(spec, dim):
     if not isinstance(spec, dict):
         raise ConfigurationError(f"must be an object, got {spec!r}")
     kind = spec.get("kind", "component")
+    if not isinstance(kind, str) or kind not in _OBSERVABLE_KEYS:
+        raise ConfigurationError(f"unknown kind {kind!r}")
+    _reject_unknown(spec, _OBSERVABLE_KEYS[kind], f"{kind} observable")
     if kind == "component":
         i = spec.get("index", 0)
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
@@ -158,11 +163,9 @@ def _observable(spec, dim):
             g[..., i] = 1.0
             return g
         return F, gradF
-    if kind == "sum":
-        F = lambda xs: np.asarray(xs, dtype=float).sum(axis=-1)
-        gradF = lambda xs: np.ones_like(np.asarray(xs, dtype=float))
-        return F, gradF
-    raise ConfigurationError(f"unknown kind {kind!r}")
+    F = lambda xs: np.asarray(xs, dtype=float).sum(axis=-1)
+    gradF = lambda xs: np.ones_like(np.asarray(xs, dtype=float))
+    return F, gradF
 
 
 def resolve_seed(cli_seed, doc):
@@ -450,6 +453,11 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
     if errors:  # one line, however many findings
         log("error: " + "; ".join(errors))
         return EXIT_CONFIG
+    # Freeze what the imports and validate left alive, before any pool
+    # forks: the interpreter's exit-time collection then skips it.  No
+    # collect first, which would cost set-up time, and no unfreeze after,
+    # so an in-process caller keeps those objects frozen too.
+    gc.freeze()
     stamp = (datetime.now(timezone.utc).isoformat(timespec="seconds")
              if timestamp else None)
     comments = _meta_comments(config, stamp)

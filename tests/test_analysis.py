@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import math
 import os
 import re
@@ -550,16 +551,29 @@ def _oracle_cases():
 
 
 class TestLocalErrorStudy:
-    def test_arrays_hold_the_samples_of_local_errors(self):
-        m = rs.builtin_linear_scalar(**SET1)
-        cfgs = [rs.SolverConfig(theta=0.5, quadrature="trapezoidal", h=0.25),
-                rs.SolverConfig(theta=0.0, h=0.125)]
-        per_cfg = analysis.local_error_study(m, cfgs, [10.0], 1.0, 3, 5)
+    @pytest.mark.parametrize("case", ["linear-scalar", "quadratic-scalar"])
+    def test_arrays_hold_the_samples_of_local_errors(self, monkeypatch, case):
+        m, x0 = {"linear-scalar": (rs.builtin_linear_scalar(**SET1), [10.0]),
+                 "quadratic-scalar": (rs.builtin_quadratic_scalar(
+                     alpha=1.0, beta=40.0, eps=0.01), [1.0])}[case]
+        # configs of one h share its piece table; their step sizes interleave
+        cfgs = [rs.SolverConfig(theta=theta, quadrature=rule, h=h)
+                for theta, rule, h in [
+                    (0.0, "euler", 0.25), (1.0, "euler", 0.125),
+                    (0.5, "trapezoidal", 0.25), (0.5, "improved-midpoint", 0.125),
+                    (0.0, "euler", 0.125), (1.0, "euler", 0.25),
+                    (0.5, "trapezoidal", 0.125), (0.5, "improved-midpoint", 0.25)]]
+        built = []
+        pieces = analysis._step_pieces
+        monkeypatch.setattr(analysis, "_step_pieces",
+                            lambda m, e, h: built.append(h) or pieces(m, e, h))
+        per_cfg = analysis.local_error_study(m, cfgs, x0, 1.0, 3, 5)
+        assert built == [0.25, 0.125] * 3  # one table per h per replication
         assert len(per_cfg) == len(cfgs)
         for cfg, arrays in zip(cfgs, per_cfg):
             assert len(arrays) == 3
             for j, errs in enumerate(arrays):
-                traj = rs.exact_trajectory(m, rs.PathBundle(5, j, 1), [10.0], 1.0)
+                traj = rs.exact_trajectory(m, rs.PathBundle(5, j, 1), x0, 1.0)
                 samples = rs.local_errors(m, traj, cfg)
                 assert [s.n for s in samples] == list(range(len(samples)))
                 assert errs.dtype == float and errs.shape == (len(samples), 2)
@@ -814,6 +828,28 @@ class TestMartingale:
         with pytest.raises(ConfigurationError):
             rs.martingale_check(m, lambda xs: xs[..., 0],
                                 lambda xs: np.ones_like(xs), [10.0], 1.0, 1, 0)
+
+
+class TestNoGcCalls:
+    """Only the CLI entry freezes the collector; an API caller owns its process."""
+
+    @pytest.mark.parametrize("driver", ["strong_error", "local_error_study",
+                                        "martingale_check"])
+    def test_drivers_leave_the_freeze_count_alone(self, driver):
+        m = rs.builtin_linear_scalar(**SET1)
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(theta=1.0, h=0.5)]
+        calls = {
+            "strong_error": lambda: rs.strong_error(
+                m, "exact", cfgs, [10.0], 1.0, 4, 0, threads=2),
+            "local_error_study": lambda: analysis.local_error_study(
+                m, cfgs, [10.0], 1.0, 4, 0, threads=2),
+            "martingale_check": lambda: rs.martingale_check(
+                m, lambda xs: xs[..., 0], np.ones_like, [10.0], 1.0, 4, 0,
+                threads=2),
+        }
+        before = gc.get_freeze_count()
+        calls[driver]()
+        assert gc.get_freeze_count() == before
 
 
 class TestInitialState:

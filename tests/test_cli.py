@@ -339,7 +339,8 @@ class TestExitCodes:
         ("diagnose", [], {"T": 1e308}, "horizon T=1e+308 is above diagnose's limit"),
         *[("diagnose", [], {"observable": v}, "observable: ")
           for v in ([0], {"index": "0"}, {"index": True}, {"kind": "bogus"},
-                    {"index": 5})],
+                    {"index": 5}, {"kind": "component", "indx": 1},
+                    {"kind": "sum", "index": 3}, {"kind": ["sum"]})],
         *[("simulate", ["--sample-grid", v], {}, "--sample-grid: ")
           for v in ("0", "-0.25", "nan", "0.3")],
         ("simulate", ["--sample-grid", "0.25"], {"reference": {"h_ref": 0.125}},
@@ -354,7 +355,8 @@ class TestExitCodes:
     ], ids=[*(f"{e}-error-norm" for e in cli.EXPERIMENTS), "diagnose-M-1",
             "diagnose-T-above-limit",
             "array-observable", "string-index", "bool-index", "unknown-kind",
-            "index-out-of-range", "sample-grid-0", "negative-sample-grid",
+            "index-out-of-range", "misspelled-index", "sum-with-index",
+            "list-kind", "sample-grid-0", "negative-sample-grid",
             "nan-sample-grid", "non-divisor-sample-grid",
             "sample-grid-fine-step-reference", "repeated-label", "zero-threads",
             "negative-threads"])
@@ -368,6 +370,18 @@ class TestExitCodes:
         lines = (out.out + out.err).splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: " + prefix)
         assert not (tmp_path / "out").exists()
+
+    def test_run_freezes_once_before_the_experiment(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "_run_converge",
+                            lambda *a, **k: calls.append("converge") or [])
+        bad = make_config(write_config(tmp_path / "bad.json", M=0))
+        assert cli.run(bad, threads=1, log=lambda *a: None) == 1
+        assert calls == []  # an invalid document exits before any work
+        config = make_config(write_config(tmp_path / "c.json", M=2))
+        assert cli.run(config, threads=1, timestamp=False, log=lambda *a: None) == 0
+        assert calls == ["freeze", "converge"]
 
     @pytest.mark.parametrize("exc,code", [
         (GridError("g"), 1),
