@@ -46,6 +46,11 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _workers(threads):
+    """Worker processes for ``threads``: at least 1, at most the usable CPUs."""
+    return min(max(1, int(threads)), _usable_cpus())
+
+
 def run_replications(worker, M, threads=1):
     """Evaluate worker(0..M-1), in index order, optionally in parallel.
 
@@ -54,7 +59,7 @@ def run_replications(worker, M, threads=1):
     CPUs.  When several tasks fail, the error of the lowest index is
     raised, at any thread count.
     """
-    threads = min(max(1, int(threads)), _usable_cpus())
+    threads = _workers(threads)
     if threads == 1 or M < 2:
         return [worker(j) for j in range(M)]
     try:
@@ -508,30 +513,6 @@ class MartingaleCheck:
         return math.hypot(self.se_lhs, self.se_rhs)
 
 
-class _PathSums:
-    """Per-row (K15, G7) composite sums of both martingale path integrals.
-
-    ``add`` takes each pass of exact_block's segments and hands them to
-    _gk_chunks at integrate_along_path's first level, with ``integrands``
-    returning the pair of integrands.  ``totals[i, 0]`` holds the Kronrod
-    and ``totals[i, 1]`` the Gauss sum of integrand i, per row.  A row's
-    sums are accumulated from its own chunks only, so they do not depend
-    on which rows share its block.
-    """
-
-    def __init__(self, flow, integrands, rows):
-        self.flow = flow
-        self.integrands = integrands
-        self.totals = np.zeros((2, 2, rows))
-
-    def add(self, rows, x, dur):
-        seg, kron, gauss = _gk_chunks(self.flow, self.integrands, x, dur, 1)
-        bins, width = rows[seg], self.totals.shape[2]
-        for i in range(len(kron)):
-            self.totals[i, 0] += np.bincount(bins, kron[i], minlength=width)
-            self.totals[i, 1] += np.bincount(bins, gauss[i], minlength=width)
-
-
 def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8):
     """Check the martingale and second-moment identities by exact simulation.
 
@@ -540,10 +521,12 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     same way, which keeps the per-path time integrals vectorised.
 
     Replications are solved by exact_block in blocks of
-    min(_MARTINGALE_BLOCK_ROWS, ceil(M / threads)) rows, one task each, so
-    each worker usually runs one block, and both path integrals are summed
-    as the paths are built.  A row's value is its Kronrod sum K15; a row
-    whose K15 and G7 sums differ by ``tol`` or more is recomputed by
+    min(_MARTINGALE_BLOCK_ROWS, ceil(M / workers)) rows, workers =
+    min(threads, usable CPUs), one task each.  Both path integrals are
+    summed as the paths are built, at integrate_along_path's first level;
+    a row's sums come from its own chunks only, so they do not depend on
+    its block.  A row's value is its Kronrod sum K15; a row whose K15 and
+    G7 sums differ by ``tol`` or more is recomputed by
     integrate_along_path on its exact_trajectory, which refines further.
     """
     if M < 2:
@@ -554,10 +537,17 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     f_start = float(np.asarray(F(x0.reshape(1, -1)), dtype=float).reshape(-1)[0])
 
     def worker(reps):
-        sums = _PathSums(model.analytic.flow, integrands, len(reps))
-        ends = exact_block(model, master_seed, reps, x0, T, sums.add)
+        kron, gauss = np.zeros((2, 2, len(reps)))  # per integrand and row
+
+        def add(rows, x, dur):
+            seg, k15, g7 = _gk_chunks(model.analytic.flow, integrands, x, dur, 1)
+            bins = rows[seg]
+            for i in range(len(k15)):
+                kron[i] += np.bincount(bins, k15[i], minlength=len(reps))
+                gauss[i] += np.bincount(bins, g7[i], minlength=len(reps))
+
+        ends = exact_block(model, master_seed, reps, x0, T, add)
         f_end = np.asarray(F(ends.endpoints), dtype=float).reshape(-1)
-        kron, gauss = sums.totals[:, 0], sums.totals[:, 1]
         vals = kron.copy()
         unsettled = ~(np.abs(kron - gauss) < tol)
         for row in np.flatnonzero(unsettled.any(axis=0)):
@@ -568,7 +558,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
                     traj, lambda xs, i=i: integrands(xs)[i], tol=tol)
         return f_end - f_start - vals[0], vals[1]
 
-    blocks = _blocks(M, min(_MARTINGALE_BLOCK_ROWS, -(-M // max(1, int(threads)))))
+    blocks = _blocks(M, min(_MARTINGALE_BLOCK_ROWS, -(-M // _workers(threads))))
     results = run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
     mf = np.concatenate([r[0] for r in results])
     qv = np.concatenate([r[1] for r in results])

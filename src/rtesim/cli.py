@@ -47,7 +47,6 @@ EXIT_CONFIG = 1
 EXIT_MODEL = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_ERRORS = (ConfigurationError, GridError)
 _MODEL_ERRORS = (ModelEvaluationError, UnsupportedModelError,
                  RunawayJumpError, QueryError)
 _NUMERICAL_ERRORS = (ImplicitSolveError, NegativeStateError, FitError)
@@ -246,9 +245,23 @@ def validate(config, sample_grid=None):
     if ref == "exact" and model is not None and model.analytic is None:
         err(f"reference 'exact' needs analytic hooks; model "
             f"{config.model_name!r} has none (use a fine-step reference)")
-    if isinstance(ref, SolverConfig) and T_ok and config.T / ref.h > MAX_STEPS:
-        err(f"reference step h_ref={ref.h!r} gives more than {MAX_STEPS} "
-            f"steps over T={config.T!r}")
+
+    def check_solver(cfg, step, where=""):
+        """Findings on one solver's step size and grid; whether its grid holds."""
+        if model is not None and (message := step_size_warning(model, cfg)):
+            warn(message + where)
+        try:
+            if T_ok:
+                grid_steps(config.T, cfg.h)
+            return True
+        except GridError:
+            err(f"{step}={cfg.h!r} does not divide T={config.T!r}")
+        except ConfigurationError as e:
+            err(f"{step}={cfg.h!r}: {e}")
+        return False
+
+    if isinstance(ref, SolverConfig) and not check_solver(
+            ref, "reference step h_ref", " (reference)"):
         ref = None  # its nesting checks would repeat the finding
     config.variants = []
     for entry in entries:
@@ -259,20 +272,12 @@ def validate(config, sample_grid=None):
             continue
         config.variants.append(cfgs)
         for cfg in cfgs:
-            if T_ok:
-                try:
-                    grid_steps(config.T, cfg.h)
-                except GridError:
-                    err(f"step size h={cfg.h!r} does not divide T={config.T!r}")
-                except ConfigurationError as e:
-                    err(f"step size h={cfg.h!r}: {e}")
+            check_solver(cfg, "step size h")
             if isinstance(ref, SolverConfig):
                 try:
                     check_nesting(ref.h, [cfg.h])
                 except GridError as e:
                     err(str(e))
-            if model is not None and (message := step_size_warning(model, cfg)):
-                warn(message)
     labels = [cfg.label() for cfgs in config.variants for cfg in cfgs]
     if repeated := sorted({label for label in labels if labels.count(label) > 1}):
         err(f"solver configs share the label(s) {', '.join(repeated)}; "
@@ -283,7 +288,7 @@ def validate(config, sample_grid=None):
     elif sample_grid is not None and T_ok:
         try:
             grid_steps(config.T, sample_grid)
-        except (ConfigurationError, GridError) as e:
+        except ConfigurationError as e:
             err(f"--sample-grid: {e}")
     if not config.output:
         err("output directory is required")
@@ -476,7 +481,7 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
         os.makedirs(config.output, exist_ok=True)
         names = [_write_table(config.output, *table) for table in tables]
         _write_table(config.output, *_meta_table(config, names, stamp))
-    except _CONFIG_ERRORS as e:
+    except ConfigurationError as e:
         log(f"error: {e}")
         return EXIT_CONFIG
     except _MODEL_ERRORS as e:

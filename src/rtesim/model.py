@@ -396,9 +396,7 @@ def bacteriophage_scaling(N=10000.0):
 
 
 def builtin_bacteriophage_scaled():
-    model = apply_scaling(builtin_bacteriophage(), bacteriophage_scaling())
-    model.name = "bacteriophage-scaled"
-    return model
+    return apply_scaling(builtin_bacteriophage(), bacteriophage_scaling())
 
 
 _REGISTRY = {

@@ -13,8 +13,9 @@ batch each, and since a stream depends on its key alone, a row's epochs do
 not depend on which streams share the call.  ``PoissonPath`` keeps every
 epoch of one stream; ``EpochWindows``, the block solvers' reader, keeps
 only the batch each stream of a block is in and refills every exhausted
-window in one call; a stream that several rows of a block read is drawn
-once and shared through a bank of its batches.
+window in one call.  A block in which several rows read one stream, a
+lock-step group, draws every stream's batches once into a bank that its
+rows copy from.
 """
 
 import bisect
@@ -134,11 +135,12 @@ class EpochWindows:
     only the batch that the cursor sits in is kept.  A cursor sits on the
     first epoch above the latest clock queried; clocks never decrease.
 
-    A stream has one generator however many rows read it.  A stream that
-    one row reads draws into that row's window.  A stream that several rows
-    read, as the configs of a lock-step group do, is drawn once per block:
-    its batches go to a bank, each of its rows copies its next batch from
-    there, and the bank drops the batches that all those rows have left.
+    A stream has one generator however many rows read it.  In a block
+    where no replication repeats, each stream draws into its row's window.
+    In a block where one does, as the configs of a lock-step group do,
+    every stream is banked: its batches are drawn once, into a bank, each
+    of its rows copies its next batch from there, and the bank drops the
+    batches that all those rows have left.
     """
 
     def __init__(self, master_seed, replications, p):
@@ -153,20 +155,19 @@ class EpochWindows:
                          for j in slots], dtype=object).reshape(len(slots), p)
         first = next_epochs(gens.ravel(), np.zeros(gens.size)).reshape(
             len(slots), p, BATCH)
+        banked = len(slots) < len(reps)
         self.gens = gens[stream]
-        self.win = first if len(slots) == len(reps) else first[stream]
+        self.win = first[stream] if banked else first
         self.cur = np.zeros(self.gens.shape, dtype=np.intp)
         self.drawn = np.zeros(self.gens.shape, dtype=np.int64)
-        # sid[i, k] is the bank row that holds the batches of row i's stream
-        # k, and negative when no other row reads that stream
-        shared = np.bincount(stream, minlength=len(slots)) > 1
-        slot = np.where(shared, np.cumsum(shared) - 1, -1)[stream]
-        self.sid = slot[:, None] * p + np.arange(p)
-        self.bank_gens = gens[shared].ravel()
-        self.bank = first[shared].reshape(-1, 1, BATCH)
+        # sid[i, k] is the bank row that holds the batches of row i's stream k
+        self.sid = stream[:, None] * p + np.arange(p)
+        n = gens.size if banked else 0
+        self.bank_gens = gens.ravel()[:n]
+        self.bank = first.reshape(-1, 1, BATCH)[:n]
         # bank[s, i] holds stream s's batch base[s] + i, for i < held[s]
-        self.base = np.zeros(len(self.bank), dtype=np.int64)
-        self.held = np.ones(len(self.bank), dtype=np.int64)
+        self.base = np.zeros(n, dtype=np.int64)
+        self.held = np.ones(n, dtype=np.int64)
         self._reindex()
 
     def _reindex(self):
@@ -180,10 +181,8 @@ class EpochWindows:
 
         Returns the number of batches dropped from each stream.
         """
-        shared = self.sid >= 0
-        sid = self.sid[shared]
         drop = self.held - 1  # the newest batch stays: it seeds the next
-        np.minimum.at(drop, sid, self.drawn[shared] // BATCH - self.base[sid])
+        np.minimum.at(drop, self.sid, self.drawn // BATCH - self.base[self.sid])
         live = (self.held - drop).max()
         # past a stream's newest batch the slots hold no epochs: any will do
         at = np.minimum(drop[:, None] + np.arange(live), self.bank.shape[1] - 1)
@@ -202,25 +201,18 @@ class EpochWindows:
         full = np.nonzero(self.cur == BATCH)
         if full[0].size == 0:
             return False
-        own = full
         if len(self.bank):
-            sid = self.sid[full]
-            if (sid >= 0).all():
-                self._copy_banked(full, sid)
-                own = None
-            else:  # a block that mixes lone and shared rows
-                alone, (rows, ks) = sid < 0, full
-                self._copy_banked((rows[~alone], ks[~alone]), sid[~alone])
-                own = rows[alone], ks[alone]
-        if own is not None:
-            self.win[own] = next_epochs(self.gens[own], self.win[own + (-1,)])
+            self._copy_banked(full)
+        else:
+            self.win[full] = next_epochs(self.gens[full], self.win[full + (-1,)])
         self.drawn[full] += BATCH
         self.cur[full] = 0
         return True
 
-    def _copy_banked(self, windows, sid):
-        """Copy the next batch of each of ``windows``, which read bank rows
-        ``sid``, from the bank, drawing each batch it lacks once."""
+    def _copy_banked(self, windows):
+        """Copy the next batch of each of ``windows`` from the bank, drawing
+        each batch it lacks once."""
+        sid = self.sid[windows]
         # a cursor leaves batch b - 1 before it asks for batch b, so a
         # stream's next batch is at most one past its newest
         want = self.drawn[windows] // BATCH + 1 - self.base[sid]

@@ -408,9 +408,10 @@ def solve_lockstep(model, configs, epochs, x0, T):
             f"they must share {', '.join(_LOCKSTEP_FIELDS)} and come in ascending "
             f"h, each a whole multiple of the one before")
     B, G = len(epochs.replications), len(configs)
-    if B % G:
+    if B == 0 or B % G:
         raise ConfigurationError(
-            f"a block of {B} rows does not split evenly among {G} configs")
+            f"a block of {B} rows does not split into {G} configs of one or "
+            f"more rows each")
     R = B // G
     nbar = grid_steps(T, configs[0].h)
     ratios = [nbar // grid_steps(T, c.h) for c in configs]

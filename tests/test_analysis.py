@@ -768,13 +768,22 @@ class TestMartingale:
             results.append(self._check(model, 20, 5, x0=x0))
         assert results[0] == results[1] == results[2]
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
         # at the default block size, 1, 2 and 3 threads partition M = 30
-        # into blocks of 30, 15 and 10 rows
+        # into blocks of 30, 15 and 10 rows when 3 CPUs are usable
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
         m = rs.builtin_linear_scalar(**SET1)
         serial = self._check(m, 30, 2)
         assert serial == self._check(m, 30, 2, threads=2)
         assert serial == self._check(m, 30, 2, threads=3)
+
+    def test_blocks_follow_the_workers_not_the_threads(self, monkeypatch):
+        # 3 threads on 2 usable CPUs run 2 workers, so M = 12 makes 2 blocks
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        tasks = TestStrongError._task_counts(monkeypatch)
+        m = rs.builtin_linear_scalar(**SET1)
+        assert self._check(m, 12, 4, threads=3) == self._check(m, 12, 4, threads=2)
+        assert tasks == [2, 2]
 
     def test_matches_per_path_integrals(self):
         m = rs.builtin_linear_scalar(**SET1)

@@ -220,23 +220,41 @@ class TestExitCodes:
                      x0=1.0, M=1, T=2.0)
         assert cli.main(["converge", "--config", str(cfg), "--threads", "1"]) == 3
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_step_size_warning_is_one_line(self, tmp_path, threads):
-        # h*theta*L_f = 1.5: validate warns, then the Picard solve stalls.
-        # A fresh interpreter, so that Python prints its warnings as it
-        # would for a user rather than handing them to pytest
-        cfg = tmp_path / "c.json"
-        write_config(cfg, solver=[{"theta": 1.0, "quadrature": "euler", "h": [1.0]}])
+    @staticmethod
+    def _converge_in_fresh_interpreter(cfg, threads):
+        # so that Python prints its warnings as it would for a user rather
+        # than handing them to pytest
         src = os.path.dirname(os.path.dirname(rs.__file__))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "rtesim.cli", "converge", "--config", str(cfg),
              "--threads", threads, "--no-timestamp"],
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=src))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_step_size_warning_is_one_line(self, tmp_path, threads):
+        # h*theta*L_f = 1.5: validate warns, then the Picard solve stalls
+        cfg = tmp_path / "c.json"
+        write_config(cfg, solver=[{"theta": 1.0, "quadrature": "euler", "h": [1.0]}])
+        proc = self._converge_in_fresh_interpreter(cfg, threads)
         assert proc.returncode == 3
         assert proc.stdout.startswith("warning: h*theta*L_f = 1.5 >= 1")
         assert [ln[:7] for ln in (proc.stdout + proc.stderr).splitlines()] == [
             "warning", "error: "]
+
+    def test_reference_step_size_warning_is_one_line(self, tmp_path):
+        # the explicit variants never warn; the fine-step reference has
+        # h*theta*L_f = 1.5, so validate warns for it, then its solve stalls
+        cfg = tmp_path / "c.json"
+        write_config(cfg, solver=[{"theta": 0.0, "quadrature": "euler",
+                                   "h": [1.0, 2.0]}],
+                     reference={"h_ref": 1.0, "theta": 1.0})
+        proc = self._converge_in_fresh_interpreter(cfg, "1")
+        assert proc.returncode == 3
+        lines = (proc.stdout + proc.stderr).splitlines()
+        assert [ln[:7] for ln in lines] == ["warning", "error: "]
+        assert lines[0].startswith("warning: h*theta*L_f = 1.5 >= 1")
+        assert "reference" in lines[0]
 
     @pytest.mark.parametrize("argv,overrides", [
         (["--seed", "-1"], {}),

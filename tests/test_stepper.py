@@ -496,7 +496,8 @@ class TestLockstepGroups:
         (dict(theta=0.0, h=0.25, fp_tol=1e-10), 4),
         (dict(theta=0.0, h=0.25, fp_max_iter=5), 4),
         (dict(theta=0.0, h=0.25, clamp_phi3=False), 4),
-        (dict(theta=1.0, h=0.25), 3)])
+        (dict(theta=1.0, h=0.25), 3),
+        (dict(theta=1.0, h=0.25), 0)])
     def test_configs_must_share_the_step_settings_and_split_the_rows(self, other, rows):
         model = rs.builtin_linear_scalar(**SET1)
         cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(**other)]
