@@ -143,6 +143,14 @@ def fit_order(report):
     return OrderFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
+def _mean_se(samples):
+    """Mean over axis 0 and its standard error (ddof 1), zeros when n = 1."""
+    n = len(samples)
+    if n == 1:
+        return samples.mean(axis=0), np.zeros(samples.shape[1:])
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
+
+
 def _norm_fn(norm):
     """Norm over the last axis."""
     if norm == "euclidean":
@@ -219,24 +227,20 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
                              for i in range(0, len(c), size)),
                             key=lambda g: solvers[g[0]].h)
 
-    def endpoints(group, reps):
-        if group == [0] and use_exact:
-            out = []
-            for i, j in enumerate(reps):
-                try:
-                    out.append(exact_trajectory(model, PathBundle(master_seed, j, p),
-                                                x0, T).endpoint)
-                except RteSimError as e:
-                    e.row = i
-                    raise
-            return np.stack(out)
-        windows = EpochWindows(master_seed, list(reps) * len(group), p)
-        return solve_lockstep(model, [solvers[k] for k in group], windows,
-                              x0, T).endpoint
+    def exact_end(i, j):
+        try:
+            return exact_trajectory(model, PathBundle(master_seed, j, p), x0, T).endpoint
+        except RteSimError as e:
+            e.row = i
+            raise in_replication(e, j, "reference", config="reference") from e
 
     def solve(group, reps):
+        if use_exact and group == [0]:
+            return np.stack([exact_end(i, j) for i, j in enumerate(reps)])
         try:
-            return endpoints(group, reps)
+            windows = EpochWindows(master_seed, list(reps) * len(group), p)
+            return solve_lockstep(model, [solvers[k] for k in group], windows,
+                                  x0, T).endpoint
         except RteSimError as e:
             # an error raised before the first step has no row: it is every row's
             i, row = divmod(e.row or 0, len(reps))
@@ -256,12 +260,7 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
         # C order, as the sums over replications depend on the layout
         signed.append(ends[:, 1:] - ends[:, :1])
     signed = np.concatenate(signed)
-    samples = dist(signed)  # (M, nconfig)
-    means = samples.mean(axis=0)
-    if M > 1:
-        ses = samples.std(axis=0, ddof=1) / math.sqrt(M)
-    else:
-        ses = np.zeros(len(configs))
+    means, ses = _mean_se(dist(signed))  # (nconfig,) each
     rows = [ErrorRow(cfg.h, float(means[i]), float(ses[i]), M)
             for i, cfg in enumerate(configs)]
     return ErrorReport(rows=rows, signed_errors=signed)
@@ -361,6 +360,8 @@ def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
     parent unpickles no object per step.  A failure raises the error of the
     lowest failing replication, naming it.
     """
+    if M < 1:
+        raise ConfigurationError(f"replication count M must be >= 1, got {M}")
     p = model.jump_count
 
     def worker(j):
@@ -562,17 +563,13 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     results = run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
     mf = np.concatenate([r[0] for r in results])
     qv = np.concatenate([r[1] for r in results])
-    mean = float(mf.mean())
-    se_mean = float(mf.std(ddof=1)) / math.sqrt(M)
+    mean, se_mean = map(float, _mean_se(mf))
     if se_mean > 0.0:
         abs_z = abs(mean) / se_mean
     else:
         abs_z = 0.0 if mean == 0.0 else math.inf
-    sq = mf * mf
-    lhs = float(sq.mean())
-    se_lhs = float(sq.std(ddof=1)) / math.sqrt(M)
-    rhs = float(qv.mean())
-    se_rhs = float(qv.std(ddof=1)) / math.sqrt(M)
+    lhs, se_lhs = map(float, _mean_se(mf * mf))
+    rhs, se_rhs = map(float, _mean_se(qv))
     return MartingaleCheck(mean=mean, abs_z=abs_z, second_moment_lhs=lhs,
                            second_moment_rhs=rhs, se_mean=se_mean,
                            se_lhs=se_lhs, se_rhs=se_rhs, M=M)

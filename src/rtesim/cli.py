@@ -507,6 +507,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    def seed(text):  # argparse's error line names the converter
+        return int(text, 0)
     parser = _Parser(
         prog="rte-sim",
         description="Simulation and strong-error experiments for "
@@ -521,7 +523,7 @@ def build_parser():
             ("diagnose", "martingale and second-moment diagnostics")]:
         s = sub.add_parser(name, help=desc)
         s.add_argument("--config", required=True, help="JSON run document")
-        s.add_argument("--seed", type=lambda v: int(v, 0), default=None,
+        s.add_argument("--seed", type=seed, default=None,
                        help="override the master seed")
         s.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker processes across replications")

@@ -10,8 +10,7 @@ class RteSimError(Exception):
     ``replication`` (its index) and ``config`` (the solver config label, or
     "reference") through ``in_replication``: ``strong_error`` sets both,
     ``local_error_study`` and ``exact_block`` set ``replication``.  Both
-    are None otherwise.
-    ``solve_trajectory``, and ``strong_error``'s exact reference task, set
+    are None otherwise.  ``solve_lockstep`` and ``strong_error`` set
     ``row``, the index of the failing row in its block of replications.
     """
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConfigurationError, GridError, ImplicitSolveError,
                      NegativeStateError, QueryError, RteSimError)
 from .model import eval_drift, eval_rates, initial_state, is_finite_number
-from .poisson import EpochWindows, PathBundle
+from .poisson import EpochWindows
 
 QUADRATURES = ("euler", "midpoint", "trapezoidal",
                "improved-midpoint", "improved-trapezoidal")
@@ -347,23 +347,19 @@ def step_size_warning(model, config):
 _LOCKSTEP_FIELDS = ("fp_tol", "fp_max_iter", "negativity", "clamp_phi3")
 
 
-def lockstep_key(config):
-    """What configs must share to run in one lock-step block: all but h,
-    theta and the quadrature rule."""
-    return tuple(getattr(config, f) for f in _LOCKSTEP_FIELDS)
-
-
 def lockstep_chains(configs):
     """Split ``configs`` into the runs that may share a lock-step block.
 
-    Configs with one lockstep_key form a group, in order of first
-    appearance; a group is sorted by h (stably) and split wherever an h is
-    not a whole multiple of the one before.  Returns lists of indices into
-    ``configs``, each in ascending h, the order solve_lockstep takes.
+    Configs that agree on _LOCKSTEP_FIELDS (all but h, theta and the
+    quadrature rule) form a group, in order of first appearance; a group is
+    sorted by h (stably) and split wherever an h is not a whole multiple of
+    the one before.  Returns lists of indices into ``configs``, each in
+    ascending h, the order solve_lockstep takes.
     """
     keyed = {}
     for k, cfg in enumerate(configs):
-        keyed.setdefault(lockstep_key(cfg), []).append(k)
+        key = tuple(getattr(cfg, f) for f in _LOCKSTEP_FIELDS)
+        keyed.setdefault(key, []).append(k)
     chains = []
     for group in keyed.values():
         group.sort(key=lambda k: configs[k].h)
@@ -457,28 +453,19 @@ def solve_lockstep(model, configs, epochs, x0, T):
                       clocks=clock_hist, meta=meta)
 
 
-def solve_trajectory(model, config, epochs, x0, T):
-    """Run the Theta-Maruyama method over [0, T] on the given epoch streams.
+def solve_trajectory(model, config, bundle, x0, T):
+    """Run the Theta-Maruyama method over [0, T] on one replication's PathBundle.
 
-    ``epochs`` is one replication's PathBundle, or a new EpochWindows whose
-    B rows are solved in lock step; a row has the same bits in any block.
-    Deterministic in (model, config, epochs, x0, T).  Warns when h*theta*L_f
-    >= 1.  A thin wrapper of solve_lockstep with one config: ``meta`` holds
-    ``config``, ``jump_counts`` and the total ``phi3_clamps``, and a block
-    raises the error of its lowest-indexed row among those failing at the
-    earliest failing step, with ``row`` set to it.
+    Deterministic in (model, config, bundle, x0, T), and equal bit for bit
+    to that replication's row in any solve_lockstep block.  Warns when
+    h*theta*L_f >= 1.  States are (nbar+1, d) and clocks (nbar+1, p);
+    ``meta`` holds ``config``, ``jump_counts`` (p,) and ``phi3_clamps``.
     """
     if message := step_size_warning(model, config):
         warnings.warn(message, stacklevel=2)
-    one_bundle = isinstance(epochs, PathBundle)
-    if one_bundle:
-        epochs = EpochWindows(epochs.master_seed, [epochs.replication],
-                              model.jump_count)
-    traj = solve_lockstep(model, [config], epochs, x0, T)
-    counts = traj.meta["jump_counts"]
-    if one_bundle:
-        traj.states, traj.clocks, counts = (traj.states[:, 0], traj.clocks[:, 0],
-                                            counts[0])
-    traj.meta = {"config": config, "jump_counts": counts,
+    traj = solve_lockstep(model, [config], EpochWindows(
+        bundle.master_seed, [bundle.replication], model.jump_count), x0, T)
+    traj.states, traj.clocks = traj.states[:, 0], traj.clocks[:, 0]
+    traj.meta = {"config": config, "jump_counts": traj.meta["jump_counts"][0],
                  "phi3_clamps": traj.meta["phi3_clamps"][0]}
     return traj

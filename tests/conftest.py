@@ -1,15 +1,24 @@
-"""Shared helpers: canned epoch streams and hand-built models.
+"""Shared helpers: canned epoch streams, hand-built models and the
+Hypothesis profile.
 
 The hand-built hooks broadcast like the built-in ones: times (m,) with
 states (m, d) give flows (m, d) and hazards (m,).
 """
 
 import numpy as np
+from hypothesis import settings
 
 from rtesim.model import AnalyticHooks, RteModel
 from rtesim.poisson import EpochWindows, PoissonPath
 
 SENTINEL = 1e18
+
+# every Hypothesis test draws the same examples on every run, with no
+# example database and no deadline; a test's own settings keep its
+# max_examples
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 def fixed_path(epochs):

@@ -16,6 +16,7 @@ import rtesim as rs
 from conftest import fixed_path, fixed_windows
 from rtesim import cli
 from rtesim.poisson import PathBundle
+from rtesim.stepper import solve_lockstep
 
 SEED = 0x5EED
 THREADS = os.cpu_count() or 1
@@ -152,8 +153,8 @@ def test_criterion_3_bacteriophage_convergence():
 def test_criterion_4_exactness_oracles():
     m = rs.builtin_linear_scalar(**SET1)
     # implicit single step against the scalar closed-form solve
-    out = rs.solve_trajectory(m, rs.SolverConfig(theta=1.0, h=0.1),
-                              fixed_windows([1.0, 2.0, 3.0]), [10.0], 0.1)
+    out = solve_lockstep(m, [rs.SolverConfig(theta=1.0, h=0.1)],
+                         fixed_windows([1.0, 2.0, 3.0]), [10.0], 0.1)
     closed = (10.0 + 3 * 0.007) / 1.15
     d_step = abs(out.endpoint[0, 0] - closed)
     # hazard inversion round trip

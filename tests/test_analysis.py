@@ -19,7 +19,7 @@ from rtesim import analysis
 from rtesim.analysis import ErrorRow, integrate_along_path
 from rtesim.errors import (ConfigurationError, FitError, ImplicitSolveError,
                            ModelEvaluationError, UnsupportedModelError)
-from rtesim.stepper import _phi3_rows, step_size_warning
+from rtesim.stepper import _phi3_rows, solve_lockstep, step_size_warning
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
 
@@ -359,8 +359,8 @@ class TestStrongError:
         rep = rs.strong_error(m, ref, cfgs, x0, 1.0, M, 3, threads=2)
 
         def endpoints(cfg):  # any partition: a row does not depend on its block
-            return np.concatenate([rs.solve_trajectory(
-                m, cfg, rs.EpochWindows(3, reps, 4), x0, 1.0).endpoint
+            return np.concatenate([solve_lockstep(
+                m, [cfg], rs.EpochWindows(3, reps, 4), x0, 1.0).endpoint
                 for reps in (range(0, 4), range(4, 7))])
 
         signed = np.stack([endpoints(c) - endpoints(ref) for c in cfgs], axis=1)
@@ -601,6 +601,18 @@ class TestLocalErrorStudy:
         if threads == 1:  # a worker process sends back a remote traceback
             assert isinstance(e.__cause__, ModelEvaluationError)
             assert e.__cause__.replication is None
+
+    @pytest.mark.parametrize("driver", ["strong_error", "local_error_study"])
+    def test_drivers_need_a_replication(self, driver):
+        m = rs.builtin_linear_scalar(**SET1)
+        cfgs = [rs.SolverConfig(theta=0.0, h=0.25)]
+        call = {"strong_error": lambda: rs.strong_error(
+                    m, "exact", cfgs, [10.0], 0.5, 0, 0),
+                "local_error_study": lambda: analysis.local_error_study(
+                    m, cfgs, [10.0], 0.5, 0, 0)}[driver]
+        with pytest.raises(ConfigurationError,
+                           match=r"^replication count M must be >= 1, got 0$"):
+            call()
 
 
 class TestLocalErrorsAgainstStepLoop:

@@ -299,6 +299,7 @@ class TestExitCodes:
         ([], {"seed": 1.5}),
         ([], {"seed": "3"}),
         (["--seed", "abc"], {}),
+        (["--seed", "08"], {}),
         (["--threads", "x"], {}),
     ], ids=["negative-seed", "string-horizon", "array-document",
             "array-model", "array-params", "array-name", "string-scaling",
@@ -310,7 +311,7 @@ class TestExitCodes:
             "bool-schema", "float-schema", "tiny-h", "tiny-h-ref",
             "overflowing-scaling", "scaling-rate-exponents", "nan-param",
             "inf-param", "bool-param", "bool-seed", "float-seed", "string-seed",
-            "string-seed-flag", "string-threads-flag"])
+            "string-seed-flag", "leading-zero-seed-flag", "string-threads-flag"])
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys,
                                                   argv, overrides):
         cfg = tmp_path / "c.json"
@@ -324,6 +325,7 @@ class TestExitCodes:
         lines = (out.out + out.err).splitlines()
         assert [ln for ln in lines if ln.startswith("error:")] == lines[:1]
         assert len(lines) == 1 and "Traceback" not in out.err
+        assert "<lambda>" not in lines[0]
 
     def test_missing_config_flag_is_one_error_line(self, capsys):
         assert cli.main(["converge", "--threads", "1"]) == 1

@@ -130,8 +130,8 @@ class TestPhi3Batch:
 
 
 def one_step(model, cfg, x0, epochs=()):
-    """solve_trajectory over the single step [0, h] on one canned stream."""
-    return rs.solve_trajectory(model, cfg, fixed_windows(epochs), x0, cfg.h)
+    """solve_lockstep over the single step [0, h] on one canned stream."""
+    return solve_lockstep(model, [cfg], fixed_windows(epochs), x0, cfg.h)
 
 
 class TestStep:
@@ -367,9 +367,9 @@ class TestBlockEngine:
         assert np.array_equal(bundle.clocks, oracle[0][1])
         assert np.array_equal(bundle.meta["jump_counts"], oracle[0][2])
         for reps in (range(5, 6), range(30, 37), range(64)):
-            block = rs.solve_trajectory(
-                model, cfg, rs.EpochWindows(ORACLE_SEED, reps, p), x0, T)
-            assert block.meta["phi3_clamps"] == sum(oracle[j][3] for j in reps)
+            block = solve_lockstep(
+                model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p), x0, T)
+            assert block.meta["phi3_clamps"] == [sum(oracle[j][3] for j in reps)]
             for i, j in enumerate(reps):
                 states, clocks, counts, _ = oracle[j]
                 assert np.array_equal(block.states[:, i], states)
@@ -407,8 +407,8 @@ class TestBlockEngine:
         j = min(j for j, e in failures.items() if e.failed_at == first)
         want = failures[j]
         with pytest.raises(RteSimError) as info:
-            rs.solve_trajectory(model, cfg, rs.EpochWindows(ORACLE_SEED, reps, 1),
-                                x0, 4.0)
+            solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, 1),
+                           x0, 4.0)
         got = info.value
         assert type(got) is type(want) and str(got) == str(want)
         assert got.row == list(reps).index(j)
@@ -445,15 +445,15 @@ class TestLockstepGroups:
         assert group.meta["configs"] == cfgs
         R = len(reps)
         for c, cfg in enumerate(cfgs):
-            alone = rs.solve_trajectory(model, cfg, rs.EpochWindows(ORACLE_SEED, reps, p),
-                                        x0, T)
+            alone = solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p),
+                                   x0, T)
             rows = slice(c * R, (c + 1) * R)
             assert np.array_equal(group.grid, alone.grid)
             assert np.array_equal(group.states[:, rows], alone.states)
             assert np.array_equal(group.clocks[:, rows], alone.clocks)
             assert np.array_equal(group.meta["jump_counts"][rows],
                                   alone.meta["jump_counts"])
-            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"]
+            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"][0]
         if name == "collapsing":
             assert group.meta["phi3_clamps"] == [0, 0, 49, 0, 28]
 
@@ -464,7 +464,7 @@ class TestLockstepGroups:
                             (lambda x: 0.0 * x[..., 0],), [[0.0]], name="cliff")
         cfgs = [rs.SolverConfig(theta=t, h=0.25, quadrature=q)
                 for t, q in ((1.0, "euler"), (0.0, "euler"), (0.5, "trapezoidal"))]
-        alone = [rs.solve_trajectory(model, cfg, rs.EpochWindows(0, [0], 1), [1.0], 1.0)
+        alone = [solve_lockstep(model, [cfg], rs.EpochWindows(0, [0], 1), [1.0], 1.0)
                  for cfg in cfgs]
         assert alone[1].endpoint[0, 0] == 0.75 ** 4
         with pytest.raises(rs.ModelEvaluationError):  # where Picard would start
@@ -481,8 +481,8 @@ class TestLockstepGroups:
         cfgs = [rs.SolverConfig(theta=0.0, h=0.25), rs.SolverConfig(theta=1.0, h=0.25)]
         reps = range(3, 19)
         with pytest.raises(ImplicitSolveError) as alone:
-            rs.solve_trajectory(model, cfgs[1], rs.EpochWindows(ORACLE_SEED, reps, 1),
-                                [2.0], 4.0)
+            solve_lockstep(model, [cfgs[1]], rs.EpochWindows(ORACLE_SEED, reps, 1),
+                           [2.0], 4.0)
         with pytest.raises(ImplicitSolveError) as grouped:
             solve_lockstep(model, cfgs, rs.EpochWindows(ORACLE_SEED, list(reps) * 2, 1),
                            [2.0], 4.0)
@@ -526,15 +526,15 @@ class TestMultiRate:
         assert len(passes) == round(T / self.HS[0]) + 1
         for c, cfg in enumerate(cfgs):
             m = round(cfg.h / self.HS[0])
-            alone = rs.solve_trajectory(model, cfg,
-                                        rs.EpochWindows(ORACLE_SEED, reps, p), x0, T)
+            alone = solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p),
+                                   x0, T)
             rows = slice(c * R, (c + 1) * R)
             # between its own steps a row holds its state and clocks
             assert np.array_equal(group.states[:, rows], alone.states[passes // m])
             assert np.array_equal(group.clocks[:, rows], alone.clocks[passes // m])
             assert np.array_equal(group.meta["jump_counts"][rows],
                                   alone.meta["jump_counts"])
-            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"]
+            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"][0]
         if name == "collapsing":  # only the coarsest configs clamp
             assert group.meta["phi3_clamps"] == [0] * 12 + [49, 0, 28]
 
@@ -576,8 +576,8 @@ class TestMultiRate:
         first = {}  # pass of the finest grid -> (config, solo error)
         for c, cfg in enumerate(cfgs):
             try:
-                rs.solve_trajectory(model, cfg, rs.EpochWindows(ORACLE_SEED, reps, 1),
-                                    [2.0], 4.0)
+                solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, 1),
+                               [2.0], 4.0)
             except ImplicitSolveError as e:
                 first.setdefault((e.step + 1) * 2 ** c - 1, (c, e))
         assert sorted(c for c, _ in first.values()) == [1, 2]
