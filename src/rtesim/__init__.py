@@ -6,10 +6,9 @@ a coupled-path Monte Carlo harness for strong-error and convergence-order
 experiments.
 """
 
-from .analysis import (ErrorReport, ErrorRow, LocalErrorSample,
-                       MartingaleCheck, OrderFit, fit_order, generator_apply,
-                       integrate_along_path, local_errors, martingale_check,
-                       strong_error)
+from .analysis import (ErrorReport, ErrorRow, MartingaleCheck, OrderFit,
+                       fit_order, generator_apply, integrate_along_path,
+                       local_errors, martingale_check, strong_error)
 from .errors import (ConfigurationError, FitError, GridError,
                      ImplicitSolveError, ModelEvaluationError,
                      NegativeStateError, QueryError, RteSimError,
@@ -29,7 +28,7 @@ __all__ = [
     "AnalyticHooks", "BlockEnds", "ConfigurationError", "EpochWindows",
     "ErrorReport", "ErrorRow",
     "ExactTrajectory", "FitError", "GridError", "ImplicitSolveError",
-    "LocalErrorSample", "MartingaleCheck", "ModelEvaluationError",
+    "MartingaleCheck", "ModelEvaluationError",
     "NegativeStateError", "OrderFit", "PathBundle", "PoissonPath",
     "QUADRATURES", "QueryError", "RteModel", "RteSimError",
     "RunawayJumpError", "ScalingSpec", "SolverConfig", "Trajectory",

@@ -24,9 +24,9 @@ from .model import eval_drift, initial_state
 from .poisson import EpochWindows, PathBundle
 # strong_error calls solve_lockstep; solve_trajectory is imported so that
 # perfbench/tracer.py, which looks it up here by name, still finds it
-from .stepper import (SolverConfig, _phi3_rows, check_nesting, grid_steps,
-                      lockstep_chains, solve_lockstep, solve_trajectory,
-                      step_size_warning)
+from .stepper import (SolverConfig, _jump_sum, _phi3_rows, check_nesting,
+                      grid_steps, lockstep_chains, solve_lockstep,
+                      solve_trajectory, step_size_warning)
 
 # ---------------------------------------------------------------------------
 # replication worker pool (fork-based; serial fallback elsewhere)
@@ -272,21 +272,34 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
 
 @dataclass(frozen=True)
 class LocalErrorSample:
-    """Drift (L) and clock (K) one-step errors started from the exact path."""
+    """One step's drift (L) and clock (K) errors, as perfbench's probe shapes
+    a local-error result.  No rtesim function returns it; it goes when the
+    probe shapes local_errors' arrays instead.
+    """
 
     n: int
     L_abs: float
     K_abs: float
 
 
-def local_errors(model, exact, config):
-    """L and K of every grid step of ``config``, measured on ``exact``.
+def local_errors(model, exact, configs):
+    """L and K of every grid step of each config, measured on ``exact``.
 
-    Returns one LocalErrorSample per step, in step order.
+    Returns one (nbar, 2) float array of (L_abs, K_abs) per config, in step
+    order.  Every config of one step size reads one _step_pieces table of
+    the path; the config's theta rule and quadrature are applied here.
     """
-    pieces = _step_pieces(model, exact, config.h)
-    errs = _local_error_array(model, pieces, config).tolist()
-    return [LocalErrorSample(n, L, K) for n, (L, K) in enumerate(errs)]
+    tables, norm, out = {}, _norm_fn("euclidean"), []
+    for cfg in configs:
+        if cfg.h not in tables:
+            tables[cfg.h] = _step_pieces(model, exact, cfg.h)
+        drift_int, hazard_int, x_grid, f_grid = tables[cfg.h]
+        h = cfg.h
+        L = drift_int - h * ((1.0 - cfg.theta) * f_grid[:-1] + cfg.theta * f_grid[1:])
+        phis, _ = _phi3_rows(model, x_grid[:-1], h, cfg.quadrature, cfg.clamp_phi3)
+        K = _jump_sum(hazard_int - h * phis, model)
+        out.append(norm(np.stack([L, K], axis=1)))
+    return out
 
 
 def _step_pieces(model, exact, h):
@@ -331,34 +344,13 @@ def _step_pieces(model, exact, h):
     return drift_int, hazard_int, x_grid, eval_drift(model, x_grid)
 
 
-def _local_error_array(model, pieces, config):
-    """(L_abs, K_abs) of every grid step, shape (nbar, 2), in step order.
-
-    ``pieces`` is _step_pieces of the path at config.h, which this only
-    reads; the theta rule and the quadrature of ``config`` are applied here.
-    """
-    drift_int, hazard_int, x_grid, f_grid = pieces
-    h = config.h
-    phi1 = (1.0 - config.theta) * f_grid[:-1] + config.theta * f_grid[1:]
-    L = drift_int - h * phi1
-    phis, _ = _phi3_rows(model, x_grid[:-1], h, config.quadrature,
-                         config.clamp_phi3)
-    K = (hazard_int - h * phis) @ model.jumps
-    return np.sqrt(np.stack([np.sum(L * L, axis=1), np.sum(K * K, axis=1)],
-                            axis=1))
-
-
 def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
     """local_errors of every config on the exact paths of M replications.
 
     Replication j's path is exact_trajectory on PathBundle(master_seed, j,
-    p), one task per replication.  A task builds _step_pieces of its path
-    once per distinct step size, for every config of that h.
-    Returns one tuple per config, holding each replication's (nbar, 2)
-    float array of (L_abs, K_abs) per step, in replication order: a worker
-    sends less than half the bytes of the LocalErrorSample lists and the
-    parent unpickles no object per step.  A failure raises the error of the
-    lowest failing replication, naming it.
+    p), one task per replication.  Returns one tuple per config, holding
+    each replication's local_errors array, in replication order.  A failure
+    raises the error of the lowest failing replication, naming it.
     """
     if M < 1:
         raise ConfigurationError(f"replication count M must be >= 1, got {M}")
@@ -366,13 +358,8 @@ def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
 
     def worker(j):
         try:
-            traj = exact_trajectory(model, PathBundle(master_seed, j, p), x0, T)
-            tables, out = {}, []
-            for cfg in configs:
-                if cfg.h not in tables:
-                    tables[cfg.h] = _step_pieces(model, traj, cfg.h)
-                out.append(_local_error_array(model, tables[cfg.h], cfg))
-            return out
+            return local_errors(model, exact_trajectory(
+                model, PathBundle(master_seed, j, p), x0, T), configs)
         except RteSimError as e:
             raise in_replication(e, j) from e
 
@@ -529,6 +516,8 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     its block.  A row's value is its Kronrod sum K15; a row whose K15 and
     G7 sums differ by ``tol`` or more is recomputed by
     integrate_along_path on its exact_trajectory, which refines further.
+    Before that, a row whose sums or F(X_T) are not finite raises
+    ModelEvaluationError naming its replication, the lowest such row first.
     """
     if M < 2:
         raise ConfigurationError(f"martingale check needs M >= 2, got {M}")
@@ -549,6 +538,14 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
 
         ends = exact_block(model, master_seed, reps, x0, T, add)
         f_end = np.asarray(F(ends.endpoints), dtype=float).reshape(-1)
+        finite = (np.isfinite(kron).all(axis=0) & np.isfinite(gauss).all(axis=0)
+                  & np.isfinite(f_end))
+        if not finite.all():  # before any refinement, which cannot mend it
+            row = int(np.argmin(finite))
+            raise in_replication(ModelEvaluationError(
+                f"non-finite path sums (K15 {kron[:, row].tolist()}, G7 "
+                f"{gauss[:, row].tolist()}) or F(X_T) {float(f_end[row])!r}"),
+                reps[row])
         vals = kron.copy()
         unsettled = ~(np.abs(kron - gauss) < tol)
         for row in np.flatnonzero(unsettled.any(axis=0)):

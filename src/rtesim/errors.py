@@ -6,17 +6,24 @@ import copy
 class RteSimError(Exception):
     """Base class for all rtesim errors.
 
-    A Monte Carlo routine that knows where a failure happened sets
-    ``replication`` (its index) and ``config`` (the solver config label, or
-    "reference") through ``in_replication``: ``strong_error`` sets both,
-    ``local_error_study`` and ``exact_block`` set ``replication``.  Both
-    are None otherwise.  ``solve_lockstep`` and ``strong_error`` set
-    ``row``, the index of the failing row in its block of replications.
+    ``x`` is the offending state, ``residual`` an implicit solve's last
+    max-norm residual; each is None when it does not apply.  A Monte Carlo
+    routine that knows where a failure happened sets ``replication`` (its
+    index) and ``config`` (the solver config label, or "reference") through
+    ``in_replication``: ``strong_error`` sets both, ``local_error_study``,
+    ``exact_block`` and ``martingale_check`` set ``replication``.  Both are
+    None otherwise.  ``solve_lockstep``, so ``solve_trajectory`` and
+    ``strong_error``, sets ``row``, the index of the failing row in its
+    block of replications, and ``step``, that row's own step index.
     """
 
     replication = None
     config = None
     row = None
+
+    def __init__(self, message, *, x=None, residual=None, step=None):
+        super().__init__(message)
+        self.x, self.residual, self.step = x, residual, step
 
 
 class ConfigurationError(RteSimError):
@@ -32,26 +39,11 @@ class QueryError(RteSimError):
 
 
 class ModelEvaluationError(RteSimError):
-    """A coefficient function returned a non-finite value.
-
-    Carries the offending state in ``x``.
-    """
-
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
+    """A coefficient function returned a non-finite value."""
 
 
 class ImplicitSolveError(RteSimError):
-    """Picard iteration for the implicit drift did not converge.
-
-    Carries the last max-norm ``residual`` and the step index ``step``.
-    """
-
-    def __init__(self, message, residual=None, step=None):
-        super().__init__(message)
-        self.residual = residual
-        self.step = step
+    """Picard iteration for the implicit drift did not converge."""
 
 
 class NegativeStateError(RteSimError):

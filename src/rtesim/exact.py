@@ -173,8 +173,6 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
     B = len(reps)
     ends = BlockEnds(np.empty((B, d)), np.empty((B, p)),
                      np.empty(B, dtype=np.int64))
-    if B == 0:
-        return ends
     rows = np.arange(B)
     x = np.repeat(x0[None, :], B, axis=0)
     t = np.zeros(B)

@@ -64,10 +64,9 @@ class PoissonPath:
     between solver variants inside one replication, never across threads.
     """
 
-    __slots__ = ("stream_id", "_gen", "_epochs")
+    __slots__ = ("_gen", "_epochs")
 
     def __init__(self, master_seed, replication, process):
-        self.stream_id = (replication, process)
         self._gen = epoch_generator(master_seed, replication, process)
         self._epochs = []
 
@@ -86,7 +85,7 @@ class PoissonPath:
     def count_at(self, u):
         """Number of epochs in (0, u], i.e. Y(u) for this unit-rate process."""
         if not (u >= 0.0) or not math.isfinite(u):
-            raise QueryError(f"count_at needs finite u >= 0, got {u!r}")
+            raise QueryError(f"count_at needs finite u >= 0, got {float(u)!r}")
         if u == 0.0:
             return 0
         self._extend_past(u)
@@ -95,9 +94,10 @@ class PoissonPath:
     def increment(self, a, b):
         """Count of epochs in (a, b]; a <= b required."""
         if a > b:
-            raise QueryError(f"increment needs a <= b, got a={a!r} b={b!r}")
+            raise QueryError(f"increment needs a <= b, got a={float(a)!r} b={float(b)!r}")
         if not (a >= 0.0) or not math.isfinite(b):
-            raise QueryError(f"increment needs finite 0 <= a <= b, got a={a!r} b={b!r}")
+            raise QueryError(f"increment needs finite 0 <= a <= b, "
+                             f"got a={float(a)!r} b={float(b)!r}")
         if a == b:
             return 0
         self._extend_past(b)
@@ -107,7 +107,7 @@ class PoissonPath:
     def next_epoch_after(self, u):
         """Smallest epoch strictly greater than u."""
         if not (u >= 0.0) or not math.isfinite(u):
-            raise QueryError(f"next_epoch_after needs finite u >= 0, got {u!r}")
+            raise QueryError(f"next_epoch_after needs finite u >= 0, got {float(u)!r}")
         e = self._epochs
         if not e or e[-1] <= u:
             self._extend_past(u)

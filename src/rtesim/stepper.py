@@ -109,11 +109,6 @@ def _jump_sum(v, model):
     return (v[..., None, :] @ model.jumps)[..., 0, :]
 
 
-def _shifted_rates(model, x):
-    """R[..., j, k] = clamped rate k at the state displaced by jump j."""
-    return eval_rates(model, x[..., None, :] + model.jumps)
-
-
 def _phi3_rows(model, x, h, rule, clamp):
     """phi3 for all p processes at a state (d,) or a batch (m, d).
 
@@ -124,8 +119,6 @@ def _phi3_rows(model, x, h, rule, clamp):
     vector form costs p+1 rate evaluations instead of p*(p+1).  Only the
     improved rules can go negative, so only they are clamped.
     """
-    if rule not in QUADRATURES:
-        raise ConfigurationError(f"unknown quadrature {rule!r}")
     lam0 = eval_rates(model, x)
     if rule == "euler":
         return lam0, None
@@ -135,7 +128,8 @@ def _phi3_rows(model, x, h, rule, clamp):
     if rule == "trapezoidal":
         xe = x + h * eval_drift(model, x) + h * _jump_sum(lam0, model)
         return 0.5 * (lam0 + eval_rates(model, xe)), None
-    shifted = _shifted_rates(model, x)
+    # shifted[..., j, k] is rate k at the state displaced by jump j
+    shifted = eval_rates(model, x[..., None, :] + model.jumps)
     corr = 0.5 * h * ((lam0[..., None, :] @ shifted)[..., 0, :]
                       - lam0.sum(axis=-1, keepdims=True) * lam0)
     if rule == "improved-midpoint":
@@ -180,7 +174,7 @@ def _implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter, step_idx
     raise ImplicitSolveError(
         f"implicit drift solve stalled at step {step_idx}: residual {resid:.3e} "
         f"after {fp_max_iter} iterations (tolerance {fp_tol:.1e})",
-        residual=resid, step=step_idx)
+        residual=resid)
 
 
 def _select(mask):
@@ -274,8 +268,9 @@ def _step(model, layout, epochs, x, clocks, counts, step_idx):
         if cfg.negativity == "reset-to-zero":
             x_new = np.where(low[:, None], np.maximum(x_new, 0.0), x_new)
         elif cfg.negativity == "error":
-            raise NegativeStateError(f"negative component at step {step_idx}: "
-                                     f"x={x_new[np.argmax(low)]!r}")
+            x_low = x_new[np.argmax(low)]
+            raise NegativeStateError(
+                f"negative component at step {step_idx}: x={x_low!r}", x=x_low)
     return x_new, ahead, ahead_counts, clamps
 
 
@@ -287,14 +282,15 @@ def _raise_first_failing_row(model, layout, epochs, x, clocks, counts, steps):
     a row fails alone as it fails in the block.
     """
     for i in range(len(x)):
+        step = steps[i // layout.per_config]
         one = EpochWindows(epochs.master_seed, epochs.replications[i:i + 1],
                            clocks.shape[1])
         one.count(clocks[i:i + 1])
         try:
             _step(model, layout.row(i), one, x[i:i + 1], clocks[i:i + 1],
-                  counts[i:i + 1], steps[i // layout.per_config])
+                  counts[i:i + 1], step)
         except RteSimError as e:
-            e.row = i
+            e.row, e.step = i, step
             raise
 
 
@@ -434,7 +430,7 @@ def solve_lockstep(model, configs, epochs, x0, T):
             x_b, clocks_b, counts_b, clamps = _step(model, layout, epochs, x[:b],
                                                     clocks[:b], counts[:b], n)
         except RteSimError as e:
-            e.row = 0
+            e.row, e.step = 0, n  # row 0 steps on every pass
             if b > 1:
                 _raise_first_failing_row(model, layout, epochs, x[:b], clocks[:b],
                                          counts[:b], [(n + 1) // m - 1 for m in ratios])

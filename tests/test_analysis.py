@@ -18,7 +18,8 @@ from conftest import fixed_path, zero_drift_model, zero_rate_model
 from rtesim import analysis
 from rtesim.analysis import ErrorRow, integrate_along_path
 from rtesim.errors import (ConfigurationError, FitError, ImplicitSolveError,
-                           ModelEvaluationError, UnsupportedModelError)
+                           ModelEvaluationError, NegativeStateError, QueryError,
+                           UnsupportedModelError)
 from rtesim.stepper import _phi3_rows, solve_lockstep, step_size_warning
 
 SET1 = dict(alpha=1.5, lam=200.0, eps=0.007)
@@ -190,6 +191,49 @@ class TestStrongError:
         e = info.value
         assert e.replication in range(4) and e.config == "theta0-euler-h0.25"
         assert e.x is not None and e.x[0] < 9.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["negative-state", "clock-query", "non-finite-rate"])
+    def test_lockstep_error_names_its_row_and_step(self, case, threads):
+        # each case's rows fail at different steps, the earliest not on row 0
+        m = rs.builtin_linear_scalar(**SET1)
+        fine = rs.SolverConfig(theta=0.0, h=0.0625)
+        model, x0, T, cfg, reference, kind = {
+            "negative-state": (
+                rs.RteModel(1, lambda x: 0.0 * x, (lambda x: 5.0 + 0.0 * x[..., 0],),
+                            [[-0.3]], name="draining"),
+                [2.0], 4.0, rs.SolverConfig(theta=0.0, h=0.125, negativity="error"),
+                fine, NegativeStateError),
+            # unclamped improved-midpoint phi3 goes negative: a reversed clock query
+            "clock-query": (
+                rs.RteModel(1, lambda x: 3.0 - 4.0 * x,
+                            (lambda x: 30.0 - 20.0 * x[..., 0],), [[1.0]],
+                            name="collapsing"),
+                [1.3], 2.0, rs.SolverConfig(theta=0.0, h=0.25, clamp_phi3=False,
+                                            quadrature="improved-midpoint"),
+                fine, QueryError),
+            # the exact reference never evaluates the rate
+            "non-finite-rate": (
+                rs.RteModel(1, m.drift, (lambda x: np.where(
+                    x[..., 0] < 9.0, np.nan, 200.0 * x[..., 0]),), m.jumps,
+                            analytic=m.analytic, name="nan-rate"),
+                [10.0], 1.0, fine, "exact", ModelEvaluationError),
+        }[case]
+        steps = {}
+        for j in range(8):
+            try:
+                rs.solve_trajectory(model, cfg, rs.PathBundle(3, j, 1), x0, T)
+            except kind as e:
+                steps[j] = e.step
+        first = min(steps.values())
+        want = min(j for j, step in steps.items() if step == first)
+        assert want > 0 and len(set(steps.values())) > 1
+        with pytest.raises(kind) as info:
+            rs.strong_error(model, reference, [cfg], x0, T, 8, 3, threads=threads)
+        e = info.value
+        assert (e.replication, e.config, e.row, e.step) == (want, cfg.label(), want,
+                                                            first)
+        assert (e.x is None) == (kind is QueryError)
 
     def test_reference_error_comes_before_config_errors(self):
         # the config's drift fails at its second step on every row, so on
@@ -458,33 +502,33 @@ class TestLocalErrors:
         m = rs.builtin_linear_scalar(**SET1)
         traj = synthetic_jump_free(m, 10.0, 0.1)
         cfg = rs.SolverConfig(theta=0.0, h=0.1, quadrature="euler")
-        s = rs.local_errors(m, traj, cfg)[0]
+        _, K = rs.local_errors(m, traj, [cfg])[0][0]
         integral = 2000.0 * (1 - math.exp(-0.15)) / 1.5
         assert integral == pytest.approx(185.723, abs=5e-4)
-        assert s.K_abs == pytest.approx(abs(integral - 200.0) * 0.007, rel=1e-12)
-        assert s.K_abs == pytest.approx(0.09994, abs=5e-6)
+        assert K == pytest.approx(abs(integral - 200.0) * 0.007, rel=1e-12)
+        assert K == pytest.approx(0.09994, abs=5e-6)
         oracle, _ = integrate.quad(lambda u: 200.0 * 10.0 * math.exp(-1.5 * u),
                                    0.0, 0.1)
-        assert s.K_abs == pytest.approx(abs(oracle - 200.0) * 0.007, rel=1e-8)
+        assert K == pytest.approx(abs(oracle - 200.0) * 0.007, rel=1e-8)
 
     def test_zero_rates_give_zero_K(self):
         m = zero_rate_model(alpha=1.5)
         traj = synthetic_jump_free(m, 10.0, 0.1)
-        s = rs.local_errors(m, traj, rs.SolverConfig(theta=0.5, h=0.1))[0]
-        assert s.K_abs == 0.0
+        _, K = rs.local_errors(m, traj, [rs.SolverConfig(theta=0.5, h=0.1)])[0][0]
+        assert K == 0.0
 
     def test_zero_drift_gives_zero_L(self):
         m = zero_drift_model(lam=2.0, eps=0.5)
         traj = rs.exact_trajectory(m, rs.PathBundle(3, 0, 1), [1.0], 1.0)
-        s = rs.local_errors(m, traj, rs.SolverConfig(theta=0.5, h=0.25))[1]
-        assert s.L_abs == 0.0
+        L, _ = rs.local_errors(m, traj, [rs.SolverConfig(theta=0.5, h=0.25)])[0][1]
+        assert L == 0.0
 
     def test_step_spanning_jumps_matches_quadrature(self):
         m = rs.builtin_linear_scalar(**SET1)
         traj = rs.exact_trajectory(m, rs.PathBundle(6, 0, 1), [10.0], 0.2)
         assert traj.jump_count >= 2
         cfg = rs.SolverConfig(theta=0.3, h=0.1, quadrature="euler")
-        s = rs.local_errors(m, traj, cfg)[1]
+        _, K = rs.local_errors(m, traj, [cfg])[0][1]
         # oracle: piecewise quadrature of the rate along the reconstructed path
         integral = 0.0
         for x, lo, hi in _segment_overlaps(traj, 0.1, 0.2):
@@ -492,17 +536,18 @@ class TestLocalErrors:
                 lambda u, x0=x[0]: 200.0 * x0 * math.exp(-1.5 * u), lo, hi)
             integral += val
         expected = abs(integral - 0.1 * 200.0 * traj.state_at(0.1)[0]) * 0.007
-        assert s.K_abs == pytest.approx(expected, rel=1e-8)
+        assert K == pytest.approx(expected, rel=1e-8)
 
     def test_theta_weighting_in_L(self):
         m = rs.builtin_linear_scalar(**SET1)
         traj = synthetic_jump_free(m, 10.0, 0.1)
         h = 0.1
         drift_int = 10.0 * (math.exp(-1.5 * h) - 1.0)
-        for theta in (0.0, 0.5, 1.0):
-            s = rs.local_errors(m, traj, rs.SolverConfig(theta=theta, h=h))[0]
+        thetas = (0.0, 0.5, 1.0)
+        errs = rs.local_errors(m, traj, [rs.SolverConfig(theta=t, h=h) for t in thetas])
+        for theta, (L, _) in zip(thetas, (e[0] for e in errs)):
             phi1 = (1 - theta) * (-1.5 * 10.0) + theta * (-1.5 * traj.state_at(h)[0])
-            assert s.L_abs == pytest.approx(abs(drift_int - h * phi1), rel=1e-12)
+            assert L == pytest.approx(abs(drift_int - h * phi1), rel=1e-12)
 
     def test_requires_drift_integral(self):
         m = rs.builtin_linear_scalar(**SET1)
@@ -512,22 +557,23 @@ class TestLocalErrors:
         bare = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
         traj = synthetic_jump_free(bare, 10.0, 0.1)
         with pytest.raises(UnsupportedModelError):
-            rs.local_errors(bare, traj, rs.SolverConfig(theta=0.0, h=0.1))
+            rs.local_errors(bare, traj, [rs.SolverConfig(theta=0.0, h=0.1)])
 
     def test_step_must_be_covered(self):
         # 0.1 / 0.04 = 2.5: the grid does not tile the path's horizon
         m = rs.builtin_linear_scalar(**SET1)
         traj = synthetic_jump_free(m, 10.0, 0.1)
         with pytest.raises(ConfigurationError):
-            rs.local_errors(m, traj, rs.SolverConfig(theta=0.0, h=0.04))
+            rs.local_errors(m, traj, [rs.SolverConfig(theta=0.0, h=0.04)])
 
     def test_returns_every_step_in_order(self):
         m = rs.builtin_linear_scalar(**SET1)
         traj = rs.exact_trajectory(m, rs.PathBundle(2, 0, 1), [10.0], 1.0)
-        samples = rs.local_errors(m, traj, rs.SolverConfig(theta=0.0, h=0.125))
-        assert [s.n for s in samples] == list(range(8))
-        assert all(type(s.L_abs) is float and type(s.K_abs) is float
-                   for s in samples)
+        # one array per config, in config order, one row per step
+        errs = rs.local_errors(m, traj, [rs.SolverConfig(theta=0.0, h=0.125),
+                                         rs.SolverConfig(theta=1.0, h=0.25)])
+        assert [(e.dtype, e.shape) for e in errs] == [(np.float64, (8, 2)),
+                                                      (np.float64, (4, 2))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -574,10 +620,9 @@ class TestLocalErrorStudy:
             assert len(arrays) == 3
             for j, errs in enumerate(arrays):
                 traj = rs.exact_trajectory(m, rs.PathBundle(5, j, 1), x0, 1.0)
-                samples = rs.local_errors(m, traj, cfg)
-                assert [s.n for s in samples] == list(range(len(samples)))
-                assert errs.dtype == float and errs.shape == (len(samples), 2)
-                assert errs.tolist() == [[s.L_abs, s.K_abs] for s in samples]
+                alone = rs.local_errors(m, traj, [cfg])[0]
+                assert errs.dtype == float and errs.shape == (round(1.0 / cfg.h), 2)
+                assert np.array_equal(errs, alone)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_local_error_study_names_the_failing_replication(self, threads):
@@ -628,17 +673,17 @@ class TestLocalErrorsAgainstStepLoop:
             per_step = np.histogram(traj.jump_times, bins=4, range=(0.0, 1.0))[0]
             assert per_step.min() >= 2  # several jumps inside every coarse step
         for theta in (0.0, 0.3, 1.0):
-            for h in (0.25, 0.1, 0.03125):
-                cfg = rs.SolverConfig(theta=theta, h=h, quadrature=rule)
-                samples = rs.local_errors(model, traj, cfg)
-                assert [s.n for s in samples] == list(range(round(1.0 / h)))
-                for s in samples:
+            cfgs = [rs.SolverConfig(theta=theta, h=h, quadrature=rule)
+                    for h in (0.25, 0.1, 0.03125)]
+            for cfg, errs in zip(cfgs, rs.local_errors(model, traj, cfgs)):
+                assert errs.shape == (round(1.0 / cfg.h), 2)
+                for n, (L_abs, K_abs) in enumerate(errs.tolist()):
                     L, K, L_scale, K_scale = reference_local_error(
-                        model, traj, cfg, s.n)
-                    dL = abs(s.L_abs - float(np.linalg.norm(L)))
-                    dK = abs(s.K_abs - float(np.linalg.norm(K)))
-                    assert dL <= 1e-12 * float(np.linalg.norm(L_scale)), (cfg, s)
-                    assert dK <= 1e-12 * float(np.linalg.norm(K_scale)), (cfg, s)
+                        model, traj, cfg, n)
+                    dL = abs(L_abs - float(np.linalg.norm(L)))
+                    dK = abs(K_abs - float(np.linalg.norm(K)))
+                    assert dL <= 1e-12 * float(np.linalg.norm(L_scale)), (cfg, n)
+                    assert dK <= 1e-12 * float(np.linalg.norm(K_scale)), (cfg, n)
 
 
 class TestGenerator:
@@ -843,6 +888,27 @@ class TestMartingale:
         assert e.replication in (0, 2)  # the first row of either block
         assert str(e).startswith(f"replication {e.replication}: hazard_inverse[0]")
         assert np.array_equal(e.x, [10.0])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["observable", "rate"])
+    def test_non_finite_row_names_its_replication(self, case, threads):
+        # at seed 5 replication 0 stays below x = 10.04 and replication 1
+        # rises above 10.1, as later ones do
+        m = rs.builtin_linear_scalar(**SET1)
+        cut = lambda f: lambda xs: np.where(xs[..., 0] > 10.05, np.nan, f(xs))
+        F = lambda xs: xs[..., 0]
+        if case == "observable":
+            F = cut(F)
+        else:
+            m = rs.RteModel(1, m.drift, (cut(m.rates[0]),), m.jumps,
+                            analytic=m.analytic, name="nan-rate")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no row is refined, so none stalls
+            with pytest.raises(ModelEvaluationError,
+                               match=r"^replication 1: non-finite path sums") as info:
+                rs.martingale_check(m, F, np.ones_like, [10.0], 0.2, 8, 5,
+                                    threads=threads)
+        assert info.value.replication == 1
 
     def test_requires_at_least_two_paths(self):
         m = rs.builtin_linear_scalar(**SET1)

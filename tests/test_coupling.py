@@ -9,11 +9,14 @@ both drawn.  conftest's Hypothesis profile derandomizes the examples, so a
 tier-1 run is deterministic.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rtesim as rs
+from rtesim import analysis
 from rtesim.exact import exact_block, exact_trajectory
 from rtesim.poisson import EpochWindows, PathBundle
 from rtesim.stepper import solve_lockstep
@@ -140,3 +143,38 @@ def test_exact_block_rows_equal_exact_trajectory(name, seed, reps):
         assert np.array_equal(ends.endpoints[i], traj.endpoint)
         assert np.array_equal(ends.clocks[i], traj.clocks)
         assert ends.jump_counts[i] == traj.jump_count
+
+
+def _assert_block_size_free(name, chain, M, exact, threads):
+    """strong_error's report is the same at _BLOCK_ROWS 1, 7 and 128."""
+    model, x0 = MODELS[name]
+    reference = "exact" if exact else rs.SolverConfig(theta=0.0, h=1 / 64)
+    reports = []
+    for rows in (1, 7, 128):
+        with mock.patch.object(analysis, "_BLOCK_ROWS", rows):
+            reports.append(rs.strong_error(model, reference, _configs(chain), x0, T,
+                                           M, SEED, threads=threads))
+    for report in reports[1:]:
+        assert report.rows == reports[0].rows
+        assert np.array_equal(report.signed_errors, reports[0].signed_errors)
+
+
+# a block of 7 rows groups 7 // M configs, so at M = 4 or 3 a chain of 3 is
+# cut into runs of 1 or 2; blocks of 1 row solve every config alone
+@settings(max_examples=30)
+@given(name=st.sampled_from(sorted(MODELS)), chain=CHAINS, M=st.integers(1, 4),
+       exact=st.booleans())
+@example(name="linear-scalar", M=2, exact=True,
+         chain=(1 / 32, [(1.0, "euler", 2), (0.5, "trapezoidal", 2), (0.0, "euler", 1)]))
+@example(name="quadratic-scalar", M=3, exact=False,
+         chain=(1 / 16, [(0.5, "improved-midpoint", 2), (1.0, "midpoint", 1),
+                         (0.0, "improved-trapezoidal", 2)]))
+def test_strong_error_does_not_depend_on_block_size(name, chain, M, exact):
+    _assert_block_size_free(name, chain, M, exact, threads=1)
+
+
+def test_strong_error_does_not_depend_on_block_size_at_two_threads():
+    _assert_block_size_free("linear-scalar", (1 / 32, [(0.5, "trapezoidal", 2),
+                                                       (1.0, "euler", 2),
+                                                       (0.0, "midpoint", 1)]),
+                            3, False, threads=2)

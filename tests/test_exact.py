@@ -145,13 +145,19 @@ class TestExactTrajectory:
                                 max_jumps=10)
 
     def test_non_finite_clock_is_a_query_error(self):
-        # the second clock turns NaN at the first jump of the first process
+        # the second clock turns NaN at the first jump of the first process;
+        # the hook broadcasts, so a single state gets a numpy float
         m = birth_death()
         hooks = dataclasses.replace(m.analytic, hazard_integral=(
-            m.analytic.hazard_integral[0], lambda t, x: math.nan))
+            m.analytic.hazard_integral[0], lambda t, x: np.nan * x[..., 0]))
         bad = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
-        with pytest.raises(QueryError, match=r"^next_epoch_after needs finite u >= 0"):
-            rs.exact_trajectory(bad, rs.PathBundle(3, 0, 2), [10.0], 1.0)
+        with pytest.raises(QueryError) as alone:
+            rs.exact_trajectory(bad, rs.PathBundle(3, 2, 2), [10.0], 1.0)
+        assert str(alone.value) == "next_epoch_after needs finite u >= 0, got nan"
+        with pytest.raises(QueryError) as block:
+            exact_block(bad, 3, [2], [10.0], 1.0, lambda *a: None)
+        assert str(block.value) == f"replication 2: {alone.value}"
+        assert block.value.replication == 2
 
     def test_nan_inverse_names_the_process_and_state(self):
         m = birth_death()

@@ -142,7 +142,10 @@ class TestBundle:
     def test_bundle_layout(self):
         b = PathBundle(1, 3, 4)
         assert len(b.paths) == 4
-        assert [p.stream_id for p in b.paths] == [(3, k) for k in range(4)]
+        for k, path in enumerate(b.paths):  # path k reads stream (1, 3, k)
+            path.next_epoch_after(0.0)
+            assert np.array_equal(path.epochs, next_epochs(
+                [epoch_generator(1, 3, k)], np.zeros(1))[0])
 
 
 class TestEpochWindows:

@@ -283,7 +283,7 @@ def _serial_implicit_solve(model, x_prev, h, theta, disp, fp_tol, fp_max_iter,
     raise ImplicitSolveError(
         f"implicit drift solve stalled at step {step_idx}: residual {resid:.3e} "
         f"after {fp_max_iter} iterations (tolerance {fp_tol:.1e})",
-        residual=resid, step=step_idx)
+        residual=resid)
 
 
 def _serial_advance(model, config, paths, x, clocks, step_idx):
@@ -303,7 +303,7 @@ def _serial_advance(model, config, paths, x, clocks, step_idx):
             x_new = np.maximum(x_new, 0.0)
         elif config.negativity == "error":
             raise NegativeStateError(
-                f"negative component at step {step_idx}: x={x_new!r}")
+                f"negative component at step {step_idx}: x={x_new!r}", x=x_new)
     return x_new, r, dys, _clamp_total(clamped)
 
 
@@ -313,7 +313,7 @@ def serial_solve(model, config, paths, x0, T):
     must equal bit for bit.
 
     Returns (states, clocks, jump_counts, phi3 clamps).  An error is raised
-    with ``failed_at``, the step it happened in.
+    with ``step``, the step it happened in.
     """
     nbar = rs.stepper.grid_steps(T, config.h)
     x = np.asarray(x0, dtype=float).reshape(model.dim).copy()
@@ -325,7 +325,7 @@ def serial_solve(model, config, paths, x0, T):
         try:
             x, r, dys, nclamp = _serial_advance(model, config, paths, x, clocks, n)
         except RteSimError as e:
-            e.failed_at = n
+            e.step = n
             raise
         clocks = clocks + r
         jump_counts += dys
@@ -401,10 +401,10 @@ class TestBlockEngine:
                 serial_solve(model, cfg, rs.PathBundle(ORACLE_SEED, j, 1), x0, 4.0)
             except RteSimError as e:
                 failures[j] = e
-        steps = {e.failed_at for e in failures.values()}
+        steps = {e.step for e in failures.values()}
         assert len(steps) > 1  # rows fail at different steps
         first = min(steps)
-        j = min(j for j, e in failures.items() if e.failed_at == first)
+        j = min(j for j, e in failures.items() if e.step == first)
         want = failures[j]
         with pytest.raises(RteSimError) as info:
             solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, 1),
