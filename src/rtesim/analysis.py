@@ -79,13 +79,11 @@ def run_replications(worker, M, threads=1):
 # ---------------------------------------------------------------------------
 # strong error and order fitting
 
-# Most rows per block of replications; results do not depend on either.
-# A strong_error block solve stores its whole history, (nbar + 1, B, d + p)
-# floats: at MAX_STEPS a block of 1024 rows with d + p = 3 would need about
-# 2.4 GB, so strong_error stays at 128.  exact_block keeps only O(p * BATCH)
-# floats per row, so martingale_check's blocks can fill a worker.
-_BLOCK_ROWS = 128
-_MARTINGALE_BLOCK_ROWS = 1024
+# Most rows per block of replications; results do not depend on it.
+# strong_error fills blocks with replications and groups configs into the
+# rows left; martingale_check gives each worker one block.  Neither block
+# solve keeps a path, so a block's memory does not grow with its steps.
+_BLOCK_ROWS = 1024
 
 
 def _blocks(M, size):
@@ -173,25 +171,23 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     Replications are solved in blocks of min(_BLOCK_ROWS, M) rows.  Each
     chain of stepper.lockstep_chains(configs) is cut into runs of at most
     _BLOCK_ROWS // (rows of the first block) configs, which form the
-    groups; the reference is a group of one.  A task is one group
-    on one block, which solve_lockstep runs config-major in one pass per
-    step of the group's finest grid, so a task stores at most _BLOCK_ROWS
-    rows of history.  The exact reference runs exact_trajectory on its
-    rows one by one, at the scalar cost per jump.  Tasks run block by
-    block: the reference first, then the groups from finest to coarsest
-    first h, so the longest tasks start first.
+    groups; the reference is a group of one.  A task is one group on one
+    block, which solve_lockstep runs config-major in one pass per step of
+    the group's finest grid, keeping only the current states.  The exact
+    reference runs exact_trajectory on its rows one by one, at the scalar
+    cost per jump.  Tasks run block by block: the reference first, then
+    the groups from finest to coarsest first h, so the longest tasks
+    start first.
 
     A block solve pays a fixed cost per pass that grows slowly with its
     rows: on the linear-scalar study model (M = 4, T = 5, 2-vCPU VM) the
     three variants as six 12-row groups, h = 2^-2 to 2^-7, took 146 ms for
     1260 steps, and as one 72-row group 92 ms for 640 passes.  So the
-    configs of a small block share its task, and blocks are not split
-    across threads.  Grouping across step sizes measured faster than
-    grouping each h alone up to M = 16, and as fast at M = 32 and 64,
-    where a group fills most of a block.  A full block solves each config
-    alone: there a group's rule-by-rule calls cost more than one config's
-    calls on as many rows (1.14 against 1.01 s for criterion 3's four
-    variants at h = 1/160 on 128 rows).
+    configs of a block share its task, and blocks are not split across
+    threads.  At M = 128 a group holds 8 configs: criterion 3's four
+    variants at h = 1/160 took 1.53 s of CPU as one 512-row group, against
+    1.86 s as four 128-row solves (best of 3).  From M = 1024 on, every
+    config solves alone.
 
     A failure raises the error of the first failing task in that order,
     at any thread count, then of its earliest failing pass, then of its
@@ -240,7 +236,7 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
         try:
             windows = EpochWindows(master_seed, list(reps) * len(group), p)
             return solve_lockstep(model, [solvers[k] for k in group], windows,
-                                  x0, T).endpoint
+                                  x0, T).endpoints
         except RteSimError as e:
             # an error raised before the first step has no row: it is every row's
             i, row = divmod(e.row or 0, len(reps))
@@ -509,7 +505,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     same way, which keeps the per-path time integrals vectorised.
 
     Replications are solved by exact_block in blocks of
-    min(_MARTINGALE_BLOCK_ROWS, ceil(M / workers)) rows, workers =
+    min(_BLOCK_ROWS, ceil(M / workers)) rows, workers =
     min(threads, usable CPUs), one task each.  Both path integrals are
     summed as the paths are built, at integrate_along_path's first level;
     a row's sums come from its own chunks only, so they do not depend on
@@ -518,6 +514,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     integrate_along_path on its exact_trajectory, which refines further.
     Before that, a row whose sums or F(X_T) are not finite raises
     ModelEvaluationError naming its replication, the lowest such row first.
+    A non-finite F(x0) raises ModelEvaluationError before any block runs.
     """
     if M < 2:
         raise ConfigurationError(f"martingale check needs M >= 2, got {M}")
@@ -525,6 +522,8 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     p = model.jump_count
     x0 = initial_state(model, x0)
     f_start = float(np.asarray(F(x0.reshape(1, -1)), dtype=float).reshape(-1)[0])
+    if not math.isfinite(f_start):
+        raise ModelEvaluationError(f"F(x0) = {f_start!r} is not finite", x=x0)
 
     def worker(reps):
         kron, gauss = np.zeros((2, 2, len(reps)))  # per integrand and row
@@ -556,7 +555,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
                     traj, lambda xs, i=i: integrands(xs)[i], tol=tol)
         return f_end - f_start - vals[0], vals[1]
 
-    blocks = _blocks(M, min(_MARTINGALE_BLOCK_ROWS, -(-M // _workers(threads))))
+    blocks = _blocks(M, min(_BLOCK_ROWS, -(-M // _workers(threads))))
     results = run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
     mf = np.concatenate([r[0] for r in results])
     qv = np.concatenate([r[1] for r in results])

@@ -13,6 +13,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .poisson import EpochWindows
 QUADRATURES = ("euler", "midpoint", "trapezoidal",
                "improved-midpoint", "improved-trapezoidal")
 NEGATIVITY_POLICIES = ("reset-to-zero", "allow", "error")
-# largest T/h of a grid; a solve records (T/h + 1) * B * (d + p) floats
+# largest T/h of a grid; solve_trajectory records (T/h + 1) * (d + p) floats
 MAX_STEPS = 100_000
 
 
@@ -85,11 +86,7 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Grid, states and internal clocks of one fixed-step run.
-
-    States are (nbar+1, d) and clocks (nbar+1, p); a block of B
-    replications adds a row axis after the step axis.
-    """
+    """Grid, states (nbar+1, d) and clocks (nbar+1, p) of one fixed-step run."""
 
     grid: np.ndarray
     states: np.ndarray
@@ -305,7 +302,7 @@ def grid_steps(T, h):
     """Number of steps n with n*h = T.
 
     GridError if T/h is not integral; ConfigurationError if h is not finite
-    and positive or T/h is above MAX_STEPS, which bounds a solve's history.
+    and positive or T/h is above MAX_STEPS.
     """
     if not 0.0 < h < math.inf:
         raise ConfigurationError(f"step size h={h!r} is not a finite positive number")
@@ -367,7 +364,17 @@ def lockstep_chains(configs):
     return chains
 
 
-def solve_lockstep(model, configs, epochs, x0, T):
+class LockstepEnds(NamedTuple):
+    """A solve_lockstep block's states (B, d), clocks (B, p) and counts
+    Y(clocks) (B, p) at T, and the phi3 clamp count of each config."""
+
+    endpoints: np.ndarray
+    clocks: np.ndarray
+    jump_counts: np.ndarray
+    phi3_clamps: list
+
+
+def solve_lockstep(model, configs, epochs, x0, T, on_pass=None):
     """Run several Theta-Maruyama configs over [0, T] on one block, in lock step.
 
     ``epochs`` is a new EpochWindows of B = G * R rows for G configs; row i
@@ -381,17 +388,15 @@ def solve_lockstep(model, configs, epochs, x0, T):
     holds its state between its own steps.  A row computes exactly what it
     computes alone, in any block and beside any configs: it steps by its
     own h, phi3 is evaluated rule by rule on each rule's rows, and a theta
-    = 0 row never evaluates the drift at an implicit iterate.  Grid times
-    are n*h_min by integer multiplication, never accumulated.
+    = 0 row never evaluates the drift at an implicit iterate.
 
-    Returns a Trajectory on the finest grid, whose states are (nbar+1, B,
-    d) and clocks (nbar+1, B, p); config c's own trajectory is every m_c-th
-    step of its rows.  ``meta`` holds ``configs``, the final
-    ``jump_counts`` (B, p) and ``phi3_clamps``, the clamp count of each
-    config.  A failing block raises the error of its lowest-indexed row
-    among those failing at the earliest failing pass, with ``row`` set to
-    it and the row's own step index.  Does not warn about step sizes;
-    solve_trajectory and strong_error do.
+    Only the current states x (B, d) and clocks (B, p) are kept; they go
+    to ``on_pass(x, clocks)`` before the first pass and after each pass,
+    which copies what it keeps.  Returns LockstepEnds.  A failing block
+    raises the error of its lowest-indexed row among those failing at the
+    earliest failing pass, with ``row`` set to it and the row's own step
+    index.  Does not warn about step sizes; solve_trajectory and
+    strong_error do.
     """
     configs = list(configs)
     if lockstep_chains(configs) != [list(range(len(configs)))]:
@@ -407,24 +412,20 @@ def solve_lockstep(model, configs, epochs, x0, T):
     R = B // G
     nbar = grid_steps(T, configs[0].h)
     ratios = [nbar // grid_steps(T, c.h) for c in configs]
-    # the rows that step when m divides the pass number; ascending, so a
-    # coarser level overwrites the passes it shares with a finer one
-    levels = {m: (c + 1) * R for c, m in enumerate(ratios)}
-    stepping = np.empty(nbar, dtype=np.int64)
-    for m, rows in levels.items():
-        stepping[m - 1::m] = rows
-    layouts = {rows: _Layout(configs[:rows // R], R) for rows in levels.values()}
-    d, p = model.dim, model.jump_count
+    # (m, the rows of the configs of ratio m or less), coarsest first: pass
+    # n steps the rows of the first m that divides n + 1
+    levels = sorted({m: (c + 1) * R for c, m in enumerate(ratios)}.items(),
+                    reverse=True)
+    layouts = {rows: _Layout(configs[:rows // R], R) for _, rows in levels}
     x0 = initial_state(model, x0)
     x = np.repeat(x0[None, :], B, axis=0)
-    clocks = np.zeros((B, p))
-    counts = np.zeros((B, p), dtype=np.int64)
-    states = np.empty((nbar + 1, B, d))
-    clock_hist = np.empty((nbar + 1, B, p))
-    states[0] = x
-    clock_hist[0] = clocks
+    clocks = np.zeros((B, model.jump_count))
+    counts = np.zeros(clocks.shape, dtype=np.int64)
     row_clamps = np.zeros(B, dtype=np.int64)
-    for n, b in enumerate(stepping.tolist()):
+    on_pass = on_pass or (lambda x, clocks: None)
+    on_pass(x, clocks)
+    for n in range(nbar):
+        b = next(rows for m, rows in levels if (n + 1) % m == 0)
         layout = layouts[b]
         try:
             x_b, clocks_b, counts_b, clamps = _step(model, layout, epochs, x[:b],
@@ -438,15 +439,9 @@ def solve_lockstep(model, configs, epochs, x0, T):
         x[:b], clocks[:b], counts[:b] = x_b, clocks_b, counts_b
         for rows, c in clamps:
             row_clamps[rows] += c
-        states[n + 1] = x
-        clock_hist[n + 1] = clocks
-    meta = {
-        "configs": configs,
-        "jump_counts": counts,
-        "phi3_clamps": row_clamps.reshape(G, -1).sum(axis=1).tolist(),
-    }
-    return Trajectory(grid=np.arange(nbar + 1) * configs[0].h, states=states,
-                      clocks=clock_hist, meta=meta)
+        on_pass(x, clocks)
+    return LockstepEnds(x, clocks, counts,
+                        row_clamps.reshape(G, -1).sum(axis=1).tolist())
 
 
 def solve_trajectory(model, config, bundle, x0, T):
@@ -459,9 +454,13 @@ def solve_trajectory(model, config, bundle, x0, T):
     """
     if message := step_size_warning(model, config):
         warnings.warn(message, stacklevel=2)
-    traj = solve_lockstep(model, [config], EpochWindows(
-        bundle.master_seed, [bundle.replication], model.jump_count), x0, T)
-    traj.states, traj.clocks = traj.states[:, 0], traj.clocks[:, 0]
-    traj.meta = {"config": config, "jump_counts": traj.meta["jump_counts"][0],
-                 "phi3_clamps": traj.meta["phi3_clamps"][0]}
-    return traj
+    d = model.dim
+    hist = np.empty((grid_steps(T, config.h) + 1, d + model.jump_count))
+    rows = iter(hist)  # one row of the record per call
+    ends = solve_lockstep(model, [config], EpochWindows(
+        bundle.master_seed, [bundle.replication], model.jump_count), x0, T,
+        lambda x, c: np.concatenate([x[0], c[0]], out=next(rows)))
+    return Trajectory(grid=np.arange(len(hist)) * config.h, states=hist[:, :d],
+                      clocks=hist[:, d:],
+                      meta={"config": config, "jump_counts": ends.jump_counts[0],
+                            "phi3_clamps": ends.phi3_clamps[0]})

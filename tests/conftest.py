@@ -1,5 +1,5 @@
-"""Shared helpers: canned epoch streams, hand-built models and the
-Hypothesis profile.
+"""Shared helpers: canned epoch streams, hand-built models, a recorded
+lock-step solve and the Hypothesis profile.
 
 The hand-built hooks broadcast like the built-in ones: times (m,) with
 states (m, d) give flows (m, d) and hazards (m,).
@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from rtesim.model import AnalyticHooks, RteModel
 from rtesim.poisson import EpochWindows, PoissonPath
+from rtesim.stepper import solve_lockstep
 
 SENTINEL = 1e18
 
@@ -37,6 +38,23 @@ def fixed_windows(epochs):
     w.win[0, 0] = SENTINEL
     w.win[0, 0, :len(epochs)] = epochs
     return w
+
+
+def record_lockstep(model, configs, epochs, x0, T):
+    """solve_lockstep with an on_pass that copies every pass.
+
+    Returns (grid, states, clocks, ends): the finest grid, states (nbar+1,
+    B, d) and clocks (nbar+1, B, p) after each pass, and the LockstepEnds.
+    """
+    configs, states, clocks = list(configs), [], []
+
+    def record(x, c):
+        states.append(x.copy())
+        clocks.append(c.copy())
+
+    ends = solve_lockstep(model, configs, epochs, x0, T, record)
+    grid = np.arange(len(states)) * configs[0].h
+    return grid, np.array(states), np.array(clocks), ends
 
 
 def zero_rate_model(alpha=1.5, with_hooks=True):

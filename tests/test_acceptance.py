@@ -156,7 +156,7 @@ def test_criterion_4_exactness_oracles():
     out = solve_lockstep(m, [rs.SolverConfig(theta=1.0, h=0.1)],
                          fixed_windows([1.0, 2.0, 3.0]), [10.0], 0.1)
     closed = (10.0 + 3 * 0.007) / 1.15
-    d_step = abs(out.endpoint[0, 0] - closed)
+    d_step = abs(out.endpoints[0, 0] - closed)
     # hazard inversion round trip
     worst_rt = 0.0
     for x0 in (0.5, 2.0, 10.0, 25.0):

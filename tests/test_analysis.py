@@ -404,7 +404,7 @@ class TestStrongError:
 
         def endpoints(cfg):  # any partition: a row does not depend on its block
             return np.concatenate([solve_lockstep(
-                m, [cfg], rs.EpochWindows(3, reps, 4), x0, 1.0).endpoint
+                m, [cfg], rs.EpochWindows(3, reps, 4), x0, 1.0).endpoints
                 for reps in (range(0, 4), range(4, 7))])
 
         signed = np.stack([endpoints(c) - endpoints(ref) for c in cfgs], axis=1)
@@ -821,7 +821,7 @@ class TestMartingale:
     def test_block_size_does_not_change_results(self, monkeypatch, model, x0):
         results = []
         for block in (1, 7, 64):
-            monkeypatch.setattr(analysis, "_MARTINGALE_BLOCK_ROWS", block)
+            monkeypatch.setattr(analysis, "_BLOCK_ROWS", block)
             results.append(self._check(model, 20, 5, x0=x0))
         assert results[0] == results[1] == results[2]
 
@@ -881,7 +881,7 @@ class TestMartingale:
                               flow=m.analytic.flow,
                               hazard_integral=m.analytic.hazard_integral,
                               hazard_inverse=(lambda delta, x: -1.0,)))
-        monkeypatch.setattr(analysis, "_MARTINGALE_BLOCK_ROWS", 2)
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 2)
         with pytest.raises(ModelEvaluationError) as info:
             self._check(bad, 4, 0, threads=threads)
         e = info.value
@@ -909,6 +909,22 @@ class TestMartingale:
                 rs.martingale_check(m, F, np.ones_like, [10.0], 0.2, 8, 5,
                                     threads=threads)
         assert info.value.replication == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_observable_at_x0_raises_before_any_block(self, monkeypatch,
+                                                                threads):
+        # F is finite along every path after its first jump, but not at x0
+        m = rs.builtin_linear_scalar(**SET1)
+        F = lambda xs: np.where(xs[..., 0] == 10.0, np.nan, xs[..., 0])
+        with pytest.raises(ModelEvaluationError) as generator:
+            rs.generator_apply(m, F, np.ones_like, [10.0])
+        tasks = TestStrongError._task_counts(monkeypatch)
+        with pytest.raises(ModelEvaluationError,
+                           match=r"^F\(x0\) = nan is not finite$") as info:
+            rs.martingale_check(m, F, np.ones_like, [10.0], 0.2, 8, 5, threads=threads)
+        assert tasks == []
+        assert np.array_equal(info.value.x, generator.value.x)
+        assert info.value.replication is None
 
     def test_requires_at_least_two_paths(self):
         m = rs.builtin_linear_scalar(**SET1)

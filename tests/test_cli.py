@@ -500,7 +500,6 @@ class TestOutputs:
                                               experiment, argv, overrides):
         # small blocks, so that diagnose's replications span several of them
         monkeypatch.setattr(analysis, "_BLOCK_ROWS", 6)
-        monkeypatch.setattr(analysis, "_MARTINGALE_BLOCK_ROWS", 6)
         cfg = tmp_path / "c.json"
         write_config(cfg, **overrides)
         out = tmp_path / "out"

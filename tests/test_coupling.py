@@ -16,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rtesim as rs
+from conftest import record_lockstep
 from rtesim import analysis
 from rtesim.exact import exact_block, exact_trajectory
 from rtesim.poisson import EpochWindows, PathBundle
-from rtesim.stepper import solve_lockstep
 
 SEED = 13
 T = 0.5
@@ -67,23 +67,22 @@ def test_lockstep_rows_equal_their_config_alone(name, reps, chain):
     model, x0 = MODELS[name]
     p = model.jump_count
     configs = _configs(chain)
-    group = solve_lockstep(model, configs, EpochWindows(SEED, reps * len(configs), p),
-                           x0, T)
-    passes = np.arange(len(group.grid))
+    grid, states, clocks, group = record_lockstep(
+        model, configs, EpochWindows(SEED, reps * len(configs), p), x0, T)
+    passes = np.arange(len(grid))
     lone = {}
     for c, cfg in enumerate(configs):
         m = round(cfg.h / configs[0].h)
         for r, j in enumerate(reps):
             key = (cfg, j)
             if key not in lone:
-                lone[key] = solve_lockstep(model, [cfg], EpochWindows(SEED, [j], p),
-                                           x0, T)
-            alone, row = lone[key], c * len(reps) + r
+                lone[key] = record_lockstep(model, [cfg], EpochWindows(SEED, [j], p),
+                                            x0, T)
+            (_, alone_states, alone_clocks, alone), row = lone[key], c * len(reps) + r
             # between its own steps a row holds its state and clocks
-            assert np.array_equal(group.states[:, row], alone.states[passes // m, 0])
-            assert np.array_equal(group.clocks[:, row], alone.clocks[passes // m, 0])
-            assert np.array_equal(group.meta["jump_counts"][row],
-                                  alone.meta["jump_counts"][0])
+            assert np.array_equal(states[:, row], alone_states[passes // m, 0])
+            assert np.array_equal(clocks[:, row], alone_clocks[passes // m, 0])
+            assert np.array_equal(group.jump_counts[row], alone.jump_counts[0])
 
 
 @PROPERTY
@@ -146,11 +145,11 @@ def test_exact_block_rows_equal_exact_trajectory(name, seed, reps):
 
 
 def _assert_block_size_free(name, chain, M, exact, threads):
-    """strong_error's report is the same at _BLOCK_ROWS 1, 7 and 128."""
+    """strong_error's report is the same at _BLOCK_ROWS 1, 7, 128 and 1024."""
     model, x0 = MODELS[name]
     reference = "exact" if exact else rs.SolverConfig(theta=0.0, h=1 / 64)
     reports = []
-    for rows in (1, 7, 128):
+    for rows in (1, 7, 128, 1024):
         with mock.patch.object(analysis, "_BLOCK_ROWS", rows):
             reports.append(rs.strong_error(model, reference, _configs(chain), x0, T,
                                            M, SEED, threads=threads))

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rtesim as rs
-from conftest import fixed_windows, zero_rate_model
+from conftest import fixed_windows, record_lockstep, zero_rate_model
 from rtesim.errors import (ConfigurationError, GridError, ImplicitSolveError,
                            NegativeStateError, RteSimError)
 from rtesim.model import eval_drift
@@ -137,9 +138,11 @@ def one_step(model, cfg, x0, epochs=()):
 class TestStep:
     def test_explicit_step_no_jumps(self):
         m = zero_rate_model(alpha=1.5)
-        out = one_step(m, rs.SolverConfig(theta=0.0, h=0.1), [10.0])
-        assert out.endpoint[0, 0] == pytest.approx(8.5, rel=1e-14)
-        assert len(out.grid) == 2 and out.grid[-1] == pytest.approx(0.1)
+        grid, states, _, out = record_lockstep(m, [rs.SolverConfig(theta=0.0, h=0.1)],
+                                               fixed_windows(()), [10.0], 0.1)
+        assert out.endpoints[0, 0] == pytest.approx(8.5, rel=1e-14)
+        assert np.array_equal(states[-1], out.endpoints)
+        assert len(grid) == 2 and grid[-1] == pytest.approx(0.1)
 
     def test_implicit_step_matches_closed_form(self):
         # three epochs inside the clock increment force dY = 3
@@ -147,27 +150,27 @@ class TestStep:
         cfg = rs.SolverConfig(theta=1.0, h=0.1)
         out = one_step(m, cfg, [10.0], [1.0, 2.0, 3.0])  # clock moves 0 -> 200
         closed = (10.0 + 3 * 0.007) / 1.15
-        assert out.endpoint[0, 0] == pytest.approx(closed, abs=1e-10)
-        assert out.meta["jump_counts"][0, 0] == 3
-        assert out.clocks[-1, 0, 0] == pytest.approx(200.0)
+        assert out.endpoints[0, 0] == pytest.approx(closed, abs=1e-10)
+        assert out.jump_counts[0, 0] == 3
+        assert out.clocks[0, 0] == pytest.approx(200.0)
 
     def test_trapezoidal_drift_only_step(self):
         m = zero_rate_model(alpha=1.5)
         out = one_step(m, rs.SolverConfig(theta=0.5, h=0.5), [10.0])
-        assert out.endpoint[0, 0] == pytest.approx(6.25 / 1.375, abs=1e-12)
+        assert out.endpoints[0, 0] == pytest.approx(6.25 / 1.375, abs=1e-12)
 
     def test_negativity_reset(self):
         m = rs.RteModel(2, lambda x: np.array([0.0, -10.0]) + 0.0 * x,
                         (lambda x: 0.0 * x[..., 0],), [[0.0, 0.0]], name="sink")
         cfg = rs.SolverConfig(theta=0.0, h=0.1, negativity="reset-to-zero")
         out = one_step(m, cfg, [1.0, 0.7])
-        assert out.endpoint[0, 1] == 0.0 and out.endpoint[0, 0] == 1.0
+        assert out.endpoints[0, 1] == 0.0 and out.endpoints[0, 0] == 1.0
 
     def test_negativity_allow_and_error(self):
         m = rs.RteModel(1, lambda x: -10.0 + 0.0 * x,
                         (lambda x: 0.0 * x[..., 0],), [[0.0]], name="sink")
         allow = rs.SolverConfig(theta=0.0, h=0.1, negativity="allow")
-        assert one_step(m, allow, [0.3]).endpoint[0, 0] == pytest.approx(-0.7)
+        assert one_step(m, allow, [0.3]).endpoints[0, 0] == pytest.approx(-0.7)
         err = rs.SolverConfig(theta=0.0, h=0.1, negativity="error")
         with pytest.raises(NegativeStateError):
             one_step(m, err, [0.3])
@@ -367,14 +370,32 @@ class TestBlockEngine:
         assert np.array_equal(bundle.clocks, oracle[0][1])
         assert np.array_equal(bundle.meta["jump_counts"], oracle[0][2])
         for reps in (range(5, 6), range(30, 37), range(64)):
-            block = solve_lockstep(
+            _, block_states, block_clocks, block = record_lockstep(
                 model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p), x0, T)
-            assert block.meta["phi3_clamps"] == [sum(oracle[j][3] for j in reps)]
+            assert block.phi3_clamps == [sum(oracle[j][3] for j in reps)]
             for i, j in enumerate(reps):
                 states, clocks, counts, _ = oracle[j]
-                assert np.array_equal(block.states[:, i], states)
-                assert np.array_equal(block.clocks[:, i], clocks)
-                assert np.array_equal(block.meta["jump_counts"][i], counts)
+                assert np.array_equal(block_states[:, i], states)
+                assert np.array_equal(block_clocks[:, i], clocks)
+                assert np.array_equal(block.jump_counts[i], counts)
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # a block keeps only its current state: a history of 4 rows would
+        # grow by 64 bytes per step, 448 KB from T = 1 to T = 8
+        model = rs.builtin_linear_scalar(**SET1)
+        cfg = rs.SolverConfig(theta=0.0, h=2.0 ** -10)
+        solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, range(4), 1),
+                       [10.0], 0.125)  # warm up, untraced
+        peaks = []
+        for T in (1.0, 8.0):
+            windows = rs.EpochWindows(ORACLE_SEED, range(4), 1)
+            tracemalloc.start()
+            try:
+                solve_lockstep(model, [cfg], windows, [10.0], T)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
     @pytest.mark.parametrize("case", ["nan-drift", "picard-stall", "negative"])
     def test_error_is_first_failing_row_at_earliest_step(self, case):
@@ -439,23 +460,20 @@ class TestLockstepGroups:
         cfgs = [rs.SolverConfig(theta=t, h=0.125, quadrature=q)
                 for t, q in MIXED_GROUP]
         reps = range(30, 37)
-        group = solve_lockstep(model, cfgs,
-                               rs.EpochWindows(ORACLE_SEED, list(reps) * len(cfgs), p),
-                               x0, T)
-        assert group.meta["configs"] == cfgs
+        grid, states, clocks, group = record_lockstep(
+            model, cfgs, rs.EpochWindows(ORACLE_SEED, list(reps) * len(cfgs), p), x0, T)
         R = len(reps)
         for c, cfg in enumerate(cfgs):
-            alone = solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p),
-                                   x0, T)
+            alone_grid, alone_states, alone_clocks, alone = record_lockstep(
+                model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p), x0, T)
             rows = slice(c * R, (c + 1) * R)
-            assert np.array_equal(group.grid, alone.grid)
-            assert np.array_equal(group.states[:, rows], alone.states)
-            assert np.array_equal(group.clocks[:, rows], alone.clocks)
-            assert np.array_equal(group.meta["jump_counts"][rows],
-                                  alone.meta["jump_counts"])
-            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"][0]
+            assert np.array_equal(grid, alone_grid)
+            assert np.array_equal(states[:, rows], alone_states)
+            assert np.array_equal(clocks[:, rows], alone_clocks)
+            assert np.array_equal(group.jump_counts[rows], alone.jump_counts)
+            assert group.phi3_clamps[c] == alone.phi3_clamps[0]
         if name == "collapsing":
-            assert group.meta["phi3_clamps"] == [0, 0, 49, 0, 28]
+            assert group.phi3_clamps == [0, 0, 49, 0, 28]
 
     def test_explicit_rows_never_evaluate_an_implicit_iterate(self):
         # explicit Euler visits 1, 0.75, 0.5625 and 0.4219 and ends at
@@ -464,14 +482,15 @@ class TestLockstepGroups:
                             (lambda x: 0.0 * x[..., 0],), [[0.0]], name="cliff")
         cfgs = [rs.SolverConfig(theta=t, h=0.25, quadrature=q)
                 for t, q in ((1.0, "euler"), (0.0, "euler"), (0.5, "trapezoidal"))]
-        alone = [solve_lockstep(model, [cfg], rs.EpochWindows(0, [0], 1), [1.0], 1.0)
+        alone = [record_lockstep(model, [cfg], rs.EpochWindows(0, [0], 1), [1.0], 1.0)
                  for cfg in cfgs]
-        assert alone[1].endpoint[0, 0] == 0.75 ** 4
+        assert alone[1][3].endpoints[0, 0] == 0.75 ** 4
         with pytest.raises(rs.ModelEvaluationError):  # where Picard would start
-            eval_drift(model, alone[1].endpoint)
-        group = solve_lockstep(model, cfgs, rs.EpochWindows(0, [0] * 3, 1), [1.0], 1.0)
-        for c, traj in enumerate(alone):
-            assert np.array_equal(group.states[:, c:c + 1], traj.states)
+            eval_drift(model, alone[1][3].endpoints)
+        _, states, _, _ = record_lockstep(model, cfgs, rs.EpochWindows(0, [0] * 3, 1),
+                                          [1.0], 1.0)
+        for c, (_, alone_states, _, _) in enumerate(alone):
+            assert np.array_equal(states[:, c:c + 1], alone_states)
 
     def test_group_error_names_the_row_of_the_failing_config(self):
         # the theta = 1 rows stall at different steps; the theta = 0 rows,
@@ -519,24 +538,22 @@ class TestMultiRate:
                 for h in self.HS for t, q in MIXED_GROUP]
         reps = range(30, 37)
         R = len(reps)
-        group = solve_lockstep(model, cfgs,
-                               rs.EpochWindows(ORACLE_SEED, list(reps) * len(cfgs), p),
-                               x0, T)
-        passes = np.arange(len(group.grid))
+        grid, states, clocks, group = record_lockstep(
+            model, cfgs, rs.EpochWindows(ORACLE_SEED, list(reps) * len(cfgs), p), x0, T)
+        passes = np.arange(len(grid))
         assert len(passes) == round(T / self.HS[0]) + 1
         for c, cfg in enumerate(cfgs):
             m = round(cfg.h / self.HS[0])
-            alone = solve_lockstep(model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p),
-                                   x0, T)
+            _, alone_states, alone_clocks, alone = record_lockstep(
+                model, [cfg], rs.EpochWindows(ORACLE_SEED, reps, p), x0, T)
             rows = slice(c * R, (c + 1) * R)
             # between its own steps a row holds its state and clocks
-            assert np.array_equal(group.states[:, rows], alone.states[passes // m])
-            assert np.array_equal(group.clocks[:, rows], alone.clocks[passes // m])
-            assert np.array_equal(group.meta["jump_counts"][rows],
-                                  alone.meta["jump_counts"])
-            assert group.meta["phi3_clamps"][c] == alone.meta["phi3_clamps"][0]
+            assert np.array_equal(states[:, rows], alone_states[passes // m])
+            assert np.array_equal(clocks[:, rows], alone_clocks[passes // m])
+            assert np.array_equal(group.jump_counts[rows], alone.jump_counts)
+            assert group.phi3_clamps[c] == alone.phi3_clamps[0]
         if name == "collapsing":  # only the coarsest configs clamp
-            assert group.meta["phi3_clamps"] == [0] * 12 + [49, 0, 28]
+            assert group.phi3_clamps == [0] * 12 + [49, 0, 28]
 
     @pytest.mark.parametrize("hs", [(0.125, 0.25), (0.25, 0.125), (0.1, 0.25)])
     def test_step_sizes_ascend_by_whole_multiples(self, hs):
@@ -544,8 +561,8 @@ class TestMultiRate:
         cfgs = [rs.SolverConfig(theta=0.0, h=h) for h in hs]
         windows = rs.EpochWindows(0, range(4), 1)
         if hs == (0.125, 0.25):
-            assert solve_lockstep(model, cfgs, windows, [10.0], 1.0).states.shape == \
-                (9, 4, 1)
+            _, states, _, _ = record_lockstep(model, cfgs, windows, [10.0], 1.0)
+            assert states.shape == (9, 4, 1)
         else:
             with pytest.raises(ConfigurationError, match="block"):
                 solve_lockstep(model, cfgs, windows, [10.0], 1.0)
