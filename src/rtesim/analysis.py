@@ -7,6 +7,7 @@ tasks; results are reduced in replication order, which keeps every
 reported number bit-stable no matter how many workers run.
 """
 
+import contextlib
 import functools
 import math
 import multiprocessing as mp
@@ -84,6 +85,7 @@ def run_replications(worker, M, threads=1):
 # rows left; martingale_check gives each worker one block.  Neither block
 # solve keeps a path, so a block's memory does not grow with its steps.
 _BLOCK_ROWS = 1024
+_EXACT_BLOCK_ROWS = 16  # fewest rows of an exact_block reference (README)
 
 
 def _blocks(M, size):
@@ -173,11 +175,11 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     _BLOCK_ROWS // (rows of the first block) configs, which form the
     groups; the reference is a group of one.  A task is one group on one
     block, which solve_lockstep runs config-major in one pass per step of
-    the group's finest grid, keeping only the current states.  The exact
-    reference runs exact_trajectory on its rows one by one, at the scalar
-    cost per jump.  Tasks run block by block: the reference first, then
-    the groups from finest to coarsest first h, so the longest tasks
-    start first.
+    the group's finest grid, keeping only the current states.  An exact
+    reference block of _EXACT_BLOCK_ROWS rows or more is one exact_block
+    solve; a smaller or a failing one runs exact_trajectory row by row.
+    Tasks run block by block: the reference first, then the groups from
+    finest to coarsest first h, so the longest tasks start first.
 
     A block solve pays a fixed cost per pass that grows slowly with its
     rows: on the linear-scalar study model (M = 4, T = 5, 2-vCPU VM) the
@@ -232,6 +234,10 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
 
     def solve(group, reps):
         if use_exact and group == [0]:
+            # a failing block is solved again row by row, to name its lowest row
+            with contextlib.suppress(RteSimError):
+                if len(reps) >= _EXACT_BLOCK_ROWS:
+                    return exact_block(model, master_seed, reps, x0, T).endpoints
             return np.stack([exact_end(i, j) for i, j in enumerate(reps)])
         try:
             windows = EpochWindows(master_seed, list(reps) * len(group), p)

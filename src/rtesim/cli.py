@@ -47,9 +47,12 @@ EXIT_CONFIG = 1
 EXIT_MODEL = 2
 EXIT_NUMERICAL = 3
 
-_MODEL_ERRORS = (ModelEvaluationError, UnsupportedModelError,
-                 RunawayJumpError, QueryError)
-_NUMERICAL_ERRORS = (ImplicitSolveError, NegativeStateError, FitError)
+# exit status per error class; a subclass takes its nearest listed base's
+_EXIT_STATUS = {ConfigurationError: EXIT_CONFIG, OSError: EXIT_CONFIG,
+                ModelEvaluationError: EXIT_MODEL, UnsupportedModelError: EXIT_MODEL,
+                RunawayJumpError: EXIT_MODEL, QueryError: EXIT_MODEL,
+                ImplicitSolveError: EXIT_NUMERICAL, NegativeStateError: EXIT_NUMERICAL,
+                FitError: EXIT_NUMERICAL}
 
 
 _TOP_KEYS = {"schema", "model", "solver", "experiment", "T", "x0", "M",
@@ -449,24 +452,23 @@ def _run_diagnose(config, threads, comments):
                c.second_moment_rhs, c.se_rhs)])]
 
 
-def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
+def run(config, threads=1, timestamp=True, sample_grid=None):
     """Validate, compute every table, then write them; returns the exit status."""
     findings = validate(config, sample_grid)
     errors = [message for level, message in findings if level == "error"]
     for message in (m for level, m in findings if level == "warning"):
-        log(f"warning: {message}")
-    if errors:  # one line, however many findings
-        log("error: " + "; ".join(errors))
-        return EXIT_CONFIG
-    # Freeze what the imports and validate left alive, before any pool
-    # forks: the interpreter's exit-time collection then skips it.  No
-    # collect first, which would cost set-up time, and no unfreeze after,
-    # so an in-process caller keeps those objects frozen too.
-    gc.freeze()
-    stamp = (datetime.now(timezone.utc).isoformat(timespec="seconds")
-             if timestamp else None)
-    comments = _meta_comments(config, stamp)
+        print(f"warning: {message}", file=sys.stderr)
     try:
+        if errors:  # one line, however many findings
+            raise ConfigurationError("; ".join(errors))
+        # Freeze what the imports and validate left alive, before any pool
+        # forks: the interpreter's exit-time collection then skips it.  No
+        # collect first, which would cost set-up time, and no unfreeze after,
+        # so an in-process caller keeps those objects frozen too.
+        gc.freeze()
+        stamp = (datetime.now(timezone.utc).isoformat(timespec="seconds")
+                 if timestamp else None)
+        comments = _meta_comments(config, stamp)
         with warnings.catch_warnings():
             # the findings above already hold every step-size warning
             warnings.filterwarnings("ignore", message=r"h\*theta\*L_f = ")
@@ -481,20 +483,12 @@ def run(config, threads=1, timestamp=True, sample_grid=None, log=print):
         os.makedirs(config.output, exist_ok=True)
         names = [_write_table(config.output, *table) for table in tables]
         _write_table(config.output, *_meta_table(config, names, stamp))
-    except ConfigurationError as e:
-        log(f"error: {e}")
-        return EXIT_CONFIG
-    except _MODEL_ERRORS as e:
-        log(f"error: {e}")
-        return EXIT_MODEL
-    except _NUMERICAL_ERRORS as e:
-        log(f"error: {e}")
-        return EXIT_NUMERICAL
-    except OSError as e:  # the output directory cannot be made or written
-        log(f"error: output: {e}")
-        return EXIT_CONFIG
+    except tuple(_EXIT_STATUS) as e:
+        where = "output: " if isinstance(e, OSError) else ""
+        print(f"error: {where}{e}", file=sys.stderr)
+        return next(_EXIT_STATUS[c] for c in type(e).__mro__ if c in _EXIT_STATUS)
     for name in names:
-        log(f"wrote {os.path.join(config.output, name)}")
+        print(f"wrote {os.path.join(config.output, name)}")
     return EXIT_OK
 
 
@@ -538,26 +532,22 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
+        try:
+            with open(args.config) as f:
+                doc = json.load(f)
+        except (OSError, json.JSONDecodeError) as e:
+            raise ConfigurationError(f"cannot read config {args.config!r}: {e}") from e
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"config {args.config!r} must be a JSON object, "
+                                     f"got {type(doc).__name__}")
+        try:
+            seed = resolve_seed(args.seed, doc)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigurationError(f"bad seed: {e}") from e
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        with open(args.config) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read config {args.config!r}: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not isinstance(doc, dict):
-        print(f"error: config {args.config!r} must be a JSON object, got "
-              f"{type(doc).__name__}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        seed = resolve_seed(args.seed, doc)
-    except (TypeError, ValueError, OverflowError) as e:
-        print(f"error: bad seed: {e}", file=sys.stderr)
         return EXIT_CONFIG
     config = RunConfig(doc, args.experiment, seed)
     return run(config, threads=args.threads, timestamp=not args.no_timestamp,

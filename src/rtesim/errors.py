@@ -51,7 +51,7 @@ class NegativeStateError(RteSimError):
 
 
 class RunawayJumpError(RteSimError):
-    """Exact solver exceeded the configured maximum number of jumps."""
+    """An exact path took more than exact.MAX_JUMPS jumps."""
 
 
 class UnsupportedModelError(RteSimError):

@@ -24,6 +24,8 @@ from .model import initial_state
 from .poisson import EpochWindows
 from .stepper import grid_steps
 
+MAX_JUMPS = 10_000_000  # most jumps an exact path may take
+
 
 @dataclass
 class ExactTrajectory:
@@ -80,7 +82,16 @@ def _require_hooks(model):
     return model.analytic
 
 
-def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
+def _runaway(t, T):
+    return RunawayJumpError(f"more than {MAX_JUMPS} jumps before t={t:g} (T={T}); "
+                            f"runaway rates or too small a jump height")
+
+
+def _bad_inverse(k, t_k, x):
+    return ModelEvaluationError(f"hazard_inverse[{k}] returned {t_k!r} at x={x!r}", x=x)
+
+
+def exact_trajectory(model, paths, x0, T):
     """Davis construction on the given epoch streams over [0, T]."""
     hooks = _require_hooks(model)
     p = model.jump_count
@@ -98,8 +109,7 @@ def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
             e_j = next_epochs[j](clocks[j])
             t_j = inverses[j](e_j - clocks[j], x)
             if math.isnan(t_j) or t_j < 0.0:
-                raise ModelEvaluationError(
-                    f"hazard_inverse[{j}] returned {t_j!r} at x={x!r}", x=x)
+                raise _bad_inverse(j, t_j, x)
             if t_j < dt:  # strict: ties break to the lowest index
                 k, dt, epoch = j, t_j, e_j
         final = k is None or t + dt > T
@@ -117,10 +127,8 @@ def exact_trajectory(model, paths, x0, T, max_jumps=10_000_000):
         x = np.asarray(flow(dt, x), dtype=float) + jumps[k]
         t += dt
         jump_ids.append(k)
-        if len(jump_ids) > max_jumps:
-            raise RunawayJumpError(
-                f"more than {max_jumps} jumps before t={t:g} (T={T}); "
-                f"runaway rates or too small a jump height")
+        if len(jump_ids) > MAX_JUMPS:
+            raise _runaway(t, T)
     # every segment after the first starts at a jump, in the post-jump state
     seg_starts, seg_states = np.array(seg_starts), np.array(seg_states)
     return ExactTrajectory(
@@ -149,8 +157,7 @@ class BlockEnds(NamedTuple):
     jump_counts: np.ndarray
 
 
-def exact_block(model, master_seed, replications, x0, T, on_segment,
-                max_jumps=10_000_000):
+def exact_block(model, master_seed, replications, x0, T, on_segment=None):
     """Davis construction of a block of replications, in lock step.
 
     Row i solves replication ``replications[i]`` on the epochs that
@@ -161,8 +168,8 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
     by one segment: ``flow`` and each ``hazard_integral`` and
     ``hazard_inverse`` are called once on all those rows, increments (m,)
     with states (m, d).  Paths are not stored: each pass hands its
-    segments to ``on_segment(rows, x, dur)`` -- block row indices (m,),
-    segment start states (m, d) and durations (m,) -- so every row's
+    segments to ``on_segment(rows, x, dur)``, if given -- block row indices
+    (m,), segment start states (m, d) and durations (m,) -- so every row's
     segments arrive in path order.  Returns BlockEnds.
     """
     hooks = _require_hooks(model)
@@ -192,9 +199,7 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
             tk[:, k] = inverse(delta[:, k], x)
         if not (tk >= 0.0).all():  # NaN fails too
             k, i = np.argwhere(~(tk >= 0.0).T)[0]
-            raise in_replication(ModelEvaluationError(
-                f"hazard_inverse[{k}] returned {float(tk[i, k])!r} at x={x[i]!r}",
-                x=x[i]), reps[rows[i]])
+            raise in_replication(_bad_inverse(k, float(tk[i, k]), x[i]), reps[rows[i]])
         # argmin keeps the first minimum: ties break to the lowest index
         best = tk.argmin(axis=1)
         pick = np.arange(rows.size), best
@@ -205,7 +210,8 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
             clocks[:, j] += hazard(dur, x)
         # the firing clock lands exactly on its epoch (inverse identity)
         clocks[pick] = np.where(stop, clocks[pick], ep[pick])
-        on_segment(rows, x, dur)
+        if on_segment is not None:
+            on_segment(rows, x, dur)
         x_end = np.asarray(flow(dur, x), dtype=float)
         t = t + dur
         if stop.any():
@@ -220,8 +226,6 @@ def exact_block(model, master_seed, replications, x0, T, on_segment,
         else:
             x = x_end + model.jumps[best]
         jumps += 1
-        if rows.size and jumps > max_jumps:
-            raise in_replication(RunawayJumpError(
-                f"more than {max_jumps} jumps before t={t[0]:g} (T={T}); "
-                f"runaway rates or too small a jump height"), reps[rows[0]])
+        if rows.size and jumps > MAX_JUMPS:
+            raise in_replication(_runaway(t[0], T), reps[rows[0]])
     return ends

@@ -969,9 +969,9 @@ class TestInitialState:
             "solve_trajectory": lambda: rs.solve_trajectory(
                 m, cfg, rs.PathBundle(0, 0, 1), x0, 1.0),
             "exact_trajectory": lambda: rs.exact_trajectory(
-                m, rs.PathBundle(0, 0, 1), x0, 1.0, max_jumps=10),
+                m, rs.PathBundle(0, 0, 1), x0, 1.0),
             "exact_block": lambda: rs.exact_block(
-                m, 0, range(2), x0, 1.0, lambda *a: None, max_jumps=10),
+                m, 0, range(2), x0, 1.0),
             "martingale_check": lambda: rs.martingale_check(
                 m, F, gradF, x0, 1.0, 2, 0),
             "strong_error": lambda: rs.strong_error(m, "exact", [cfg], x0, 1.0, 2, 0),

@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import rtesim as rs
-from rtesim import analysis, cli
-from rtesim.errors import (GridError, ImplicitSolveError, ModelEvaluationError,
-                           NegativeStateError, RunawayJumpError,
+from rtesim import analysis, cli, exact
+from rtesim.errors import (ConfigurationError, FitError, GridError,
+                           ImplicitSolveError, ModelEvaluationError,
+                           NegativeStateError, QueryError, RunawayJumpError,
                            UnsupportedModelError)
 
 LINEAR = {"name": "linear-scalar",
@@ -237,10 +238,9 @@ class TestExitCodes:
         cfg = tmp_path / "c.json"
         write_config(cfg, solver=[{"theta": 1.0, "quadrature": "euler", "h": [1.0]}])
         proc = self._converge_in_fresh_interpreter(cfg, threads)
-        assert proc.returncode == 3
-        assert proc.stdout.startswith("warning: h*theta*L_f = 1.5 >= 1")
-        assert [ln[:7] for ln in (proc.stdout + proc.stderr).splitlines()] == [
-            "warning", "error: "]
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("warning: h*theta*L_f = 1.5 >= 1")
+        assert [ln[:7] for ln in proc.stderr.splitlines()] == ["warning", "error: "]
 
     def test_reference_step_size_warning_is_one_line(self, tmp_path):
         # the explicit variants never warn; the fine-step reference has
@@ -397,27 +397,110 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_run_converge",
                             lambda *a, **k: calls.append("converge") or [])
         bad = make_config(write_config(tmp_path / "bad.json", M=0))
-        assert cli.run(bad, threads=1, log=lambda *a: None) == 1
+        assert cli.run(bad, threads=1) == 1
         assert calls == []  # an invalid document exits before any work
         config = make_config(write_config(tmp_path / "c.json", M=2))
-        assert cli.run(config, threads=1, timestamp=False, log=lambda *a: None) == 0
+        assert cli.run(config, threads=1, timestamp=False) == 0
         assert calls == ["freeze", "converge"]
 
     @pytest.mark.parametrize("exc,code", [
         (GridError("g"), 1),
+        (ConfigurationError("c"), 1),
+        (FileExistsError("o"), 1),
         (UnsupportedModelError("u"), 2),
         (ModelEvaluationError("m"), 2),
         (RunawayJumpError("r"), 2),
+        (QueryError("q"), 2),
         (ImplicitSolveError("i"), 3),
         (NegativeStateError("n"), 3),
+        (FitError("f"), 3),
     ])
-    def test_error_mapping(self, tmp_path, monkeypatch, exc, code):
+    def test_error_mapping(self, tmp_path, monkeypatch, capsys, exc, code):
         cfg = tmp_path / "c.json"
         doc = write_config(cfg, M=2)
         monkeypatch.setattr(cli, "_run_converge",
                             lambda *a, **k: (_ for _ in ()).throw(exc))
         config = make_config(doc)
-        assert cli.run(config, threads=1, timestamp=False, log=lambda *a: None) == code
+        assert cli.run(config, threads=1, timestamp=False) == code
+        out = capsys.readouterr()
+        where = "output: " if isinstance(exc, OSError) else ""
+        assert (out.out, out.err) == ("", f"error: {where}{exc}\n")
+
+
+# linear-study's document (criterion 1's); its exact paths take about 8.9k jumps
+STUDY = {"schema": 1, "model": LINEAR, "T": 5.0, "x0": 10.0, "reference": "exact",
+         "solver": [{"theta": theta, "quadrature": rule,
+                     "h": [2.0 ** -k for k in range(2, 8)]}
+                    for theta, rule in ((0.0, "euler"), (1.0, "euler"),
+                                        (0.5, "trapezoidal"))]}
+
+
+class TestErrorStream:
+    """A failure writes one error line, to stderr; stdout gets only wrote lines."""
+
+    @staticmethod
+    def _main(tmp_path, capsys, argv, document, experiment="converge"):
+        cfg = tmp_path / "c.json"
+        if isinstance(document, str):  # the file's text, or no file at all
+            if document != "missing":
+                cfg.write_text(document)
+        else:
+            write_config(cfg, **document)
+        code = cli.main([experiment, "--config", str(cfg), "--no-timestamp",
+                         "--threads", "1"] + argv)
+        out = capsys.readouterr()
+        return code, out.out.splitlines(), out.err.splitlines()
+
+    @pytest.mark.parametrize("argv,document,code", [
+        (["--threads", "x"], {}, 1),
+        (["--threads", "0"], {}, 1),
+        ([], "missing", 1),
+        ([], "{not json", 1),
+        ([], "[1, 2]", 1),
+        ([], {"seed": -1}, 1),
+        ([], {"T": "1"}, 1),
+        # no step-size warning: h*theta*L_f = 0.375, but one Picard iteration
+        # cannot meet the tolerance
+        ([], {"solver": [{"theta": 1.0, "h": [0.25], "fp_max_iter": 1,
+                          "fp_tol": 1e-300}]}, 3),
+        ([], {"output": "file"}, 1),
+    ], ids=["malformed-flag", "zero-threads", "missing-file", "bad-json",
+            "json-array", "bad-seed", "malformed-document", "implicit-stall",
+            "unwritable-output"])
+    def test_failure_is_one_error_line_on_stderr(self, tmp_path, capsys, argv,
+                                                 document, code):
+        (tmp_path / "file").write_text("kept")
+        if isinstance(document, dict):
+            document = dict({"M": 2}, **document)
+            if document.get("output") == "file":
+                document["output"] = str(tmp_path / "file")
+        got, out, err = self._main(tmp_path, capsys, argv, document)
+        assert got == code
+        assert out == [] and len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_success_writes_wrote_lines_to_stdout(self, tmp_path, capsys):
+        # the unknown field is a warning, which goes to stderr
+        code, out, err = self._main(tmp_path, capsys, [], {"M": 2, "note": 1})
+        assert code == 0
+        assert err == ["warning: ignoring unknown config field 'note'"]
+        assert out == [f"wrote {tmp_path / 'out' / name}"
+                       for name in ("report.csv", "fit.txt")]
+
+    @pytest.mark.parametrize("experiment,M", [
+        ("simulate", 1), ("converge", 2), ("converge", 16), ("diagnose", 2)])
+    def test_runaway_exact_path_exits_2(self, tmp_path, monkeypatch, capsys,
+                                        experiment, M):
+        # simulate solves on exact_trajectory, diagnose on exact_block;
+        # converge's reference takes the row-by-row path at M = 2 and the
+        # batched one at M = 16
+        monkeypatch.setattr(exact, "MAX_JUMPS", 100)
+        document = json.dumps(dict(STUDY, M=M, output=str(tmp_path / "out")))
+        code, out, err = self._main(tmp_path, capsys, [], document, experiment)
+        assert code == 2
+        assert out == [] and len(err) == 1 and err[0].startswith("error: ")
+        assert "more than 100 jumps" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputs:

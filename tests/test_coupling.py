@@ -9,15 +9,19 @@ both drawn.  conftest's Hypothesis profile derandomizes the examples, so a
 tier-1 run is deterministic.
 """
 
+import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rtesim as rs
 from conftest import record_lockstep
 from rtesim import analysis
+from rtesim.errors import ModelEvaluationError
 from rtesim.exact import exact_block, exact_trajectory
 from rtesim.poisson import EpochWindows, PathBundle
 
@@ -145,12 +149,16 @@ def test_exact_block_rows_equal_exact_trajectory(name, seed, reps):
 
 
 def _assert_block_size_free(name, chain, M, exact, threads):
-    """strong_error's report is the same at _BLOCK_ROWS 1, 7, 128 and 1024."""
+    """strong_error's report is the same at _BLOCK_ROWS 1, 7, 128 and 1024,
+    with an exact reference solved by exact_block (_EXACT_BLOCK_ROWS 1) or
+    row by row (_EXACT_BLOCK_ROWS 10**6)."""
     model, x0 = MODELS[name]
     reference = "exact" if exact else rs.SolverConfig(theta=0.0, h=1 / 64)
     reports = []
-    for rows in (1, 7, 128, 1024):
-        with mock.patch.object(analysis, "_BLOCK_ROWS", rows):
+    for rows, exact_rows in itertools.product((1, 7, 128, 1024),
+                                              (1, 10**6) if exact else (16,)):
+        with mock.patch.object(analysis, "_BLOCK_ROWS", rows), \
+                mock.patch.object(analysis, "_EXACT_BLOCK_ROWS", exact_rows):
             reports.append(rs.strong_error(model, reference, _configs(chain), x0, T,
                                            M, SEED, threads=threads))
     for report in reports[1:]:
@@ -177,3 +185,29 @@ def test_strong_error_does_not_depend_on_block_size_at_two_threads():
                                                        (1.0, "euler", 2),
                                                        (0.0, "midpoint", 1)]),
                             3, False, threads=2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batched_reference_fails_as_row_by_row(threads):
+    # epoch gaps below 1e-3 fail replications 2, 3, 5, 6 and 7; a block
+    # solve meets replication 7's first, so the batched reference must
+    # solve its rows again one by one to name replication 2
+    model = MODELS["linear-scalar"][0]
+    inverse = model.analytic.hazard_inverse[0]
+    hooks = dataclasses.replace(model.analytic, hazard_inverse=(
+        lambda delta, x: np.where(delta < 1e-3, np.nan, inverse(delta, x)),))
+    fragile = rs.RteModel(1, model.drift, model.rates, model.jumps, analytic=hooks,
+                          name="fragile")
+    with pytest.raises(ModelEvaluationError, match=r"^replication 7: "):
+        exact_block(fragile, 0, range(8), [10.0], 0.5)
+    errors = []
+    for exact_rows in (1, 10**6):
+        with mock.patch.object(analysis, "_EXACT_BLOCK_ROWS", exact_rows), \
+                pytest.raises(ModelEvaluationError) as info:
+            rs.strong_error(fragile, "exact", [rs.SolverConfig(theta=0.0, h=0.25)],
+                            [10.0], 0.5, 8, 0, threads=threads)
+        e = info.value
+        errors.append((type(e), str(e), e.replication, e.row, e.config))
+    assert errors[0] == errors[1]
+    assert errors[0][2:] == (2, 2, "reference")
+    assert errors[0][1].startswith("replication 2, reference: hazard_inverse[0]")

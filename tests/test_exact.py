@@ -7,6 +7,7 @@ from scipy import integrate
 
 import rtesim as rs
 from conftest import fixed_path, zero_rate_model
+from rtesim import exact
 from rtesim.errors import (ConfigurationError, ModelEvaluationError, QueryError,
                            RunawayJumpError, UnsupportedModelError)
 from rtesim.exact import exact_block
@@ -138,11 +139,11 @@ class TestExactTrajectory:
         assert np.array_equal(traj.states_post_jump, traj.seg_states[1:])
         assert np.array_equal(traj.x0, traj.seg_states[0])
 
-    def test_runaway_guard(self):
+    def test_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_JUMPS", 10)
         m = rs.builtin_linear_scalar(**SET1)
-        with pytest.raises(RunawayJumpError):
-            rs.exact_trajectory(m, rs.PathBundle(4, 0, 1), [10.0], 5.0,
-                                max_jumps=10)
+        with pytest.raises(RunawayJumpError, match=r"^more than 10 jumps before t="):
+            rs.exact_trajectory(m, rs.PathBundle(4, 0, 1), [10.0], 5.0)
 
     def test_non_finite_clock_is_a_query_error(self):
         # the second clock turns NaN at the first jump of the first process;
@@ -155,7 +156,7 @@ class TestExactTrajectory:
             rs.exact_trajectory(bad, rs.PathBundle(3, 2, 2), [10.0], 1.0)
         assert str(alone.value) == "next_epoch_after needs finite u >= 0, got nan"
         with pytest.raises(QueryError) as block:
-            exact_block(bad, 3, [2], [10.0], 1.0, lambda *a: None)
+            exact_block(bad, 3, [2], [10.0], 1.0)
         assert str(block.value) == f"replication 2: {alone.value}"
         assert block.value.replication == 2
 
@@ -260,7 +261,7 @@ class TestExactBlock:
 
     def test_empty_block(self):
         m = rs.builtin_linear_scalar(**SET1)
-        ends = exact_block(m, 0, range(0), [10.0], 1.0, None)
+        ends = exact_block(m, 0, range(0), [10.0], 1.0)
         assert ends.endpoints.shape == (0, 1) and ends.clocks.shape == (0, 1)
 
     def test_nan_inverse_names_replication_and_state(self):
@@ -271,7 +272,7 @@ class TestExactBlock:
                               hazard_integral=m.analytic.hazard_integral,
                               hazard_inverse=(lambda delta, x: math.nan,)))
         with pytest.raises(ModelEvaluationError, match=r"^replication 4: ") as info:
-            exact_block(bad, 0, range(4, 8), [10.0], 1.0, lambda *a: None)
+            exact_block(bad, 0, range(4, 8), [10.0], 1.0)
         assert info.value.replication == 4
         assert np.array_equal(info.value.x, [10.0])
 
@@ -287,7 +288,7 @@ class TestExactBlock:
         hooks = dataclasses.replace(m.analytic, hazard_inverse=(nan_in_row_2,))
         bad = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
         with pytest.raises(ModelEvaluationError, match=r"^replication 6: ") as info:
-            exact_block(bad, 0, range(4, 8), [10.0], 1.0, lambda *a: None)
+            exact_block(bad, 0, range(4, 8), [10.0], 1.0)
         assert info.value.replication == 6
         assert np.array_equal(info.value.x, [10.0])
 
@@ -305,24 +306,23 @@ class TestExactBlock:
             m.analytic,
             hazard_inverse=tuple(map(counted, m.analytic.hazard_inverse)))
         counted_model = rs.RteModel(1, m.drift, m.rates, m.jumps, analytic=hooks)
-        ends = exact_block(counted_model, 21, range(7), [10.0], 0.25,
-                           lambda *a: None)
+        ends = exact_block(counted_model, 21, range(7), [10.0], 0.25)
         assert len(rows_per_call) == 2 * (ends.jump_counts.max() + 1)
         assert rows_per_call[:2] == [7, 7]
 
-    def test_runaway_guard(self):
+    def test_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_JUMPS", 10)
         m = rs.builtin_linear_scalar(**SET1)
-        with pytest.raises(RunawayJumpError) as info:
-            exact_block(m, 4, range(2), [10.0], 5.0, lambda *a: None,
-                        max_jumps=10)
+        with pytest.raises(RunawayJumpError,
+                           match=r"^replication 0: more than 10 jumps ") as info:
+            exact_block(m, 4, range(2), [10.0], 5.0)
         assert info.value.replication == 0
 
     def test_initial_state_shape_checked(self):
         m = rs.builtin_linear_scalar(**SET1)
         with pytest.raises(ConfigurationError):
-            exact_block(m, 0, range(2), [10.0, 1.0], 1.0, lambda *a: None)
+            exact_block(m, 0, range(2), [10.0, 1.0], 1.0)
 
     def test_requires_hooks(self):
         with pytest.raises(UnsupportedModelError):
-            exact_block(rs.builtin_bacteriophage(), 0, range(2), np.ones(3), 1.0,
-                        lambda *a: None)
+            exact_block(rs.builtin_bacteriophage(), 0, range(2), np.ones(3), 1.0)
