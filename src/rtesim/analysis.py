@@ -7,7 +7,6 @@ tasks; results are reduced in replication order, which keeps every
 reported number bit-stable no matter how many workers run.
 """
 
-import contextlib
 import functools
 import math
 import multiprocessing as mp
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, FitError, ModelEvaluationError,
                      RteSimError, UnsupportedModelError, in_replication)
-from .exact import exact_block, exact_trajectory
+from .exact import PathRecord, exact_block, exact_rows, exact_trajectory
 from .model import eval_drift, initial_state
 from .poisson import EpochWindows, PathBundle
 # strong_error calls solve_lockstep; solve_trajectory is imported so that
@@ -85,7 +84,6 @@ def run_replications(worker, M, threads=1):
 # rows left; martingale_check gives each worker one block.  Neither block
 # solve keeps a path, so a block's memory does not grow with its steps.
 _BLOCK_ROWS = 1024
-_EXACT_BLOCK_ROWS = 16  # fewest rows of an exact_block reference (README)
 
 
 def _blocks(M, size):
@@ -176,8 +174,8 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
     groups; the reference is a group of one.  A task is one group on one
     block, which solve_lockstep runs config-major in one pass per step of
     the group's finest grid, keeping only the current states.  An exact
-    reference block of _EXACT_BLOCK_ROWS rows or more is one exact_block
-    solve; a smaller or a failing one runs exact_trajectory row by row.
+    reference block is solved by exact.exact_rows, which keeps only the
+    endpoints.
     Tasks run block by block: the reference first, then the groups from
     finest to coarsest first h, so the longest tasks start first.
 
@@ -225,21 +223,10 @@ def strong_error(model, reference, configs, x0, T, M, master_seed,
                              for i in range(0, len(c), size)),
                             key=lambda g: solvers[g[0]].h)
 
-    def exact_end(i, j):
-        try:
-            return exact_trajectory(model, PathBundle(master_seed, j, p), x0, T).endpoint
-        except RteSimError as e:
-            e.row = i
-            raise in_replication(e, j, "reference", config="reference") from e
-
     def solve(group, reps):
-        if use_exact and group == [0]:
-            # a failing block is solved again row by row, to name its lowest row
-            with contextlib.suppress(RteSimError):
-                if len(reps) >= _EXACT_BLOCK_ROWS:
-                    return exact_block(model, master_seed, reps, x0, T).endpoints
-            return np.stack([exact_end(i, j) for i, j in enumerate(reps)])
         try:
+            if use_exact and group == [0]:
+                return exact_rows(model, master_seed, reps, x0, T).endpoints
             windows = EpochWindows(master_seed, list(reps) * len(group), p)
             return solve_lockstep(model, [solvers[k] for k in group], windows,
                                   x0, T).endpoints
@@ -346,26 +333,41 @@ def _step_pieces(model, exact, h):
     return drift_int, hazard_int, x_grid, eval_drift(model, x_grid)
 
 
+# Most rows per local-error block, which records its rows' whole paths.  On
+# criterion 1's document at M = 200, 128 rows took the least CPU of 32, 64
+# and 128 rows, and peaked at 109 MB against 81 MB at 64 (README).
+_LOCAL_BLOCK_ROWS = 128
+
+
 def local_error_study(model, configs, x0, T, M, master_seed, threads=1):
     """local_errors of every config on the exact paths of M replications.
 
-    Replication j's path is exact_trajectory on PathBundle(master_seed, j,
-    p), one task per replication.  Returns one tuple per config, holding
-    each replication's local_errors array, in replication order.  A failure
-    raises the error of the lowest failing replication, naming it.
+    Replication j's path is solved on PathBundle(master_seed, j, p)'s
+    epochs.  A task is a block of ceil(M / max(workers, ceil(M /
+    _LOCAL_BLOCK_ROWS))) rows that exact.exact_rows solves into a
+    PathRecord; a row's arrays depend on neither its block nor the engine.
+    Returns one tuple per config, holding each replication's local_errors
+    array, in replication order.  A failure raises the error of the lowest
+    failing replication, naming it.
     """
     if M < 1:
         raise ConfigurationError(f"replication count M must be >= 1, got {M}")
-    p = model.jump_count
 
-    def worker(j):
+    def worker(reps):
+        record, out = PathRecord(), []
         try:
-            return local_errors(model, exact_trajectory(
-                model, PathBundle(master_seed, j, p), x0, T), configs)
+            ends = exact_rows(model, master_seed, reps, x0, T, record)
+            for path in record.paths(model, T, ends):
+                out.append(local_errors(model, path, configs))
+            return out
         except RteSimError as e:
-            raise in_replication(e, j) from e
+            if e.row:  # an exact path failed: the rows below it are sampled first
+                worker(reps[:e.row])
+            raise in_replication(e, reps[len(out) if e.row is None else e.row]) from e
 
-    return list(zip(*run_replications(worker, M, threads)))
+    blocks = _blocks(M, -(-M // max(_workers(threads), -(-M // _LOCAL_BLOCK_ROWS))))
+    results = run_replications(lambda b: worker(blocks[b]), len(blocks), threads)
+    return list(zip(*(errs for block in results for errs in block)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +523,9 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     Before that, a row whose sums or F(X_T) are not finite raises
     ModelEvaluationError naming its replication, the lowest such row first.
     A non-finite F(x0) raises ModelEvaluationError before any block runs.
+    It calls exact_block, not exact_rows: a row solved alone would hand its
+    whole path in one call, and its sums would round differently wherever
+    a segment splits into chunks (up to 2.5e-16 relative, README).
     """
     if M < 2:
         raise ConfigurationError(f"martingale check needs M >= 2, got {M}")
@@ -534,7 +539,7 @@ def martingale_check(model, F, gradF, x0, T, M, master_seed, threads=1, tol=1e-8
     def worker(reps):
         kron, gauss = np.zeros((2, 2, len(reps)))  # per integrand and row
 
-        def add(rows, x, dur):
+        def add(rows, x, dur, t, fired):
             seg, k15, g7 = _gk_chunks(model.analytic.flow, integrands, x, dur, 1)
             bins = rows[seg]
             for i in range(len(k15)):

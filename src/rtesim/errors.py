@@ -14,7 +14,9 @@ class RteSimError(Exception):
     ``exact_block`` and ``martingale_check`` set ``replication``.  Both are
     None otherwise.  ``solve_lockstep``, so ``solve_trajectory`` and
     ``strong_error``, sets ``row``, the index of the failing row in its
-    block of replications, and ``step``, that row's own step index.
+    block of replications, and ``step``, that row's own step index;
+    ``exact_block`` and ``exact_rows``, so ``strong_error`` and
+    ``local_error_study``, set ``row`` for an exact path.
     """
 
     replication = None

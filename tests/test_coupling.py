@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 import rtesim as rs
 from conftest import record_lockstep
 from rtesim import analysis
+from rtesim import exact as exact_module
 from rtesim.errors import ModelEvaluationError
-from rtesim.exact import exact_block, exact_trajectory
+from rtesim.exact import PathRecord, exact_block, exact_rows, exact_trajectory
 from rtesim.poisson import EpochWindows, PathBundle
 
 SEED = 13
@@ -134,31 +135,44 @@ def test_exact_block_rows_equal_exact_trajectory(name, seed, reps):
     T = EXACT_T[name]
     segments = [[] for _ in reps]
 
-    def record(rows, x, dur):
+    def record(rows, x, dur, t, fired):
         for i, xi, di in zip(rows.tolist(), x, dur):
             segments[i].append((xi.copy(), di))
 
     ends = exact_block(model, seed, reps, x0, T, record)
-    for i, j in enumerate(reps):
-        traj = exact_trajectory(model, PathBundle(seed, j, model.jump_count), x0, T)
+    trajs = [exact_trajectory(model, PathBundle(seed, j, model.jump_count), x0, T)
+             for j in reps]
+    for i, traj in enumerate(trajs):
         assert np.array_equal([x for x, _ in segments[i]], traj.seg_states)
         assert np.array_equal([dur for _, dur in segments[i]], traj.seg_durations)
         assert np.array_equal(ends.endpoints[i], traj.endpoint)
         assert np.array_equal(ends.clocks[i], traj.clocks)
         assert ends.jump_counts[i] == traj.jump_count
+    # a PathRecord rebuilds every row's path, on either engine of exact_rows
+    for min_rows in (1, 10**6):
+        record = PathRecord()
+        with mock.patch.object(exact_module, "MIN_BLOCK_ROWS", min_rows):
+            solved = exact_rows(model, seed, reps, x0, T, record)
+        assert all(np.array_equal(a, b) for a, b in zip(solved, ends))
+        for path, traj in zip(record.paths(model, T, solved), trajs, strict=True):
+            for field in ("seg_starts", "seg_states", "seg_durations", "jump_ids",
+                          "jump_times", "states_post_jump", "clocks", "x0"):
+                got, want = getattr(path, field), getattr(traj, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), field
+            assert (path.model, path.T) == (traj.model, traj.T)
 
 
 def _assert_block_size_free(name, chain, M, exact, threads):
     """strong_error's report is the same at _BLOCK_ROWS 1, 7, 128 and 1024,
-    with an exact reference solved by exact_block (_EXACT_BLOCK_ROWS 1) or
-    row by row (_EXACT_BLOCK_ROWS 10**6)."""
+    with an exact reference solved by exact_block (exact.MIN_BLOCK_ROWS 1)
+    or row by row (exact.MIN_BLOCK_ROWS 10**6)."""
     model, x0 = MODELS[name]
     reference = "exact" if exact else rs.SolverConfig(theta=0.0, h=1 / 64)
     reports = []
-    for rows, exact_rows in itertools.product((1, 7, 128, 1024),
-                                              (1, 10**6) if exact else (16,)):
+    for rows, min_rows in itertools.product((1, 7, 128, 1024),
+                                            (1, 10**6) if exact else (16,)):
         with mock.patch.object(analysis, "_BLOCK_ROWS", rows), \
-                mock.patch.object(analysis, "_EXACT_BLOCK_ROWS", exact_rows):
+                mock.patch.object(exact_module, "MIN_BLOCK_ROWS", min_rows):
             reports.append(rs.strong_error(model, reference, _configs(chain), x0, T,
                                            M, SEED, threads=threads))
     for report in reports[1:]:
@@ -187,22 +201,28 @@ def test_strong_error_does_not_depend_on_block_size_at_two_threads():
                             3, False, threads=2)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_batched_reference_fails_as_row_by_row(threads):
-    # epoch gaps below 1e-3 fail replications 2, 3, 5, 6 and 7; a block
-    # solve meets replication 7's first, so the batched reference must
-    # solve its rows again one by one to name replication 2
+def _fragile_model():
+    """linear-scalar whose broadcasting inverse fails at epoch gaps below
+    1e-3: over [0, 0.5] at seed 0 that fails replications 2, 3, 5, 6 and 7,
+    and a block solve of range(8) meets replication 7's first."""
     model = MODELS["linear-scalar"][0]
     inverse = model.analytic.hazard_inverse[0]
     hooks = dataclasses.replace(model.analytic, hazard_inverse=(
         lambda delta, x: np.where(delta < 1e-3, np.nan, inverse(delta, x)),))
-    fragile = rs.RteModel(1, model.drift, model.rates, model.jumps, analytic=hooks,
-                          name="fragile")
+    return rs.RteModel(1, model.drift, model.rates, model.jumps, analytic=hooks,
+                       name="fragile")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batched_reference_fails_as_row_by_row(threads):
+    # the batched reference must solve its rows again one by one to name
+    # replication 2
+    fragile = _fragile_model()
     with pytest.raises(ModelEvaluationError, match=r"^replication 7: "):
         exact_block(fragile, 0, range(8), [10.0], 0.5)
     errors = []
-    for exact_rows in (1, 10**6):
-        with mock.patch.object(analysis, "_EXACT_BLOCK_ROWS", exact_rows), \
+    for min_rows in (1, 10**6):
+        with mock.patch.object(exact_module, "MIN_BLOCK_ROWS", min_rows), \
                 pytest.raises(ModelEvaluationError) as info:
             rs.strong_error(fragile, "exact", [rs.SolverConfig(theta=0.0, h=0.25)],
                             [10.0], 0.5, 8, 0, threads=threads)
@@ -211,3 +231,43 @@ def test_batched_reference_fails_as_row_by_row(threads):
     assert errors[0] == errors[1]
     assert errors[0][2:] == (2, 2, "reference")
     assert errors[0][1].startswith("replication 2, reference: hazard_inverse[0]")
+
+
+LOCAL_CONFIGS = [rs.SolverConfig(theta=0.0, h=1 / 8),
+                 rs.SolverConfig(theta=1.0, h=1 / 4),
+                 rs.SolverConfig(theta=0.5, h=1 / 8, quadrature="trapezoidal")]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_local_error_study_does_not_depend_on_blocks_or_engine(name):
+    # row caps 1, 7 and 64 give blocks of 1 to 6 rows; threads 3 runs on at
+    # most the usable CPUs
+    model, x0 = MODELS[name]
+    runs = []
+    for cap, min_rows, threads in itertools.product((1, 7, 64), (1, 10**6),
+                                                    (1, 2, 3)):
+        with mock.patch.object(analysis, "_LOCAL_BLOCK_ROWS", cap), \
+                mock.patch.object(exact_module, "MIN_BLOCK_ROWS", min_rows):
+            runs.append(analysis.local_error_study(model, LOCAL_CONFIGS, x0, T, 6,
+                                                   SEED, threads=threads))
+    for run in runs[1:]:
+        assert len(run) == len(runs[0])
+        for per_rep, first in zip(run, runs[0], strict=True):
+            assert len(per_rep) == len(first) == 6
+            assert all(np.array_equal(a, b) for a, b in zip(per_rep, first))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batched_local_error_study_fails_as_row_by_row(threads):
+    fragile = _fragile_model()
+    errors = []
+    for min_rows in (1, 10**6):
+        with mock.patch.object(exact_module, "MIN_BLOCK_ROWS", min_rows), \
+                pytest.raises(ModelEvaluationError) as info:
+            analysis.local_error_study(fragile, LOCAL_CONFIGS[:1], [10.0], 0.5, 8, 0,
+                                       threads=threads)
+        e = info.value
+        errors.append((type(e), str(e), e.replication, e.row, e.config))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == 2 and errors[0][4] is None
+    assert errors[0][1].startswith("replication 2: hazard_inverse[0]")

@@ -215,12 +215,13 @@ BLOCK_MODELS = {
 
 
 def collect_block(model, seed, reps, x0, T, **kwargs):
-    """exact_block's result plus every row's segments, in arrival order."""
+    """exact_block's result plus every row's segments, in arrival order, as
+    (state, duration, start time, firing process)."""
     segments = {i: [] for i in range(len(reps))}
 
-    def on_segment(rows, x, dur):
-        for i, xi, di in zip(rows.tolist(), x, dur):
-            segments[i].append((xi.copy(), di))
+    def on_segment(rows, x, dur, t, fired):
+        for i, *segment in zip(rows.tolist(), x, dur, t, fired):
+            segments[i].append(segment)
 
     ends = exact_block(model, seed, reps, x0, T, on_segment, **kwargs)
     return ends, segments
@@ -236,15 +237,11 @@ class TestExactBlock:
         for i, j in enumerate(reps):
             traj = rs.exact_trajectory(model, rs.PathBundle(21, j, model.jump_count),
                                        [10.0], 0.25)
-            states = np.array([x for x, _ in segments[i]])
-            durs = np.array([dur for _, dur in segments[i]])
+            states, durs, starts, fired = map(np.array, zip(*segments[i]))
             assert np.array_equal(states, traj.seg_states), (name, B, j)
             assert np.array_equal(durs, traj.seg_durations), (name, B, j)
-            t, jump_times = 0.0, []
-            for dur in durs[:-1]:
-                t += dur
-                jump_times.append(t)
-            assert np.array_equal(jump_times, traj.jump_times)
+            assert np.array_equal(starts, traj.seg_starts), (name, B, j)
+            assert np.array_equal(fired, np.append(traj.jump_ids, -1)), (name, B, j)
             assert np.array_equal(ends.endpoints[i], traj.endpoint)
             assert np.array_equal(ends.clocks[i], traj.clocks)
             assert ends.jump_counts[i] == traj.jump_count
